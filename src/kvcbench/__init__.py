@@ -16,7 +16,6 @@ from .compress import (
     CompressedCache,
     CompressionBudget,
     GuidancePrompt,
-    SelectionPolicy,
     answer_with_cache,
     compress_iterative,
     compress_oracle,
@@ -44,11 +43,8 @@ from .errors import (
     UsageError,
 )
 from .evalharness import (
-    AttentionProfile,
     RunRecord,
     TimingRecord,
-    attention_profile,
-    answer_perplexity,
     answer_with_context,
     emit_report,
     measure_ttft,

@@ -11,18 +11,19 @@ Three reference policies that never see guidance text:
   closed-form log of its expected attention weight,
   mu.kappa/sqrt(d_k) + 0.5 * kappa^T Sigma kappa / d_k.
 
-All three return the same CompressedCache shape as the task-aware
-compressor; the guidance fingerprint is all zeros since none is used.
+Each checks its arguments and hands a keep rule to the segment walk of
+the task-aware compressor, run as one segment with no guidance rows, so
+all three return the same CompressedCache shape; the guidance fingerprint
+is all zeros since none is used.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .compress import CacheMeta, CompressedCache, _count_call, select_top
+from .compress import CompressedCache, CompressionBudget, _context_ids, _walk, select_top
 from .errors import UsageError
-from .modelcore import KvCache, Model, prefill, rotate
-from .vocab import fingerprint_ids
+from .modelcore import Model, rotate
 
 ZERO_GUIDANCE_FP = b"\x00" * 32
 
@@ -32,50 +33,23 @@ DEFAULT_POOL_WIDTH = 7
 DEFAULT_SAMPLE_SIZE = 256
 
 
-def _context_ids(context) -> np.ndarray:
-    ids = np.asarray(getattr(context, "ids", context), dtype=np.int64)
-    if ids.size == 0:
-        raise UsageError("context must be nonempty")
-    return ids
-
-
-def _build(model: Model, ctx: np.ndarray, cache: KvCache, keeps, k: int, schedule: str) -> CompressedCache:
-    meta = CacheMeta(
-        model_fingerprint=model.fingerprint,
-        guidance_fingerprint=ZERO_GUIDANCE_FP,
-        corpus_fingerprint=fingerprint_ids(ctx),
-        n_context=int(ctx.shape[0]),
-        k=k,
-        s=1,
-        schedule=schedule,
-    )
-    keys = [cache.keys[l][keeps[l]] for l in range(model.config.n_layers)]
-    values = [cache.values[l][keeps[l]] for l in range(model.config.n_layers)]
-    kept = [keeps[l].astype(np.int64) for l in range(model.config.n_layers)]
-    return CompressedCache(keys, values, kept, meta)
-
-
 def compress_streaming_llm(model: Model, context, k: int, sink: int = DEFAULT_SINK) -> CompressedCache:
     """Keep the first `sink` positions and the last k - sink positions."""
-    _count_call()
-    if k < 1:
-        raise UsageError("budget k must be >= 1")
+    budget = CompressionBudget(k)
     if sink < 0:
         raise UsageError("sink count must be >= 0")
-    ctx = _context_ids(context)
-    n = int(ctx.shape[0])
-    cache = KvCache.empty(model.config)
-    prefill(model, cache, ctx)
-    n_keep = min(k, n)
-    n_sink = min(sink, n_keep)
-    keep = np.concatenate(
-        [
-            np.arange(n_sink, dtype=np.int64),
-            np.arange(n - (n_keep - n_sink), n, dtype=np.int64),
-        ]
-    )
-    keeps = [keep for _ in range(model.config.n_layers)]
-    return _build(model, ctx, cache, keeps, k, "streaming")
+
+    def keep(capture, cache, n, r):
+        n_sink = min(sink, r)
+        rows = np.concatenate(
+            [
+                np.arange(n_sink, dtype=np.int64),
+                np.arange(n - (r - n_sink), n, dtype=np.int64),
+            ]
+        )
+        return [rows for _ in range(model.config.n_layers)]
+
+    return _walk(model, _context_ids(context), budget, 1, keep, ZERO_GUIDANCE_FP, "streaming")
 
 
 def _max_pool(x: np.ndarray, width: int) -> np.ndarray:
@@ -97,32 +71,26 @@ def compress_snapkv_agnostic(
     """Keep the last `window` context tokens plus the top k - window earlier
     tokens by window attention, max-pooled so neighbors of hot tokens
     survive together."""
-    _count_call()
-    if k < 1:
-        raise UsageError("budget k must be >= 1")
+    budget = CompressionBudget(k)
     if window < 1:
         raise UsageError("window must be >= 1")
     if pool_width < 1:
         raise UsageError("pool_width must be >= 1")
     ctx = _context_ids(context)
-    n = int(ctx.shape[0])
-    n_keep = min(k, n)
-    w_eff = min(window, n_keep)
+    w_eff = min(window, k, ctx.shape[0])
 
-    cache = KvCache.empty(model.config)
-    capture = prefill(model, cache, ctx, observer_span=(n - w_eff, n))
-    n_cand = n - w_eff
-    window_rows = np.arange(n_cand, n, dtype=np.int64)
-    keeps = []
-    for layer in range(model.config.n_layers):
-        if n_cand == 0:
-            keeps.append(window_rows)
-            continue
-        scores = capture.layers[layer][:, :, :n_cand].mean(axis=(0, 1))
-        pooled = _max_pool(scores, pool_width)
-        chosen = select_top(pooled, n_keep - w_eff)
-        keeps.append(np.concatenate([chosen.astype(np.int64), window_rows]))
-    return _build(model, ctx, cache, keeps, k, "snapkv")
+    def keep(capture, cache, n, r):
+        n_cand = n - w_eff
+        window_rows = np.arange(n_cand, n, dtype=np.int64)
+        keeps = []
+        for layer in capture.layers:
+            scores = layer[:, :, :n_cand].mean(axis=(0, 1))
+            pooled = _max_pool(scores, pool_width)
+            chosen = select_top(pooled, r - w_eff)
+            keeps.append(np.concatenate([chosen.astype(np.int64), window_rows]))
+        return keeps
+
+    return _walk(model, ctx, budget, 1, keep, ZERO_GUIDANCE_FP, "snapkv", observe=w_eff)
 
 
 def compress_expected_attention(
@@ -134,31 +102,28 @@ def compress_expected_attention(
     """Score every key by its expected attention logit under a Gaussian fit
     to the last `sample_size` rotated query vectors. With fewer than two
     samples the covariance term drops and ranking is mean-query only."""
-    _count_call()
-    if k < 1:
-        raise UsageError("budget k must be >= 1")
+    budget = CompressionBudget(k)
     if sample_size < 1:
         raise UsageError("sample_size must be >= 1")
     ctx = _context_ids(context)
-    n = int(ctx.shape[0])
-    m = min(sample_size, n)
+    m = min(sample_size, ctx.shape[0])
     cfg = model.config
     H, dk = cfg.n_heads, cfg.head_dim
 
-    cache = KvCache.empty(cfg)
-    capture = prefill(model, cache, ctx, query_span=(n - m, n))
-    r = min(k, n)
-    keeps = []
-    for layer in range(cfg.n_layers):
-        queries = capture.queries[layer].astype(np.float64)
-        k_rot = rotate(cache.keys[layer], cache.positions[layer], cfg).astype(np.float64)
-        scores = np.zeros(n)
-        for h in range(H):
-            cols = slice(h * dk, (h + 1) * dk)
-            q_h = queries[:, cols]
-            mu = q_h.mean(axis=0)
-            var = q_h.var(axis=0) if m >= 2 else np.zeros(dk)
-            k_h = k_rot[:, cols]
-            scores += k_h @ mu / np.sqrt(dk) + 0.5 * np.square(k_h) @ var / dk
-        keeps.append(select_top(scores / H, r))
-    return _build(model, ctx, cache, keeps, k, "expattn")
+    def keep(capture, cache, n, r):
+        keeps = []
+        for layer in range(cfg.n_layers):
+            queries = capture.queries[layer].astype(np.float64)
+            k_rot = rotate(cache.keys[layer], cache.positions[layer], cfg).astype(np.float64)
+            scores = np.zeros(n)
+            for h in range(H):
+                cols = slice(h * dk, (h + 1) * dk)
+                q_h = queries[:, cols]
+                mu = q_h.mean(axis=0)
+                var = q_h.var(axis=0) if m >= 2 else np.zeros(dk)
+                k_h = k_rot[:, cols]
+                scores += k_h @ mu / np.sqrt(dk) + 0.5 * np.square(k_h) @ var / dk
+            keeps.append(select_top(scores / H, r))
+        return keeps
+
+    return _walk(model, ctx, budget, 1, keep, ZERO_GUIDANCE_FP, "expattn", sample=m)

@@ -29,6 +29,7 @@ import numpy as np
 from .cachefile import load_cache, save_cache
 from .compress import (
     CompressionBudget,
+    GuidancePrompt,
     answer_with_cache,
     compress_iterative,
 )

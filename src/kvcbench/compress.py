@@ -13,7 +13,9 @@ of the context.
 
 Survivors are renumbered to contiguous positions after every selection;
 because the cache stores unrotated keys, renumbering is exact rather than
-approximate.
+approximate. The task-agnostic baselines run the same segment walk with
+their own keep rules; only ``compress_oracle`` stays a separate one-shot
+reference.
 """
 
 from __future__ import annotations
@@ -105,18 +107,6 @@ class CompressionBudget:
         return (self.k * tokens_seen + total_tokens - 1) // total_tokens
 
 
-@dataclass(frozen=True)
-class SelectionPolicy:
-    """Survivor selection rule; score ties break toward the lower original
-    position so reruns are bit-stable."""
-
-    tie_break: str = "lower_position"
-
-    def __post_init__(self):
-        if self.tie_break != "lower_position":
-            raise UsageError(f"unknown tie break {self.tie_break!r}")
-
-
 def plan_chunks(n_tokens: int, n_segments: int) -> list[tuple[int, int]]:
     """Split [0, n_tokens) into up to n_segments contiguous spans of equal
     ceiling width; the last span absorbs the remainder (possibly shorter)."""
@@ -139,9 +129,9 @@ def score_tokens(capture, n_candidates: int) -> list[np.ndarray]:
     return [layer[:, :, :n_candidates].mean(axis=(0, 1)) for layer in capture.layers]
 
 
-def select_top(scores: np.ndarray, k: int, policy: SelectionPolicy = SelectionPolicy()) -> np.ndarray:
+def select_top(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k best-scoring candidates, ascending; ties keep the
-    lower index."""
+    lower index so reruns are bit-stable."""
     if k < 0 or k > scores.shape[0]:
         raise UsageError(f"cannot keep {k} of {scores.shape[0]} candidates")
     order = np.argsort(-scores, kind="stable")
@@ -197,6 +187,57 @@ def _guidance_ids(guidance: GuidancePrompt, vocab: Vocabulary) -> np.ndarray:
     return gids
 
 
+_NO_GUIDANCE = np.empty(0, np.int64)
+
+
+def _guidance_top(capture, cache: KvCache, n_cand: int, r: int) -> list[np.ndarray]:
+    """Keep rule of the task-aware compressor: per layer, the r candidates
+    the guidance rows attend to most."""
+    return [select_top(layer, r) for layer in score_tokens(capture, n_cand)]
+
+
+def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUIDANCE, observe=0, sample=0):
+    """The segment walk every compressor except the oracle runs.
+
+    Per segment it prefills [survivors, segment, gids], capturing the
+    attention of the last ``observe`` rows and the rotated queries of the
+    last ``sample`` rows, asks ``keep_rows(capture, cache, n_cand, r)`` for
+    ``r`` of the ``n_cand`` survivor and segment rows per layer, then
+    gathers them and renumbers them to positions 0..r-1. Rows of ``gids``
+    observe but are never candidates.
+    """
+    _count_call()
+    n = int(ctx.shape[0])
+    n_layers = model.config.n_layers
+    cache = KvCache.empty(model.config)
+    kept = [np.empty(0, np.int64) for _ in range(n_layers)]
+    for start, end in plan_chunks(n, s):
+        n_cand = cache.length + end - start
+        seq = np.concatenate([ctx[start:end], gids])
+        S = seq.shape[0]
+        capture = prefill(model, cache, seq, observer_span=(S - observe, S), query_span=(S - sample, S))
+        r = min(budget.target_rows(end, n), n_cand)
+        keeps = keep_rows(capture, cache, n_cand, r)
+        segment = np.arange(start, end, dtype=np.int64)
+        kept = [np.concatenate([kept[l], segment])[keeps[l]] for l in range(n_layers)]
+        cache = KvCache(
+            [cache.keys[l][keeps[l]] for l in range(n_layers)],
+            [cache.values[l][keeps[l]] for l in range(n_layers)],
+            [np.arange(r, dtype=np.int64) for _ in range(n_layers)],
+        )
+
+    meta = CacheMeta(
+        model_fingerprint=model.fingerprint,
+        guidance_fingerprint=guidance_fp,
+        corpus_fingerprint=fingerprint_ids(ctx),
+        n_context=n,
+        k=budget.k,
+        s=s,
+        schedule=schedule,
+    )
+    return CompressedCache(cache.keys, cache.values, kept, meta)
+
+
 def compress_iterative(
     model: Model,
     context,
@@ -204,51 +245,15 @@ def compress_iterative(
     vocab: Vocabulary,
     budget: CompressionBudget,
     s: int = 2,
-    policy: SelectionPolicy = SelectionPolicy(),
 ) -> CompressedCache:
     """Compress a context to at most ``budget.k`` rows per layer in ``s``
     segment passes. Guidance rows observe but are never kept."""
-    _count_call()
-    if s < 1:
-        raise UsageError("segment count s must be >= 1")
     ctx = _context_ids(context)
     gids = _guidance_ids(guidance, vocab)
-    n = int(ctx.shape[0])
-    n_layers = model.config.n_layers
-
-    cache = KvCache.empty(model.config)
-    kept = [np.empty(0, np.int64) for _ in range(n_layers)]
-    for start, end in plan_chunks(n, s):
-        seg_len = end - start
-        r_prev = cache.length
-        seq = np.concatenate([ctx[start:end], gids])
-        capture = prefill(
-            model, cache, seq, observer_span=(seg_len, seg_len + gids.shape[0])
-        )
-        n_cand = r_prev + seg_len
-        r_i = min(budget.target_rows(end, n), n_cand)
-        scores = score_tokens(capture, n_cand)
-        new_keys, new_values, new_positions, new_kept = [], [], [], []
-        for layer in range(n_layers):
-            keep = select_top(scores[layer], r_i, policy)
-            originals = np.concatenate([kept[layer], np.arange(start, end, dtype=np.int64)])
-            new_keys.append(cache.keys[layer][keep])
-            new_values.append(cache.values[layer][keep])
-            new_positions.append(np.arange(r_i, dtype=np.int64))
-            new_kept.append(originals[keep])
-        cache = KvCache(new_keys, new_values, new_positions)
-        kept = new_kept
-
-    meta = CacheMeta(
-        model_fingerprint=model.fingerprint,
-        guidance_fingerprint=guidance_fingerprint(guidance, vocab),
-        corpus_fingerprint=fingerprint_ids(ctx),
-        n_context=n,
-        k=budget.k,
-        s=s,
-        schedule=budget.schedule,
+    return _walk(
+        model, ctx, budget, s, _guidance_top, guidance_fingerprint(guidance, vocab),
+        budget.schedule, gids=gids, observe=gids.shape[0],
     )
-    return CompressedCache(cache.keys, cache.values, kept, meta)
 
 
 def compress_oracle(
@@ -257,7 +262,6 @@ def compress_oracle(
     guidance: GuidancePrompt,
     vocab: Vocabulary,
     k: int,
-    policy: SelectionPolicy = SelectionPolicy(),
 ) -> CompressedCache:
     """One-shot reference: prefill the whole context with guidance appended
     and keep the global top-k per layer. Equals compress_iterative(s=1)."""
@@ -275,7 +279,7 @@ def compress_oracle(
     r = min(k, n)
     keys, values, kept = [], [], []
     for layer in range(model.config.n_layers):
-        keep = select_top(scores[layer], r, policy)
+        keep = select_top(scores[layer], r)
         keys.append(cache.keys[layer][keep])
         values.append(cache.values[layer][keep])
         kept.append(keep.astype(np.int64))

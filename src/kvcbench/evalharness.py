@@ -5,10 +5,12 @@ against the question's gold answers, so answer order and filler words do
 not matter. A suite run walks methods x budgets x questions, appends one
 JSON line per completed cell so an interrupted run resumes where it
 stopped, and keeps every compressed cache in an in-process registry keyed
-by (corpus, guidance, budget, segments) so a cache is built once and reused
-across questions. Few-shot guidance examples are drawn from the generated
-questions and reserved out of the eval set for every method, task-aware or
-not. A failing cell is recorded with its error text and the suite moves on.
+by (method, corpus, guidance, budget, segments) so a cache is built once and
+reused across questions. One table names each compressed method's guidance
+kind and offline build. Few-shot guidance examples are drawn from the
+generated questions and reserved out of the eval set for every method,
+task-aware or not. A failing cell is recorded with its error text and the
+suite moves on.
 
 Each record decomposes wall time into compress (cache build, charged to the
 record that triggered it), retrieve, prefill, and first decoded token.
@@ -26,6 +28,7 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import random
 import statistics
 import string
@@ -49,7 +52,7 @@ from .compress import (
     retention,
 )
 from .corpusgen import DEFAULT_TASK_DESCRIPTION, CorpusBundle, Question
-from .errors import StaleCacheError, UsageError
+from .errors import FormatError, StaleCacheError, UsageError
 from .modelcore import (
     GenerationParams,
     KvCache,
@@ -64,7 +67,6 @@ from .vocab import TokenSequence, Vocabulary, detokenize, tokenize
 
 log = logging.getLogger(__name__)
 
-METHODS = ("full", "rag", "kvc_zs", "kvc_fs", "kvc_fsq", "streaming", "snapkv", "expattn", "oracle")
 RUNS_SCHEMA_VERSION = 1
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -121,6 +123,7 @@ def select_fewshot(bundle: CorpusBundle, n: int, seed: int = 0) -> list[Question
 
 
 def make_guidance(kind: str, examples: list[Question], query: str | None = None) -> GuidancePrompt:
+    """Guidance of one kind; only fsq uses the query."""
     pairs = tuple((q.text, " ".join(q.answers)) for q in examples)
     if kind == "zs":
         return GuidancePrompt("zs", DEFAULT_TASK_DESCRIPTION)
@@ -129,6 +132,24 @@ def make_guidance(kind: str, examples: list[Question], query: str | None = None)
     if kind == "fsq":
         return GuidancePrompt("fsq", DEFAULT_TASK_DESCRIPTION, pairs, query=query)
     raise UsageError(f"unknown guidance kind {kind!r}")
+
+
+def _kvc(model, corpus, guidance, vocab, budget, s):
+    return compress_iterative(model, corpus, guidance, vocab, CompressionBudget(budget), s=s)
+
+
+# compressed method -> (guidance kind or None, offline build taking
+# (model, corpus, guidance, vocab, budget, s))
+COMPRESSED_METHODS = {
+    "kvc_zs": ("zs", _kvc),
+    "kvc_fs": ("fs", _kvc),
+    "kvc_fsq": ("fsq", _kvc),
+    "streaming": (None, lambda m, c, g, v, k, s: compress_streaming_llm(m, c, k)),
+    "snapkv": (None, lambda m, c, g, v, k, s: compress_snapkv_agnostic(m, c, k)),
+    "expattn": (None, lambda m, c, g, v, k, s: compress_expected_attention(m, c, k)),
+    "oracle": ("fs", lambda m, c, g, v, k, s: compress_oracle(m, c, g, v, k)),
+}
+METHODS = ("full", "rag", *COMPRESSED_METHODS)
 
 
 @dataclass(frozen=True)
@@ -153,13 +174,24 @@ class RunRecord:
 
 
 def load_records(path) -> list[RunRecord]:
+    """Read a runs JSONL file. A record counts once its newline is written:
+    a last line without one is an interrupted append and is dropped with a
+    warning. Any other line that is not a run record raises FormatError."""
     p = Path(path)
     if not p.exists():
         return []
+    data = p.read_bytes()
+    lines = data.splitlines()
+    if not data.endswith(b"\n") and lines:
+        log.warning("%s: dropping torn last line %d", p, len(lines))
+        lines.pop()
     records = []
-    for line in p.read_text().splitlines():
+    for i, line in enumerate(lines, 1):
         if line.strip():
-            records.append(RunRecord(**json.loads(line)))
+            try:
+                records.append(RunRecord(**json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                raise FormatError(f"{p}: line {i} is not a run record: {exc}") from None
     return records
 
 
@@ -206,6 +238,8 @@ def run_suite(
     done = {_record_key(r): r for r in load_records(out_path)}
     records: list[RunRecord] = []
     out = Path(out_path)
+    if out.exists():  # cut the torn last line load_records dropped
+        os.truncate(out, out.read_bytes().rfind(b"\n") + 1)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "a") as fh:
         for method in methods:
@@ -228,22 +262,17 @@ def run_suite(
     return records
 
 
-def _get_entry(registry: dict, key: tuple, build):
-    """Build-once registry entry that remembers its build time until a
-    record claims it."""
+def _claim(registry: dict, key: tuple, build) -> tuple:
+    """Build-once registry lookup returning (value, build seconds); the
+    build time is charged to the first caller only."""
     if key not in registry:
         t0 = time.perf_counter()
         value = build()
         registry[key] = {"value": value, "build_s": time.perf_counter() - t0, "charged": False}
-    return registry[key]
-
-
-def _charge(entry) -> tuple:
-    """Return (value, build seconds) charging the build to the first caller."""
-    if entry["charged"]:
-        return entry["value"], 0.0
+    entry = registry[key]
+    build_s = 0.0 if entry["charged"] else entry["build_s"]
     entry["charged"] = True
-    return entry["value"], entry["build_s"]
+    return entry["value"], build_s
 
 
 def _timed_answer(model, cache, prompt, params) -> tuple[TokenSequence, float, float]:
@@ -274,14 +303,6 @@ def _timed_answer(model, cache, prompt, params) -> tuple[TokenSequence, float, f
     return TokenSequence(ids=out), t1 - t0, first_s
 
 
-def _guidance_for(method: str, q: Question, examples) -> GuidancePrompt:
-    if method in ("oracle", "kvc_fs"):
-        return make_guidance("fs", examples)
-    if method == "kvc_fsq":
-        return make_guidance("fsq", examples, query=q.text)
-    return make_guidance("zs", examples)
-
-
 def _rag_retention(q: Question, selected_ids, chunk_tokens: int) -> float:
     if not q.gold_positions:
         return 0.0
@@ -306,14 +327,12 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
                 base = KvCache.empty(model.config)
                 prefill(model, base, corpus)
                 return base
-            base, build_s = _charge(_get_entry(registry, ("full", corpus_fp), build_full))
+            base, build_s = _claim(registry, ("full", corpus_fp), build_full)
             answer, prefill_s, first_s = _timed_answer(model, base.fork(), prompt, params)
             prefill_s += build_s
             ret = 1.0
         elif method == "rag":
-            index, build_s = _charge(
-                _get_entry(registry, ("rag_index", corpus_fp), lambda: index_chunks(bundle))
-            )
+            index, build_s = _claim(registry, ("rag_index", corpus_fp), lambda: index_chunks(bundle))
             width = bundle.spec.chunk_tokens
             t0 = time.perf_counter()
             result = retrieve(index, tokenize(q.text, vocab), len(bundle.chunks))
@@ -328,29 +347,13 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
             answer, prefill_s, first_s = _timed_answer(model, cache, prompt, params)
             prefill_s += ctx_prefill
         else:
-            if method in ("kvc_zs", "kvc_fs", "kvc_fsq", "oracle"):
-                guidance = _guidance_for(method, q, examples)
-                gfp = guidance_fingerprint(guidance, vocab).hex()
-                if method == "oracle":
-                    key = ("oracle", corpus_fp, gfp, budget)
-                    def build():
-                        return compress_oracle(model, corpus, guidance, vocab, budget)
-                else:
-                    key = ("kvc", corpus_fp, gfp, budget, s)
-                    def build():
-                        return compress_iterative(
-                            model, corpus, guidance, vocab, CompressionBudget(budget), s=s
-                        )
-            else:
-                builders = {
-                    "streaming": compress_streaming_llm,
-                    "snapkv": compress_snapkv_agnostic,
-                    "expattn": compress_expected_attention,
-                }
-                key = (method, corpus_fp, budget)
-                def build(fn=builders[method]):
-                    return fn(model, corpus, budget)
-            compressed, compress_s = _charge(_get_entry(registry, key, build))
+            kind, build = COMPRESSED_METHODS[method]
+            guidance = make_guidance(kind, examples, query=q.text) if kind else None
+            gfp = guidance_fingerprint(guidance, vocab).hex() if kind else None
+            compressed, compress_s = _claim(
+                registry, (method, corpus_fp, gfp, budget, s),
+                lambda: build(model, corpus, guidance, vocab, budget, s),
+            )
             if model.fingerprint != compressed.meta.model_fingerprint:
                 raise StaleCacheError("compressed cache was built by a different model")
             ret = retention(compressed, q.gold_positions) if q.gold_positions else None
@@ -386,83 +389,6 @@ def answer_with_context(model: Model, context, prompt, params: GenerationParams 
     cache = KvCache.empty(model.config)
     prefill(model, cache, context)
     return generate_greedy(model, cache, prompt, params)
-
-
-def answer_perplexity(model: Model, base_cache: KvCache, prompt, gold_ids) -> float:
-    """Teacher-forced perplexity of the gold ids after the prompt, computed
-    on a fork so the supplied cache is untouched."""
-    gold = list(getattr(gold_ids, "ids", gold_ids))
-    if not gold:
-        raise UsageError("gold sequence is empty")
-    ids = list(getattr(prompt, "ids", prompt))
-    if not ids:
-        raise UsageError("prompt must be nonempty")
-    cache = base_cache.fork()
-    if len(ids) > 1:
-        prefill(model, cache, ids[:-1])
-    current = ids[-1]
-    log_probs = []
-    for g in gold:
-        logits, _ = decode_step(model, cache, current)
-        shifted = logits.astype(np.float64) - logits.max()
-        log_probs.append(shifted[g] - np.log(np.exp(shifted).sum()))
-        current = g
-    return float(np.exp(-np.mean(log_probs)))
-
-
-@dataclass(frozen=True)
-class AttentionProfile:
-    """Plot-ready guidance attention over context positions, with optional
-    gold-answer perplexity under the same model and context."""
-
-    mass: np.ndarray
-    perplexity: float | None
-
-
-def attention_profile(
-    model: Model,
-    context,
-    guidance: GuidancePrompt,
-    vocab: Vocabulary,
-    gold_answer=None,
-    prompt=None,
-) -> AttentionProfile:
-    """Mean guidance-row attention mass per context token, averaged over
-    layers, heads, and guidance rows. When a gold answer is given, its
-    teacher-forced perplexity over the plain context is computed too; the
-    prompt defaults to the fsq guidance query."""
-    ctx = np.asarray(getattr(context, "ids", context), dtype=np.int64)
-    gids = np.asarray(guidance.token_stream(vocab).ids, dtype=np.int64)
-    if ctx.size == 0 or gids.size == 0:
-        raise UsageError("context and guidance must be nonempty")
-    cache = KvCache.empty(model.config)
-    seq = np.concatenate([ctx, gids])
-    capture = prefill(model, cache, seq, observer_span=(ctx.size, ctx.size + gids.size))
-    per_layer = [layer[:, :, : ctx.size].mean(axis=(0, 1)) for layer in capture.layers]
-    mass = np.mean(per_layer, axis=0)
-
-    ppl = None
-    if gold_answer is not None:
-        if prompt is None:
-            if guidance.query is None:
-                raise UsageError("perplexity needs a prompt or fsq guidance with a query")
-            prompt = question_prompt(guidance.query, vocab)
-        base = KvCache.empty(model.config)
-        prefill(model, base, ctx)
-        ppl = answer_perplexity(model, base, prompt, gold_answer)
-    return AttentionProfile(mass=mass, perplexity=ppl)
-
-
-PROFILE_CSV_COLUMNS = ("position", "token_id", "mass")
-
-
-def write_profile_csv(profile: AttentionProfile, context, path) -> None:
-    ids = list(getattr(context, "ids", context))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_CSV_COLUMNS)
-        for pos, (tid, m) in enumerate(zip(ids, profile.mass)):
-            writer.writerow([pos, tid, float(m)])
 
 
 @dataclass(frozen=True)

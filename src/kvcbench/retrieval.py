@@ -221,8 +221,12 @@ def load_index(path: Path | str) -> ChunkIndex:
     indices = r.array("<u4", nnz)
     data = r.array("<f4", nnz)
     r.expect_end()
+    if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
+        raise FormatError(f"{p}: CSR indptr does not start at 0 and never decrease")
     if int(indptr[-1]) != nnz:
         raise FormatError(f"{p}: CSR indptr does not match nnz")
+    if nnz and int(indices.max()) >= vocab_size:
+        raise FormatError(f"{p}: CSR index outside the vocabulary of {vocab_size} tokens")
     return ChunkIndex(
         vocab_sha=vocab_sha,
         n_chunks=n_chunks,

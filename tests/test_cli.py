@@ -21,6 +21,7 @@ from kvcbench.errors import (
 )
 from kvcbench.evalharness import default_eval_config
 from kvcbench.modelcore import init_random_model
+from kvcbench.retrieval import load_index, save_index
 from kvcbench.weights import save_weights
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -176,6 +177,19 @@ def test_rag_index_reuse_and_staleness(bundle_dir, workdir, capsys):
     assert "different vocabulary" in capsys.readouterr().err
 
 
+def test_rag_index_with_out_of_vocabulary_ids_exits_4(bundle_dir, workdir, capsys):
+    question = read_question(bundle_dir)
+    args = ["rag", "--bundle", "bundle", "--question", question,
+            "--budget", "160", "--index", "chunks.kvci"]
+    assert main(args) == 0
+    index = load_index(workdir / "chunks.kvci")
+    index.indices[0] = index.vocab_size
+    save_index(index, workdir / "chunks.kvci")
+    capsys.readouterr()
+    assert main(args) == 4
+    assert "outside the vocabulary" in capsys.readouterr().err
+
+
 EVAL_INI = """\
 [model]
 seed = 0
@@ -269,6 +283,17 @@ def test_report_merges_runs(workdir, capsys):
                  "--out", "merged.csv", "--chunk-tokens", "80"]) == 0
     assert "report rows from 6 records" in capsys.readouterr().out
     assert (workdir / "merged.csv").exists()
+
+
+def test_report_on_a_corrupt_runs_line_exits_4(workdir, capsys):
+    (workdir / "eval.ini").write_text(EVAL_INI)
+    assert main(["eval", "--config", "eval.ini"]) == 0
+    runs = workdir / "results" / "runs" / "s3c1.jsonl"
+    lines = runs.read_text().splitlines()
+    runs.write_text("\n".join([lines[0][:-5], *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--runs", "results/runs/s3c1.jsonl", "--out", "m.csv"]) == 4
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_report_missing_runs_file(workdir, capsys):

@@ -12,7 +12,6 @@ from kvcbench.compress import (
     CompressedCache,
     CompressionBudget,
     GuidancePrompt,
-    SelectionPolicy,
     answer_with_cache,
     compress_iterative,
     compress_oracle,
@@ -124,8 +123,6 @@ def test_budget_schedules():
         CompressionBudget(k=0)
     with pytest.raises(UsageError):
         CompressionBudget(k=4, schedule="linear")
-    with pytest.raises(UsageError):
-        SelectionPolicy(tie_break="random")
 
 
 def test_select_top_known_answers_and_ties():

@@ -1,9 +1,10 @@
 """Evaluation harness: scoring metrics, run-suite bookkeeping (resume,
-build-once registry, per-cell error capture), perplexity and attention
-profiles, TTFT measurement, and report aggregation."""
+build-once registry, per-cell error capture, run-log damage), TTFT
+measurement, and report aggregation."""
 
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,16 +12,14 @@ import pytest
 
 import kvcbench.compress as compress_mod
 from kvcbench.baselines import compress_streaming_llm
-from kvcbench.errors import UsageError
+from kvcbench.errors import FormatError, UsageError
 from kvcbench.evalharness import (
+    COMPRESSED_METHODS,
     METHODS,
-    PROFILE_CSV_COLUMNS,
     REPORT_CSV_COLUMNS,
     RUNS_SCHEMA_VERSION,
     TTFT_CSV_COLUMNS,
     RunRecord,
-    answer_perplexity,
-    attention_profile,
     emit_report,
     load_records,
     make_guidance,
@@ -30,18 +29,11 @@ from kvcbench.evalharness import (
     run_suite,
     select_fewshot,
     word_overlap,
-    write_profile_csv,
     write_ttft_csv,
 )
-from kvcbench.modelcore import (
-    GenerationParams,
-    KvCache,
-    ModelConfig,
-    init_diagnostic_model,
-    prefill,
-)
+from kvcbench.modelcore import GenerationParams
 from kvcbench.retrieval import index_chunks
-from kvcbench.vocab import build_vocabulary, tokenize
+from kvcbench.vocab import tokenize
 
 from conftest import random_ids
 
@@ -177,6 +169,56 @@ def test_suite_rejects_unknown_method_and_reserved_questions(
                   questions=[reserved[0]])
 
 
+def test_suite_runs_every_method_with_one_build_each(small_bundle, small_model, tmp_path):
+    question = [q for q in small_bundle.questions if q not in select_fewshot(small_bundle, 3)][:1]
+    registry = {}
+    records = run_suite(
+        small_model, small_bundle, METHODS, (160,), tmp_path / "all.jsonl",
+        questions=question, params=GenerationParams(max_new_tokens=4), registry=registry,
+    )
+    assert [r.method for r in records] == list(METHODS)
+    assert [r.error for r in records] == [""] * len(METHODS)
+    assert sorted(key[0] for key in registry) == sorted(["full", "rag_index", *COMPRESSED_METHODS])
+
+
+def test_suite_resume_reruns_only_a_torn_last_cell(suite, small_bundle, small_model, tmp_path, caplog):
+    records, out, _ = suite
+    whole = out.read_bytes().splitlines(keepends=True)
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(b"".join(whole[:-1]) + whole[-1][: len(whole[-1]) // 2])
+    with caplog.at_level("WARNING", logger="kvcbench.evalharness"):
+        assert load_records(torn) == records[:-1]
+    assert "torn last line" in caplog.text
+    before = compress_mod.COMPRESSION_CALLS
+    again = run_suite(
+        small_model, small_bundle,
+        methods=("full", "rag", "kvc_zs", "streaming"),
+        budgets=(64, 128),
+        out_path=torn,
+        params=GenerationParams(max_new_tokens=6),
+    )
+    assert compress_mod.COMPRESSION_CALLS == before + 1  # the last cell's streaming build
+    assert again[:-1] == records[:-1]
+    assert (again[-1].qid, again[-1].answer) == (records[-1].qid, records[-1].answer)
+    lines = torn.read_bytes().splitlines(keepends=True)
+    assert lines[:-1] == whole[:-1] and len(lines) == len(whole)
+    assert load_records(torn) == again
+
+
+@pytest.mark.parametrize("damage", [
+    lambda good: [b"{not json", good],
+    lambda good: [good.replace(b'"qid"', b'"quid"'), good],
+    lambda good: [good.replace(b'"answer": "x", ', b""), good],
+    lambda good: [b"[1, 2]"],
+])
+def test_load_records_rejects_damage_other_than_a_torn_tail(tmp_path, damage):
+    good = json.dumps(dataclasses.asdict(make_record())).encode()
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join([good, *damage(good)]) + b"\n")
+    with pytest.raises(FormatError, match="line 2"):
+        load_records(path)
+
+
 def make_record(**kwargs):
     base = dict(
         qid="q0", kind="direct", method="rag", budget=512, connectivity=2,
@@ -232,71 +274,6 @@ def test_emit_report_on_real_suite(suite, tmp_path):
     bounds = {r["budget"]: r for r in rows if r["method"] == "rag_bound"}
     assert bounds[64]["mean_evidence_recall"] == pytest.approx(0.0)
     assert bounds[128]["mean_evidence_recall"] == pytest.approx((128 // 80) / 3)
-
-
-def diagnostic_setup():
-    vocab = build_vocabulary(["a b c d e f g h i j k l m n o p"])
-    config = ModelConfig(n_layers=1, n_heads=1, hidden_size=64, head_dim=64,
-                         vocab_size=len(vocab), max_position=256)
-    return init_diagnostic_model(config, vocab), vocab
-
-
-def test_answer_perplexity_uniform_under_diagnostic_model():
-    model, _ = diagnostic_setup()
-    base = KvCache.empty(model.config)
-    prefill(model, base, [4, 5, 6, 7])
-    length_before = base.length
-    # zero output head ties every logit, so the prediction is uniform
-    ppl = answer_perplexity(model, base, prompt=[8, 9], gold_ids=[10, 11, 12])
-    assert ppl == pytest.approx(model.config.vocab_size, rel=1e-5)
-    assert base.length == length_before
-
-
-def test_answer_perplexity_validation():
-    model, _ = diagnostic_setup()
-    base = KvCache.empty(model.config)
-    prefill(model, base, [4, 5])
-    with pytest.raises(UsageError, match="gold sequence is empty"):
-        answer_perplexity(model, base, [4], [])
-    with pytest.raises(UsageError, match="prompt must be nonempty"):
-        answer_perplexity(model, base, [], [4])
-
-
-def test_attention_profile_shape_and_perplexity(small_bundle, small_model):
-    vocab = small_bundle.vocab
-    ctx = list(small_bundle.corpus_tokens().ids[:40])
-    q = small_bundle.questions[0]
-
-    zs = make_guidance("zs", [])
-    profile = attention_profile(small_model, ctx, zs, vocab)
-    assert profile.mass.shape == (40,)
-    assert np.all(profile.mass >= 0)
-    # guidance rows also attend to themselves, so context mass is < 1
-    assert 0 < profile.mass.sum() < 1.0 + 1e-6
-    assert profile.perplexity is None
-
-    with pytest.raises(UsageError, match="needs a prompt or fsq guidance"):
-        attention_profile(small_model, ctx, zs, vocab, gold_answer=[5, 6])
-
-    fsq = make_guidance("fsq", select_fewshot(small_bundle, 1), query=q.text)
-    with_ppl = attention_profile(small_model, ctx, fsq, vocab, gold_answer=[5, 6])
-    assert with_ppl.perplexity is not None and with_ppl.perplexity > 0
-
-    with pytest.raises(UsageError, match="nonempty"):
-        attention_profile(small_model, [], zs, vocab)
-
-
-def test_write_profile_csv(tmp_path, small_bundle, small_model):
-    ctx = list(small_bundle.corpus_tokens().ids[:16])
-    profile = attention_profile(small_model, ctx, make_guidance("zs", []),
-                                small_bundle.vocab)
-    path = tmp_path / "profile.csv"
-    write_profile_csv(profile, ctx, path)
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == PROFILE_CSV_COLUMNS
-    assert len(rows) == 1 + 16
-    assert [int(r[1]) for r in rows[1:]] == ctx
 
 
 def test_measure_ttft_full_and_kvc(tiny_model):

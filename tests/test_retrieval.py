@@ -1,6 +1,7 @@
 """TF-IDF retrieval: hand-computed idf oracle, dense reference ranking,
 tie breaking, budget arithmetic, and the KVCI on-disk format."""
 
+import dataclasses
 import logging
 import math
 import struct
@@ -243,4 +244,19 @@ def test_index_indptr_nnz_mismatch(saved_index, tmp_path):
     bad = tmp_path / "nnz.kvci"
     bad.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="CSR indptr does not match nnz"):
+        load_index(bad)
+
+
+@pytest.mark.parametrize("field, at, value, match", [
+    ("indptr", 0, 1, "does not start at 0"),
+    ("indptr", 1, 10**6, "never decrease"),
+    ("indices", 0, None, "outside the vocabulary"),
+])
+def test_index_rejects_malformed_csr(saved_index, tmp_path, field, at, value, match):
+    index, _ = saved_index
+    array = getattr(index, field).copy()
+    array[at] = index.vocab_size if value is None else value
+    bad = tmp_path / "bad.kvci"
+    save_index(dataclasses.replace(index, **{field: array}), bad)
+    with pytest.raises(FormatError, match=match):
         load_index(bad)
