@@ -108,7 +108,7 @@ def _load_model_from_weights(weights_path: Path) -> Model:
         raise MissingArtifactError(f"model config sidecar not found: {sidecar}")
     try:
         config = ModelConfig(**json.loads(sidecar.read_text()))
-    except TypeError as exc:
+    except (ValueError, TypeError) as exc:
         raise FormatError(f"bad model config in {sidecar}: {exc}") from None
     return load_weights(weights_path, config)
 

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import FormatError, MissingArtifactError, UsageError
+from .errors import FormatError, MalformedSequenceError, MissingArtifactError, UsageError
 from .vocab import TokenSequence, Vocabulary, build_vocabulary, fingerprint_ids
 
 FIRST_NAMES = (
@@ -483,6 +483,17 @@ def save_bundle(bundle: CorpusBundle, out_dir: Path | str) -> Path:
     return out
 
 
+def _json_rows(path: Path, build) -> list:
+    """`build(row)` per JSON line of `path`; FormatError names a bad line."""
+    rows = []
+    for i, line in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            rows.append(build(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: line {i} is not a valid row: {exc!r}") from None
+    return rows
+
+
 def load_bundle(bundle_dir: Path | str) -> CorpusBundle:
     root = Path(bundle_dir)
     spec_path = root / "spec.json"
@@ -491,20 +502,19 @@ def load_bundle(bundle_dir: Path | str) -> CorpusBundle:
     for part in ("corpus.jsonl", "questions.jsonl", "vocab.txt"):
         if not (root / part).exists():
             raise MissingArtifactError(f"bundle at {root} is missing {part}")
-    meta = json.loads(spec_path.read_text())
-    if meta.pop("schema_version", BUNDLE_SCHEMA_VERSION) != BUNDLE_SCHEMA_VERSION:
-        raise FormatError(f"unsupported bundle schema in {spec_path}")
-    stored_sha = meta.pop("corpus_sha256", None)
     try:
+        meta = json.loads(spec_path.read_bytes())
+        if meta.pop("schema_version", BUNDLE_SCHEMA_VERSION) != BUNDLE_SCHEMA_VERSION:
+            raise FormatError(f"unsupported bundle schema in {spec_path}")
+        stored_sha = meta.pop("corpus_sha256", None)
         spec = CorpusSpec(**meta)
-    except TypeError as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise FormatError(f"bad spec.json in {root}: {exc}") from None
 
-    chunks: list[ChunkDoc] = []
-    with (root / "corpus.jsonl").open() as fh:
-        for line in fh:
-            row = json.loads(line)
-            chunks.append(ChunkDoc(chunk_id=row["chunk_id"], kind=row["kind"], text=row["text"]))
+    chunks = _json_rows(
+        root / "corpus.jsonl",
+        lambda row: ChunkDoc(chunk_id=row["chunk_id"], kind=row["kind"], text=row["text"]),
+    )
     if len(chunks) != spec.n_chunks:
         raise FormatError(f"{root}: expected {spec.n_chunks} chunks, found {len(chunks)}")
     for i, doc in enumerate(chunks):
@@ -513,24 +523,23 @@ def load_bundle(bundle_dir: Path | str) -> CorpusBundle:
         if len(doc.text.split()) != spec.chunk_tokens:
             raise FormatError(f"{root}: chunk {i} is not {spec.chunk_tokens} tokens")
 
-    questions: list[Question] = []
-    with (root / "questions.jsonl").open() as fh:
-        for line in fh:
-            row = json.loads(line)
-            questions.append(
-                Question(
-                    qid=row["id"],
-                    kind=row["kind"],
-                    template_id=row["template_id"],
-                    text=row["text"],
-                    answers=tuple(row["answers"]),
-                    evidence=tuple(row["evidence"]),
-                    gold_positions=tuple(row["gold_positions"]),
-                    entities=tuple(row["entities"]),
-                )
-            )
-
-    vocab = Vocabulary.load(root / "vocab.txt")
+    questions = _json_rows(
+        root / "questions.jsonl",
+        lambda row: Question(
+            qid=row["id"],
+            kind=row["kind"],
+            template_id=row["template_id"],
+            text=row["text"],
+            answers=tuple(row["answers"]),
+            evidence=tuple(row["evidence"]),
+            gold_positions=tuple(row["gold_positions"]),
+            entities=tuple(row["entities"]),
+        ),
+    )
+    try:
+        vocab = Vocabulary.load(root / "vocab.txt")
+    except (MalformedSequenceError, ValueError) as exc:
+        raise FormatError(f"bad vocab.txt in {root}: {exc}") from None
     bundle = CorpusBundle(spec=spec, chunks=chunks, questions=questions, vocab=vocab)
     if stored_sha is not None and bundle.corpus_fingerprint().hex() != stored_sha:
         raise FormatError(f"{root}: corpus text does not match recorded fingerprint")

@@ -18,8 +18,8 @@ record that triggered it), retrieve, prefill, and first decoded token.
 Time-to-first-token follows the query-time accounting: compression is
 offline work and stays outside the timed region (it is logged instead),
 while retrieval, cache forking, question prefill, and the first decode step
-are inside. An infeasible full-context scenario is reported as NaN, never
-raised.
+are inside. A scenario whose context rows plus question tokens exceed the
+model's positions is reported as NaN, never raised.
 """
 
 from __future__ import annotations
@@ -173,10 +173,15 @@ class RunRecord:
     schema_version: int = RUNS_SCHEMA_VERSION
 
 
+# RunRecord field annotation -> the JSON values it accepts
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "float | None": (int, float, type(None))}
+
+
 def load_records(path) -> list[RunRecord]:
     """Read a runs JSONL file. A record counts once its newline is written:
     a last line without one is an interrupted append and is dropped with a
-    warning. Any other line that is not a run record raises FormatError."""
+    warning. Any other line that is not a run record of this schema version,
+    with every field of its JSON type, raises FormatError."""
     p = Path(path)
     if not p.exists():
         return []
@@ -189,7 +194,14 @@ def load_records(path) -> list[RunRecord]:
     for i, line in enumerate(lines, 1):
         if line.strip():
             try:
-                records.append(RunRecord(**json.loads(line)))
+                rec = RunRecord(**json.loads(line))
+                for f in dataclasses.fields(rec):
+                    value = getattr(rec, f.name)
+                    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+                        raise TypeError(f"{f.name} is {value!r}, expected {f.type}")
+                if rec.schema_version != RUNS_SCHEMA_VERSION:
+                    raise ValueError(f"schema_version {rec.schema_version} is not {RUNS_SCHEMA_VERSION}")
+                records.append(rec)
             except (ValueError, TypeError) as exc:
                 raise FormatError(f"{p}: line {i} is not a run record: {exc}") from None
     return records
@@ -275,6 +287,12 @@ def _claim(registry: dict, key: tuple, build) -> tuple:
     return entry["value"], build_s
 
 
+def _prefilled(model, ids) -> KvCache:
+    cache = KvCache.empty(model.config)
+    prefill(model, cache, ids)
+    return cache
+
+
 def _timed_answer(model, cache, prompt, params) -> tuple[TokenSequence, float, float]:
     """Greedy answer with (prefill seconds, first-token seconds) split out.
 
@@ -323,11 +341,7 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
 
     try:
         if method == "full":
-            def build_full():
-                base = KvCache.empty(model.config)
-                prefill(model, base, corpus)
-                return base
-            base, build_s = _claim(registry, ("full", corpus_fp), build_full)
+            base, build_s = _claim(registry, ("full", corpus_fp), lambda: _prefilled(model, corpus))
             answer, prefill_s, first_s = _timed_answer(model, base.fork(), prompt, params)
             prefill_s += build_s
             ret = 1.0
@@ -340,9 +354,8 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
             retrieve_s = time.perf_counter() - t0 + build_s
             recall = evidence_recall(result, budget, width, q.evidence)
             ret = _rag_retention(q, result.ranking[: budget // width], width)
-            cache = KvCache.empty(model.config)
             t0 = time.perf_counter()
-            prefill(model, cache, ctx)
+            cache = _prefilled(model, ctx)
             ctx_prefill = time.perf_counter() - t0
             answer, prefill_s, first_s = _timed_answer(model, cache, prompt, params)
             prefill_s += ctx_prefill
@@ -386,9 +399,7 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
 
 def answer_with_context(model: Model, context, prompt, params: GenerationParams = GenerationParams()) -> TokenSequence:
     """Prefill a fresh cache with `context` and greedy-decode from `prompt`."""
-    cache = KvCache.empty(model.config)
-    prefill(model, cache, context)
-    return generate_greedy(model, cache, prompt, params)
+    return generate_greedy(model, _prefilled(model, context), prompt, params)
 
 
 @dataclass(frozen=True)
@@ -417,15 +428,15 @@ def measure_ttft(
 ) -> TimingRecord:
     """Wall-clock time to the first generated token for one scenario.
 
-    full: prefill corpus + question, one decode step.
+    full: prefill the corpus, then the question, one decode step.
     rag:  retrieve + assemble + prefill selection + question, one decode.
     kvc:  fork the compressed cache + prefill question, one decode.
 
     One warm-up repetition is discarded; `reps` timed repetitions follow and
-    the record keeps their median and min. A corpus too long for the model's
-    positions yields feasible=False with NaN times instead of an error.
-    Offline compression time is excluded by construction; pass `offline_s`
-    to have it logged alongside the measurement.
+    the record keeps their median and min. Context rows plus question tokens
+    beyond the model's positions yield feasible=False with NaN times, not an
+    error. Offline compression time is excluded by construction; pass
+    `offline_s` to have it logged alongside the measurement.
     """
     if reps < 1:
         raise UsageError("reps must be >= 1")
@@ -437,53 +448,39 @@ def measure_ttft(
         if corpus is None:
             raise UsageError("full scenario needs the corpus tokens")
         ctx = np.asarray(getattr(corpus, "ids", corpus), dtype=np.int64)
-        corpus_tokens = int(ctx.size)
-        full_ids = np.concatenate([ctx, q_ids])
+        corpus_tokens = ctx_rows = int(ctx.size)
 
-        def once():
-            cache = KvCache.empty(model.config)
-            prefill(model, cache, full_ids[:-1])
-            decode_step(model, cache, int(full_ids[-1]))
-
-        feasible = full_ids.size <= model.config.max_position
+        def context():
+            return _prefilled(model, ctx)
     elif scenario == "rag":
         if bundle is None or index is None:
             raise UsageError("rag scenario needs a bundle and an index")
-        corpus_tokens = bundle.spec.n_tokens
+        corpus_tokens, ctx_rows = bundle.spec.n_tokens, budget
 
-        def once():
+        def context():
             result = retrieve(index, q_ids, len(bundle.chunks))
-            ctx = assemble_context(bundle, result, budget)
-            cache = KvCache.empty(model.config)
-            prefill(model, cache, ctx)
-            if q_ids.size > 1:
-                prefill(model, cache, q_ids[:-1])
-            decode_step(model, cache, int(q_ids[-1]))
-
-        feasible = budget + q_ids.size <= model.config.max_position
+            return _prefilled(model, assemble_context(bundle, result, budget))
     elif scenario == "kvc":
         if compressed is None:
             raise UsageError("kvc scenario needs a compressed cache")
-        corpus_tokens = compressed.meta.n_context
-
-        def once():
-            cache = compressed.to_kv_cache()
-            if q_ids.size > 1:
-                prefill(model, cache, q_ids[:-1])
-            decode_step(model, cache, int(q_ids[-1]))
-
-        feasible = compressed.n_kept + q_ids.size <= model.config.max_position
+        corpus_tokens, ctx_rows = compressed.meta.n_context, compressed.n_kept
+        context = compressed.to_kv_cache
     else:
         raise UsageError(f"unknown scenario {scenario!r} (full, rag, kvc)")
 
     if offline_s is not None:
         log.info("scenario=%s budget=%d offline compression excluded from timing: %.3fs", scenario, budget, offline_s)
 
-    if not feasible:
+    if ctx_rows + q_ids.size > model.config.max_position:
         log.warning("scenario=%s infeasible at %d corpus tokens for max_position=%d",
                     scenario, corpus_tokens, model.config.max_position)
         return TimingRecord(scenario, corpus_tokens, budget, int(q_ids.size),
                             float("nan"), float("nan"), reps, False)
+
+    first_token = GenerationParams(max_new_tokens=1)
+
+    def once():
+        _timed_answer(model, context(), q_ids, first_token)
 
     once()  # warm-up, discarded
     times = []

@@ -9,10 +9,10 @@ Two properties of the cache design matter to everything downstream:
 * Keys are stored **unrotated**. Rotation is applied at attention time from
   each row's assigned position, so survivors of a compression pass can be
   renumbered to contiguous positions and re-rotated exactly.
-* ``prefill`` never produces logits; the first answer token always comes
-  from a ``decode_step``. This lets prefill skip the last layer's full
-  attention (nothing consumes it), which roughly halves prefill cost on a
-  two-layer model.
+* One layer loop serves prefill, capture and decode. ``prefill`` never
+  produces logits (the first answer token comes from ``decode_step``), so
+  the loop skips the last layer's attention apart from observer rows, which
+  roughly halves prefill cost on a two-layer model.
 
 Attention weights for a designated observer span (guidance tokens) can be
 captured per layer and head during prefill; compression ranks context
@@ -361,18 +361,25 @@ def prefill(model, cache: KvCache, ids, positions=None, observer_span=None, quer
         positions = np.asarray(positions, dtype=np.int64)
         if positions.shape[0] != S:
             raise UsageError("positions length must match sequence length")
-    _check_new_positions(cache, positions, cfg)
+    for name, span in (("observer", observer_span), ("query", query_span)):
+        if span is not None and span[1] > span[0] and not (0 <= span[0] and span[1] <= S):
+            raise UsageError(f"{name} span {span} outside sequence of length {S}")
+    return _forward(model, cache, token_ids, positions, False, observer_span, query_span)[1]
 
+
+def _forward(model, cache: KvCache, token_ids, positions, logits, observer_span=None, query_span=None):
+    """The layer loop of prefill and decode_step; grows `cache` in place and
+    returns (logits or None, capture or None). Spans arrive checked. Without
+    logits, the last layer's attention runs only for observer rows."""
+    cfg = model.config
+    _check_new_positions(cache, positions, cfg)
+    S = token_ids.shape[0]
     want_capture = observer_span is not None and observer_span[1] > observer_span[0]
     if want_capture:
         obs_lo, obs_hi = observer_span
-        if not (0 <= obs_lo < obs_hi <= S):
-            raise UsageError(f"observer span {observer_span} outside sequence of length {S}")
     want_queries = query_span is not None and query_span[1] > query_span[0]
     if want_queries:
         q_lo, q_hi = query_span
-        if not (0 <= q_lo < q_hi <= S):
-            raise UsageError(f"query span {query_span} outside sequence of length {S}")
 
     base = cache.length
     total = base + S
@@ -394,7 +401,7 @@ def prefill(model, cache: KvCache, ids, positions=None, observer_span=None, quer
         v = hn @ w[f"layers.{layer}.v_proj"]
         cache.append(layer, k, v, positions)
 
-        need_out = layer < cfg.n_layers - 1
+        need_out = logits or layer < cfg.n_layers - 1
         if not need_out and not want_capture and not want_queries:
             continue
         q_rot = rotate(q, positions, cfg)
@@ -442,44 +449,17 @@ def prefill(model, cache: KvCache, ids, positions=None, observer_span=None, quer
             mn = _rmsnorm(x, w[f"layers.{layer}.mlp_norm"])
             x = x + _gelu(mn @ w[f"layers.{layer}.mlp_fc1"]) @ w[f"layers.{layer}.mlp_fc2"]
 
-    if want_capture or want_queries:
-        return AttentionCapture(captures, query_rows if want_queries else None)
-    return None
+    out_logits = _rmsnorm(x, w["final_norm"]) @ w["lm_head"] if logits else None
+    capture = AttentionCapture(captures, query_rows if want_queries else None)
+    return out_logits, (capture if want_capture or want_queries else None)
 
 
 def decode_step(model, cache: KvCache, token_id: int):
     """Process one token, append its K/V to every layer, return the logits."""
-    cfg = model.config
-    if not (0 <= token_id < cfg.vocab_size):
+    if not (0 <= token_id < model.config.vocab_size):
         raise UsageError(f"token id {token_id} outside model vocabulary")
     pos = np.array([cache.next_position], dtype=np.int64)
-    _check_new_positions(cache, pos, cfg)
-
-    H, dk = cfg.n_heads, cfg.head_dim
-    scale = F32(1.0 / np.sqrt(dk))
-    w = model.weights
-    x = w["embedding"][np.array([token_id])]
-    for layer in range(cfg.n_layers):
-        hn = _rmsnorm(x, w[f"layers.{layer}.attn_norm"])
-        q = hn @ w[f"layers.{layer}.q_proj"]
-        k = hn @ w[f"layers.{layer}.k_proj"]
-        v = hn @ w[f"layers.{layer}.v_proj"]
-        cache.append(layer, k, v, pos)
-        k_rot = rotate(cache.keys[layer], cache.positions[layer], cfg)
-        q_rot = rotate(q, pos, cfg)
-        out = np.empty_like(q)
-        for h in range(H):
-            cols = slice(h * dk, (h + 1) * dk)
-            scores = (q_rot[:, cols] @ k_rot[:, cols].T) * scale
-            scores -= scores.max(axis=1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=1, keepdims=True)
-            out[:, cols] = scores @ cache.values[layer][:, cols]
-        x = x + out @ w[f"layers.{layer}.o_proj"]
-        mn = _rmsnorm(x, w[f"layers.{layer}.mlp_norm"])
-        x = x + _gelu(mn @ w[f"layers.{layer}.mlp_fc1"]) @ w[f"layers.{layer}.mlp_fc2"]
-
-    logits = _rmsnorm(x, w["final_norm"]) @ w["lm_head"]
+    logits, _ = _forward(model, cache, np.array([token_id]), pos, True)
     return logits[0], cache
 
 

@@ -50,7 +50,10 @@ def load_weights(path, config: ModelConfig) -> Model:
     count = r.u32()
     weights: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.take(r.u32()).decode()
+        try:
+            name = r.take(r.u32()).decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"{p}: tensor name before byte {r.off} is not utf-8") from None
         dtype = r.u8()
         if dtype != _DTYPE_F32:
             raise FormatError(f"{p}: tensor {name} has unknown dtype code {dtype}")

@@ -19,7 +19,7 @@ from kvcbench.errors import (
     StaleCacheError,
     UsageError,
 )
-from kvcbench.evalharness import default_eval_config
+from kvcbench.evalharness import RunRecord, default_eval_config
 from kvcbench.modelcore import init_random_model
 from kvcbench.retrieval import load_index, save_index
 from kvcbench.weights import save_weights
@@ -138,10 +138,11 @@ def test_weights_sidecar_flow(bundle_dir, workdir, capsys):
     (workdir / "m.kvcw.json").unlink()
     assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
                  "--weights", "m.kvcw", "--out", "x.kvcc"]) == 3
-    (workdir / "m.kvcw.json").write_text(json.dumps({"bogus": 1}))
-    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
-                 "--weights", "m.kvcw", "--out", "x.kvcc"]) == 4
-    capsys.readouterr()
+    for sidecar in (json.dumps({"bogus": 1}), "{not json", "[1, 2]"):
+        (workdir / "m.kvcw.json").write_text(sidecar)
+        assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
+                     "--weights", "m.kvcw", "--out", "x.kvcc"]) == 4
+        assert "bad model config" in capsys.readouterr().err
 
 
 def test_rag_ranking_markers_and_answer(bundle_dir, capsys):
@@ -188,6 +189,20 @@ def test_rag_index_with_out_of_vocabulary_ids_exits_4(bundle_dir, workdir, capsy
     capsys.readouterr()
     assert main(args) == 4
     assert "outside the vocabulary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, damage", [
+    ("spec.json", lambda raw: b"{not json" + raw),
+    ("corpus.jsonl", lambda raw: raw[: raw.index(b"\n") // 2] + raw[raw.index(b"\n"):]),
+    ("questions.jsonl", lambda raw: raw.replace(b'"template_id"', b'"template"', 1)),
+    ("vocab.txt", lambda raw: raw[raw.index(b"\n") + 1:]),
+], ids=["spec_not_json", "corpus_torn_line", "question_missing_key", "vocab_no_specials"])
+def test_damaged_bundle_exits_4(bundle_dir, capsys, part, damage):
+    path = bundle_dir / part
+    path.write_bytes(damage(path.read_bytes()))
+    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
+                 "--out", "x.kvcc"]) == 4
+    assert part in capsys.readouterr().err
 
 
 EVAL_INI = """\
@@ -293,6 +308,18 @@ def test_report_on_a_corrupt_runs_line_exits_4(workdir, capsys):
     runs.write_text("\n".join([lines[0][:-5], *lines[1:]]) + "\n")
     capsys.readouterr()
     assert main(["report", "--runs", "results/runs/s3c1.jsonl", "--out", "m.csv"]) == 4
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_report_on_a_wrongly_typed_record_of_another_schema_exits_4(workdir, capsys):
+    row = dataclasses.asdict(RunRecord(
+        qid="q0", kind="direct", method="rag", budget=160, connectivity=2, corpus_fp="aa",
+        answer="x", overlap=1.0, retention=None, evidence_recall=None, compress_s=0.0,
+        retrieve_s=0.0, prefill_s=0.0, first_token_s=0.0, elapsed_s=0.0,
+    ))
+    row.update(schema_version=99, overlap="high")
+    (workdir / "runs.jsonl").write_text(json.dumps(row) + "\n")
+    assert main(["report", "--runs", "runs.jsonl", "--out", "m.csv"]) == 4
     assert "line 1" in capsys.readouterr().err
 
 

@@ -31,7 +31,7 @@ from kvcbench.evalharness import (
     word_overlap,
     write_ttft_csv,
 )
-from kvcbench.modelcore import GenerationParams
+from kvcbench.modelcore import GenerationParams, ModelConfig, init_random_model
 from kvcbench.retrieval import index_chunks
 from kvcbench.vocab import tokenize
 
@@ -210,6 +210,12 @@ def test_suite_resume_reruns_only_a_torn_last_cell(suite, small_bundle, small_mo
     lambda good: [good.replace(b'"qid"', b'"quid"'), good],
     lambda good: [good.replace(b'"answer": "x", ', b""), good],
     lambda good: [b"[1, 2]"],
+    lambda good: [good.replace(b'"schema_version": 1', b'"schema_version": 99')],
+    lambda good: [good.replace(b'"overlap": 1.0', b'"overlap": "high"')],
+    lambda good: [good.replace(b'"budget": 512', b'"budget": 1.5')],
+    lambda good: [good.replace(b'"budget": 512', b'"budget": true')],
+    lambda good: [good.replace(b'"answer": "x"', b'"answer": null')],
+    lambda good: [good.replace(b'"retention": null', b'"retention": [1.0]')],
 ])
 def test_load_records_rejects_damage_other_than_a_torn_tail(tmp_path, damage):
     good = json.dumps(dataclasses.asdict(make_record())).encode()
@@ -217,6 +223,13 @@ def test_load_records_rejects_damage_other_than_a_torn_tail(tmp_path, damage):
     path.write_bytes(b"\n".join([good, *damage(good)]) + b"\n")
     with pytest.raises(FormatError, match="line 2"):
         load_records(path)
+
+
+def test_load_records_accepts_integral_floats_and_null_optionals(tmp_path):
+    row = dataclasses.asdict(make_record(overlap=1, retention=None, evidence_recall=0))
+    path = tmp_path / "ok.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    assert load_records(path) == [make_record(overlap=1.0, evidence_recall=0.0)]
 
 
 def make_record(**kwargs):
@@ -301,11 +314,35 @@ def test_measure_ttft_rag(small_bundle, small_model):
     assert rec.corpus_tokens == small_bundle.spec.n_tokens
 
 
-def test_measure_ttft_infeasible_is_nan_not_error(tiny_model):
+def _infeasible_full(tiny_model, small_bundle):
     rng = np.random.default_rng(10)
     corpus = random_ids(rng, tiny_model.config.vocab_size, tiny_model.config.max_position + 100)
-    rec = measure_ttft(tiny_model, "full", [5, 6], corpus=corpus, reps=2)
-    assert not rec.feasible
+    return measure_ttft(tiny_model, "full", [5, 6], corpus=corpus, reps=2)
+
+
+def _infeasible_rag(tiny_model, small_bundle):
+    # a 320-token selection plus the question overflows 256 positions
+    config = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16,
+                         vocab_size=len(small_bundle.vocab.id_to_token), max_position=256)
+    q = question_prompt(small_bundle.questions[0].text, small_bundle.vocab)
+    return measure_ttft(init_random_model(config, seed=0), "rag", q, bundle=small_bundle,
+                        index=index_chunks(small_bundle), budget=320, reps=2)
+
+
+def _infeasible_kvc(tiny_model, small_bundle):
+    # a cache that already fills every position leaves none for the question
+    rng = np.random.default_rng(10)
+    n = tiny_model.config.max_position
+    compressed = compress_streaming_llm(tiny_model, random_ids(rng, tiny_model.config.vocab_size, n), k=n)
+    assert compressed.n_kept == n
+    return measure_ttft(tiny_model, "kvc", [5, 6], compressed=compressed, budget=n, reps=2)
+
+
+@pytest.mark.parametrize("scenario", ["full", "rag", "kvc"])
+def test_measure_ttft_infeasible_is_nan_not_error(tiny_model, small_bundle, scenario):
+    rec = {"full": _infeasible_full, "rag": _infeasible_rag, "kvc": _infeasible_kvc}[scenario](
+        tiny_model, small_bundle)
+    assert not rec.feasible and rec.scenario == scenario
     assert math.isnan(rec.median_s) and math.isnan(rec.min_s)
 
 

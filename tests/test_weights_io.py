@@ -68,6 +68,16 @@ def test_unknown_dtype_code(saved):
         load_weights(path, CONFIG)
 
 
+def test_tensor_name_not_utf8(saved):
+    _, path = saved
+    raw = bytearray(path.read_bytes())
+    # magic(4) + version(4) + count(4) + name_len(4) -> first byte of "embedding"
+    raw[16] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="not utf-8"):
+        load_weights(path, CONFIG)
+
+
 def test_truncated_container(saved):
     _, path = saved
     raw = path.read_bytes()
