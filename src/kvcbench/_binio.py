@@ -1,7 +1,9 @@
-"""Shared little-endian reader for the binary container formats."""
+"""Shared readers for the artifact formats: a little-endian reader for the
+binary containers and a typed record reader for the JSON ones."""
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -43,3 +45,34 @@ class Reader:
             raise FormatError(
                 f"{self.path}: {len(self.data) - self.off} trailing bytes after last field"
             )
+
+
+# dataclass field annotation -> the JSON values it accepts; a tuple field
+# takes a JSON list of its element type
+_JSON_TYPES = {"str": str, "int": int, "bool": bool, "float": (int, float),
+               "float | None": (int, float, type(None))}
+
+
+def _json_value(name: str, value, annotation: str):
+    if annotation.startswith("tuple["):  # tuple[<element>, ...]
+        if not isinstance(value, list):
+            raise TypeError(f"{name} is {value!r}, expected a list")
+        return tuple(_json_value(name, v, annotation[6:-6]) for v in value)
+    if isinstance(value, bool) != (annotation == "bool") or not isinstance(value, _JSON_TYPES[annotation]):
+        raise TypeError(f"{name} is {value!r}, expected {annotation}")
+    return float(value) if annotation.startswith("float") and value is not None else value
+
+
+def json_record(cls, row, rename=None):
+    """``cls(**row)`` for a dataclass read from a decoded JSON object whose
+    raw values must match the field annotations: a bool is not an int, an
+    int is read as a float, a tuple field needs a list. ``rename`` maps
+    JSON keys to field names. A mismatch, an unknown or a missing key raises
+    TypeError; ``cls`` runs its own checks as usual."""
+    if not isinstance(row, dict):
+        raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+    kwargs = {(rename or {}).get(key, key): value for key, value in row.items()}
+    for f in dataclasses.fields(cls):
+        if f.name in kwargs:
+            kwargs[f.name] = _json_value(f.name, kwargs[f.name], f.type)
+    return cls(**kwargs)

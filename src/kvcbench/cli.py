@@ -26,15 +26,18 @@ from pathlib import Path
 
 import numpy as np
 
+from ._binio import json_record
 from .cachefile import load_cache, save_cache
 from .compress import (
+    BUDGET_SCHEDULES,
+    GUIDANCE_KINDS,
     CompressionBudget,
-    GuidancePrompt,
     answer_with_cache,
     compress_iterative,
 )
 from .corpusgen import (
     MAX_CONNECTIVITY,
+    NAME_STYLES,
     CorpusSpec,
     generate_corpus,
     load_bundle,
@@ -52,6 +55,7 @@ from .errors import (
 from .evalharness import (
     METHODS,
     GenerationParams,
+    answer_with_context,
     default_eval_config,
     emit_report,
     load_records,
@@ -99,24 +103,22 @@ def _csv_ints(text: str, flag: str) -> list[int]:
     return values
 
 
-def _load_model_from_weights(weights_path: Path) -> Model:
-    """KVCW weights with a JSON config sidecar at <weights>.json."""
+def _model(weights, seed: int, config: ModelConfig) -> Model:
+    """KVCW `weights` with a JSON config sidecar at <weights>.json when
+    given, else the random model of `config` drawn from `seed`."""
+    if not weights:
+        return init_random_model(config, seed)
+    weights_path = _resolve(weights)
     sidecar = weights_path.with_suffix(weights_path.suffix + ".json")
     if not weights_path.exists():
         raise MissingArtifactError(f"weight container not found: {weights_path}")
     if not sidecar.exists():
         raise MissingArtifactError(f"model config sidecar not found: {sidecar}")
     try:
-        config = ModelConfig(**json.loads(sidecar.read_text()))
-    except (ValueError, TypeError) as exc:
+        stored = json_record(ModelConfig, json.loads(sidecar.read_text()))
+    except (ValueError, TypeError, UsageError) as exc:
         raise FormatError(f"bad model config in {sidecar}: {exc}") from None
-    return load_weights(weights_path, config)
-
-
-def _resolve_model(args, vocab_size: int) -> Model:
-    if getattr(args, "weights", None):
-        return _load_model_from_weights(_resolve(args.weights))
-    return init_random_model(default_eval_config(vocab_size), args.model_seed)
+    return load_weights(weights_path, stored)
 
 
 def _add_model_args(sub) -> None:
@@ -128,17 +130,21 @@ def _add_model_args(sub) -> None:
 
 # --- corpusgen ----------------------------------------------------------------
 
+# corpusgen flag and [corpus] INI key -> (CorpusSpec field, help text); the
+# defaults are CorpusSpec's own
+_CORPUS_KEYS = {
+    "people": ("n_people", "number of people"),
+    "projects": ("n_projects", "number of projects"),
+    "filler": ("n_filler", "number of filler chunks"),
+    "chunk_tokens": ("chunk_tokens", "tokens per chunk"),
+    "questions_per_kind": ("questions_per_kind", "direct and join questions each"),
+    "name_style": ("name_style", "person name style"),
+}
+
+
 def cmd_corpusgen(args) -> int:
-    spec = CorpusSpec(
-        seed=args.seed,
-        connectivity=args.connectivity,
-        n_people=args.people,
-        n_projects=args.projects,
-        n_filler=args.filler,
-        chunk_tokens=args.chunk_tokens,
-        questions_per_kind=args.questions_per_kind,
-        name_style=args.name_style,
-    )
+    fields = {name: getattr(args, key) for key, (name, _) in _CORPUS_KEYS.items()}
+    spec = CorpusSpec(seed=args.seed, connectivity=args.connectivity, **fields)
     bundle = generate_corpus(spec)
     out = _resolve(args.out)
     save_bundle(bundle, out)
@@ -152,21 +158,13 @@ def cmd_corpusgen(args) -> int:
 
 # --- compress -----------------------------------------------------------------
 
-def _guidance_from_args(bundle, mode: str, n_examples: int, query: str | None) -> GuidancePrompt:
-    if mode == "zs":
-        return make_guidance("zs", [])
-    examples = select_fewshot(bundle, n_examples)
-    if mode == "fs":
-        return make_guidance("fs", examples)
-    if not (query and query.strip()):
-        raise UsageError("--mode fsq requires --query")
-    return make_guidance("fsq", examples, query=query)
-
-
 def cmd_compress(args) -> int:
     bundle = load_bundle(_resolve(args.bundle))
-    model = _resolve_model(args, len(bundle.vocab.id_to_token))
-    guidance = _guidance_from_args(bundle, args.mode, args.examples, args.query)
+    model = _model(args.weights, args.model_seed, default_eval_config(len(bundle.vocab)))
+    examples = [] if args.mode == "zs" else select_fewshot(bundle, args.examples)
+    if args.mode == "fsq" and not (args.query and args.query.strip()):
+        raise UsageError("--mode fsq requires --query")
+    guidance = make_guidance(args.mode, examples, query=args.query)
     corpus = bundle.corpus_tokens()
     t0 = time.perf_counter()
     compressed = compress_iterative(
@@ -190,7 +188,7 @@ def cmd_ask(args) -> int:
     if not args.question.strip():
         raise UsageError("question must be nonempty")
     bundle = load_bundle(_resolve(args.bundle))
-    model = _resolve_model(args, len(bundle.vocab.id_to_token))
+    model = _model(args.weights, args.model_seed, default_eval_config(len(bundle.vocab)))
     compressed = load_cache(_resolve(args.cache), model=model)
     prompt = question_prompt(args.question, bundle.vocab)
     t0 = time.perf_counter()
@@ -231,10 +229,8 @@ def cmd_rag(args) -> int:
         marker = "*" if rank < n_fit else " "
         print(f"{marker} rank {rank:2d}  chunk {cid:4d}  score {result.scores[rank]:.4f}  {bundle.chunks[cid].kind}")
     if args.answer:
-        model = _resolve_model(args, len(bundle.vocab.id_to_token))
+        model = _model(args.weights, args.model_seed, default_eval_config(len(bundle.vocab)))
         context = assemble_context(bundle, result, args.budget)
-        from .evalharness import answer_with_context
-
         answer = answer_with_context(
             model, context, question_prompt(args.question, bundle.vocab),
             GenerationParams(max_new_tokens=args.max_new),
@@ -251,12 +247,7 @@ class RunConfig:
     weights: str | None
     corpus_seeds: tuple[int, ...]
     connectivity: tuple[int, ...]
-    n_people: int
-    n_projects: int
-    n_filler: int
-    chunk_tokens: int
-    questions_per_kind: int
-    name_style: str
+    corpus: dict  # CorpusSpec field -> value, one per _CORPUS_KEYS entry
     methods: tuple[str, ...]
     budgets: tuple[int, ...]
     fewshot: int
@@ -267,10 +258,7 @@ class RunConfig:
 
 _CONFIG_SCHEMA = {
     "model": {"seed", "weights"},
-    "corpus": {
-        "seeds", "connectivity", "people", "projects", "filler",
-        "chunk_tokens", "questions_per_kind", "name_style",
-    },
+    "corpus": {"seeds", "connectivity", *_CORPUS_KEYS},
     "eval": {"methods", "budgets", "fewshot", "segments", "max_new"},
     "out": {"dir"},
 }
@@ -300,17 +288,16 @@ def parse_eval_config(path: Path) -> RunConfig:
         for m in methods:
             if m not in METHODS:
                 raise UsageError(f"{path}: unknown method {m!r} (choose from {METHODS})")
+        corpus = {}
+        for key, (name, _) in _CORPUS_KEYS.items():
+            default = getattr(CorpusSpec, name)
+            corpus[name] = type(default)(get("corpus", key, default))
         config = RunConfig(
             model_seed=int(get("model", "seed", "0")),
             weights=get("model", "weights"),
             corpus_seeds=tuple(_csv_ints(get("corpus", "seeds", "1"), "corpus.seeds")),
             connectivity=tuple(_csv_ints(get("corpus", "connectivity", "2"), "corpus.connectivity")),
-            n_people=int(get("corpus", "people", "32")),
-            n_projects=int(get("corpus", "projects", "32")),
-            n_filler=int(get("corpus", "filler", "32")),
-            chunk_tokens=int(get("corpus", "chunk_tokens", "256")),
-            questions_per_kind=int(get("corpus", "questions_per_kind", "25")),
-            name_style=get("corpus", "name_style", "distinct"),
+            corpus=corpus,
             methods=methods,
             budgets=tuple(_csv_ints(get("eval", "budgets", "512,1024,2048,4096"), "eval.budgets")),
             fewshot=int(get("eval", "fewshot", "3")),
@@ -337,23 +324,8 @@ def cmd_eval(args) -> int:
     for seed in config.corpus_seeds:
         seed_records = []
         for conn in config.connectivity:
-            spec = CorpusSpec(
-                seed=seed,
-                connectivity=conn,
-                n_people=config.n_people,
-                n_projects=config.n_projects,
-                n_filler=config.n_filler,
-                chunk_tokens=config.chunk_tokens,
-                questions_per_kind=config.questions_per_kind,
-                name_style=config.name_style,
-            )
-            bundle = generate_corpus(spec)
-            if config.weights:
-                model = _load_model_from_weights(_resolve(config.weights))
-            else:
-                model = init_random_model(
-                    default_eval_config(len(bundle.vocab.id_to_token)), config.model_seed
-                )
+            bundle = generate_corpus(CorpusSpec(seed=seed, connectivity=conn, **config.corpus))
+            model = _model(config.weights, config.model_seed, default_eval_config(len(bundle.vocab)))
             runs_path = runs_dir / f"s{seed}c{conn}.jsonl"
             if not args.resume and runs_path.exists():
                 runs_path.unlink()
@@ -370,7 +342,7 @@ def cmd_eval(args) -> int:
             seed_records.extend(records)
             print(f"seed {seed} connectivity {conn}: {len(records)} records -> {runs_path}")
         report_path = report_dir / f"report-s{seed}.csv"
-        emit_report(seed_records, report_path, chunk_tokens=config.chunk_tokens)
+        emit_report(seed_records, report_path, chunk_tokens=config.corpus["chunk_tokens"])
         print(f"report: {report_path}")
     if n_failed:
         print(f"warning: {n_failed} cells failed (recorded with error text)", file=sys.stderr)
@@ -381,17 +353,17 @@ def cmd_eval(args) -> int:
 
 def _ttft_bundle(n_tokens: int, seed: int):
     """A real bundle sized to exactly n_tokens by scaling people and filler."""
-    n_chunks, rem = divmod(n_tokens, 256)
+    n_chunks, rem = divmod(n_tokens, CorpusSpec.chunk_tokens)
     if rem:
-        raise UsageError(f"corpus size {n_tokens} is not a multiple of 256")
-    n_people = min(32, n_chunks // 4)
-    n_projects = min(32, n_chunks // 4)
+        raise UsageError(f"corpus size {n_tokens} is not a multiple of {CorpusSpec.chunk_tokens}")
+    n_people = min(CorpusSpec.n_people, n_chunks // 4)
+    n_projects = min(CorpusSpec.n_projects, n_chunks // 4)
     n_filler = n_chunks - 2 * n_people - n_projects
     if n_people < 1 or n_filler < 0:
         raise UsageError(f"corpus size {n_tokens} too small for a bundle")
     spec = CorpusSpec(
         seed=seed, connectivity=2, n_people=n_people, n_projects=n_projects,
-        n_filler=n_filler, questions_per_kind=min(25, n_people),
+        n_filler=n_filler, questions_per_kind=min(CorpusSpec.questions_per_kind, n_people),
     )
     return generate_corpus(spec)
 
@@ -401,11 +373,8 @@ def cmd_ttft(args) -> int:
     records = []
     for size in sizes:
         bundle = _ttft_bundle(size, args.seed)
-        vocab_size = len(bundle.vocab.id_to_token)
-        if args.weights:
-            model = _load_model_from_weights(_resolve(args.weights))
-        else:
-            model = init_random_model(ttft_reference_config(vocab_size), args.model_seed)
+        vocab_size = len(bundle.vocab)
+        model = _model(args.weights, args.model_seed, ttft_reference_config(vocab_size))
         corpus = bundle.corpus_tokens()
         rng = np.random.default_rng(args.seed)
         question = rng.integers(4, vocab_size, size=args.question_tokens).tolist()
@@ -469,27 +438,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"projects per person, 1..{MAX_CONNECTIVITY}")
     p.add_argument("--seed", type=int, default=0, help="corpus seed (default %(default)s)")
     p.add_argument("--out", required=True, help="bundle directory to write")
-    p.add_argument("--people", type=int, default=32, help="number of people (default %(default)s)")
-    p.add_argument("--projects", type=int, default=32, help="number of projects (default %(default)s)")
-    p.add_argument("--filler", type=int, default=32, help="number of filler chunks (default %(default)s)")
-    p.add_argument("--chunk-tokens", type=int, default=256, help="tokens per chunk (default %(default)s)")
-    p.add_argument("--questions-per-kind", type=int, default=25,
-                   help="direct and join questions each (default %(default)s)")
-    p.add_argument("--name-style", choices=("distinct", "similar"), default="distinct",
-                   help="person name style (default %(default)s)")
+    for key, (name, text) in _CORPUS_KEYS.items():
+        default = getattr(CorpusSpec, name)
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default,
+                       choices=NAME_STYLES if key == "name_style" else None,
+                       help=f"{text} (default %(default)s)")
     p.set_defaults(func=cmd_corpusgen)
 
     p = subs.add_parser("compress", help="compress a bundle's corpus into a reusable cache")
     p.add_argument("--bundle", required=True, help="bundle directory from corpusgen")
     p.add_argument("--budget", type=int, required=True, help="kept rows per layer (k)")
-    p.add_argument("--mode", choices=("zs", "fs", "fsq"), default="fs",
+    p.add_argument("--mode", choices=GUIDANCE_KINDS, default="fs",
                    help="guidance strength (default %(default)s)")
     p.add_argument("--examples", type=int, default=3,
                    help="few-shot examples for fs/fsq; ignored by zs (default %(default)s)")
     p.add_argument("--query", default=None, help="live query text (fsq mode only)")
     p.add_argument("--segments", type=int, default=2,
                    help="iterative segment count s (default %(default)s)")
-    p.add_argument("--schedule", choices=("proportional", "flat"), default="proportional",
+    p.add_argument("--schedule", choices=BUDGET_SCHEDULES, default=CompressionBudget.schedule,
                    help="budget ramp across segments (default %(default)s)")
     p.add_argument("--out", required=True, help="cache file to write (KVCC)")
     _add_model_args(p)
@@ -540,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("report", help="aggregate run records into a summary CSV")
     p.add_argument("--runs", nargs="+", required=True, help="run JSONL files")
     p.add_argument("--out", default="report.csv", help="output CSV (default %(default)s)")
-    p.add_argument("--chunk-tokens", type=int, default=256,
+    p.add_argument("--chunk-tokens", type=int, default=CorpusSpec.chunk_tokens,
                    help="chunk width for the coverage bound (default %(default)s)")
     p.set_defaults(func=cmd_report)
 

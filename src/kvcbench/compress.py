@@ -30,6 +30,7 @@ from .modelcore import GenerationParams, KvCache, Model, generate_greedy, prefil
 from .vocab import TokenSequence, Vocabulary, fingerprint_ids, tokenize
 
 GUIDANCE_KINDS = ("zs", "fs", "fsq")
+BUDGET_SCHEDULES = ("proportional", "flat")
 
 # incremented by every compression entry point; the eval harness asserts
 # reuse by checking this does not move on warm runs
@@ -98,7 +99,7 @@ class CompressionBudget:
     def __post_init__(self):
         if self.k < 1:
             raise UsageError("budget k must be >= 1")
-        if self.schedule not in ("proportional", "flat"):
+        if self.schedule not in BUDGET_SCHEDULES:
             raise UsageError(f"unknown schedule {self.schedule!r}")
 
     def target_rows(self, tokens_seen: int, total_tokens: int) -> int:

@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._binio import json_record
 from .errors import FormatError, MalformedSequenceError, MissingArtifactError, UsageError
 from .vocab import TokenSequence, Vocabulary, build_vocabulary, fingerprint_ids
 
@@ -93,6 +94,7 @@ GUIDANCE_CUE_WORDS = ("example", "question", "answer")
 
 CHUNK_KINDS = ("person", "project", "membership", "filler")
 QUESTION_KINDS = ("direct", "join")
+NAME_STYLES = ("distinct", "similar")
 MAX_CONNECTIVITY = 8
 BUNDLE_SCHEMA_VERSION = 1
 
@@ -137,8 +139,8 @@ class CorpusSpec:
             raise UsageError("chunk_tokens must be >= 80")
         if not (1 <= self.questions_per_kind <= self.n_people):
             raise UsageError("questions_per_kind must be in [1, n_people]")
-        if self.name_style not in ("distinct", "similar"):
-            raise UsageError("name_style must be 'distinct' or 'similar'")
+        if self.name_style not in NAME_STYLES:
+            raise UsageError(f"name_style must be {' or '.join(map(repr, NAME_STYLES))}")
 
     @property
     def n_chunks(self) -> int:
@@ -489,7 +491,7 @@ def _json_rows(path: Path, build) -> list:
     for i, line in enumerate(path.read_bytes().splitlines(), 1):
         try:
             rows.append(build(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, TypeError, UsageError) as exc:
             raise FormatError(f"{path}: line {i} is not a valid row: {exc!r}") from None
     return rows
 
@@ -507,14 +509,11 @@ def load_bundle(bundle_dir: Path | str) -> CorpusBundle:
         if meta.pop("schema_version", BUNDLE_SCHEMA_VERSION) != BUNDLE_SCHEMA_VERSION:
             raise FormatError(f"unsupported bundle schema in {spec_path}")
         stored_sha = meta.pop("corpus_sha256", None)
-        spec = CorpusSpec(**meta)
-    except (ValueError, TypeError, AttributeError) as exc:
+        spec = json_record(CorpusSpec, meta)
+    except (ValueError, TypeError, AttributeError, UsageError) as exc:
         raise FormatError(f"bad spec.json in {root}: {exc}") from None
 
-    chunks = _json_rows(
-        root / "corpus.jsonl",
-        lambda row: ChunkDoc(chunk_id=row["chunk_id"], kind=row["kind"], text=row["text"]),
-    )
+    chunks = _json_rows(root / "corpus.jsonl", lambda row: json_record(ChunkDoc, row))
     if len(chunks) != spec.n_chunks:
         raise FormatError(f"{root}: expected {spec.n_chunks} chunks, found {len(chunks)}")
     for i, doc in enumerate(chunks):
@@ -524,17 +523,7 @@ def load_bundle(bundle_dir: Path | str) -> CorpusBundle:
             raise FormatError(f"{root}: chunk {i} is not {spec.chunk_tokens} tokens")
 
     questions = _json_rows(
-        root / "questions.jsonl",
-        lambda row: Question(
-            qid=row["id"],
-            kind=row["kind"],
-            template_id=row["template_id"],
-            text=row["text"],
-            answers=tuple(row["answers"]),
-            evidence=tuple(row["evidence"]),
-            gold_positions=tuple(row["gold_positions"]),
-            entities=tuple(row["entities"]),
-        ),
+        root / "questions.jsonl", lambda row: json_record(Question, row, rename={"id": "qid"})
     )
     try:
         vocab = Vocabulary.load(root / "vocab.txt")

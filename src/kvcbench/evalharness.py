@@ -5,10 +5,10 @@ against the question's gold answers, so answer order and filler words do
 not matter. A suite run walks methods x budgets x questions, appends one
 JSON line per completed cell so an interrupted run resumes where it
 stopped, and keeps every compressed cache in an in-process registry keyed
-by (method, corpus, guidance, budget, segments) so a cache is built once and
-reused across questions. One table names each compressed method's guidance
-kind and offline build. Few-shot guidance examples are drawn from the
-generated questions and reserved out of the eval set for every method,
+by (method, model, corpus, guidance, budget, segments) so a cache is built
+once and reused across questions. One table names each compressed method's
+guidance kind and offline build. Few-shot guidance examples are drawn from
+the generated questions and reserved out of the eval set for every method,
 task-aware or not. A failing cell is recorded with its error text and the
 suite moves on.
 
@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._binio import json_record
 from .baselines import (
     compress_expected_attention,
     compress_snapkv_agnostic,
@@ -52,7 +53,7 @@ from .compress import (
     retention,
 )
 from .corpusgen import DEFAULT_TASK_DESCRIPTION, CorpusBundle, Question
-from .errors import FormatError, StaleCacheError, UsageError
+from .errors import FormatError, UsageError
 from .modelcore import (
     GenerationParams,
     KvCache,
@@ -173,10 +174,6 @@ class RunRecord:
     schema_version: int = RUNS_SCHEMA_VERSION
 
 
-# RunRecord field annotation -> the JSON values it accepts
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "float | None": (int, float, type(None))}
-
-
 def load_records(path) -> list[RunRecord]:
     """Read a runs JSONL file. A record counts once its newline is written:
     a last line without one is an interrupted append and is dropped with a
@@ -194,11 +191,7 @@ def load_records(path) -> list[RunRecord]:
     for i, line in enumerate(lines, 1):
         if line.strip():
             try:
-                rec = RunRecord(**json.loads(line))
-                for f in dataclasses.fields(rec):
-                    value = getattr(rec, f.name)
-                    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
-                        raise TypeError(f"{f.name} is {value!r}, expected {f.type}")
+                rec = json_record(RunRecord, json.loads(line))
                 if rec.schema_version != RUNS_SCHEMA_VERSION:
                     raise ValueError(f"schema_version {rec.schema_version} is not {RUNS_SCHEMA_VERSION}")
                 records.append(rec)
@@ -341,7 +334,9 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
 
     try:
         if method == "full":
-            base, build_s = _claim(registry, ("full", corpus_fp), lambda: _prefilled(model, corpus))
+            base, build_s = _claim(
+                registry, ("full", model.fingerprint, corpus_fp), lambda: _prefilled(model, corpus)
+            )
             answer, prefill_s, first_s = _timed_answer(model, base.fork(), prompt, params)
             prefill_s += build_s
             ret = 1.0
@@ -364,11 +359,9 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
             guidance = make_guidance(kind, examples, query=q.text) if kind else None
             gfp = guidance_fingerprint(guidance, vocab).hex() if kind else None
             compressed, compress_s = _claim(
-                registry, (method, corpus_fp, gfp, budget, s),
+                registry, (method, model.fingerprint, corpus_fp, gfp, budget, s),
                 lambda: build(model, corpus, guidance, vocab, budget, s),
             )
-            if model.fingerprint != compressed.meta.model_fingerprint:
-                raise StaleCacheError("compressed cache was built by a different model")
             ret = retention(compressed, q.gold_positions) if q.gold_positions else None
             answer, prefill_s, first_s = _timed_answer(model, compressed.to_kv_cache(), prompt, params)
 

@@ -9,10 +9,12 @@ Two properties of the cache design matter to everything downstream:
 * Keys are stored **unrotated**. Rotation is applied at attention time from
   each row's assigned position, so survivors of a compression pass can be
   renumbered to contiguous positions and re-rotated exactly.
-* One layer loop serves prefill, capture and decode. ``prefill`` never
-  produces logits (the first answer token comes from ``decode_step``), so
-  the loop skips the last layer's attention apart from observer rows, which
-  roughly halves prefill cost on a two-layer model.
+* One layer loop, ``_forward``, serves prefill, capture and decode, and
+  numbers new rows itself after the cache's last position. ``prefill``
+  never produces logits (the first answer token comes from
+  ``decode_step``), so the loop skips the last layer's attention apart
+  from observer rows, which roughly halves prefill cost on a two-layer
+  model.
 
 Attention weights for a designated observer span (guidance tokens) can be
 captured per layer and head during prefill; compression ranks context
@@ -318,27 +320,10 @@ def rotate(mat: np.ndarray, positions: np.ndarray, config: ModelConfig) -> np.nd
     return out.reshape(n, d)
 
 
-def _check_new_positions(cache: KvCache, positions: np.ndarray, config: ModelConfig) -> None:
-    if positions.size == 0:
-        return
-    if np.any(np.diff(positions) <= 0):
-        raise UsageError("positions must be strictly increasing")
-    if cache.length and positions[0] <= cache.positions[0][-1]:
-        raise UsageError(
-            f"position {int(positions[0])} collides with cached positions "
-            f"(last is {int(cache.positions[0][-1])})"
-        )
-    if positions[-1] >= config.max_position:
-        raise PositionOverflowError(
-            f"position {int(positions[-1])} exceeds max_position {config.max_position}"
-        )
-
-
-def prefill(model, cache: KvCache, ids, positions=None, observer_span=None, query_span=None):
+def prefill(model, cache: KvCache, ids, observer_span=None, query_span=None):
     """Run the prompt-processing phase over `ids`, growing `cache` in place.
 
-    positions: assigned position per token; defaults to the next contiguous
-        range after the cache.
+    New rows are numbered by `_forward`, contiguously after the cache.
     observer_span: optional (start, end) local index range into `ids`; when
         nonempty, the capture holds those rows' attention at every layer.
     query_span: optional (start, end) local range; when nonempty, the
@@ -354,26 +339,22 @@ def prefill(model, cache: KvCache, ids, positions=None, observer_span=None, quer
         return None
     if np.any(token_ids >= cfg.vocab_size) or np.any(token_ids < 0):
         raise UsageError("token id outside model vocabulary")
-    if positions is None:
-        start = cache.next_position
-        positions = np.arange(start, start + S, dtype=np.int64)
-    else:
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.shape[0] != S:
-            raise UsageError("positions length must match sequence length")
     for name, span in (("observer", observer_span), ("query", query_span)):
         if span is not None and span[1] > span[0] and not (0 <= span[0] and span[1] <= S):
             raise UsageError(f"{name} span {span} outside sequence of length {S}")
-    return _forward(model, cache, token_ids, positions, False, observer_span, query_span)[1]
+    return _forward(model, cache, token_ids, False, observer_span, query_span)[1]
 
 
-def _forward(model, cache: KvCache, token_ids, positions, logits, observer_span=None, query_span=None):
+def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query_span=None):
     """The layer loop of prefill and decode_step; grows `cache` in place and
-    returns (logits or None, capture or None). Spans arrive checked. Without
-    logits, the last layer's attention runs only for observer rows."""
+    returns (logits or None, capture or None). New rows take the positions
+    after the cache's last one; spans arrive checked. Without logits, the
+    last layer's attention runs only for observer rows."""
     cfg = model.config
-    _check_new_positions(cache, positions, cfg)
     S = token_ids.shape[0]
+    positions = np.arange(cache.next_position, cache.next_position + S, dtype=np.int64)
+    if positions[-1] >= cfg.max_position:
+        raise PositionOverflowError(f"position {positions[-1]} exceeds max_position {cfg.max_position}")
     want_capture = observer_span is not None and observer_span[1] > observer_span[0]
     if want_capture:
         obs_lo, obs_hi = observer_span
@@ -458,8 +439,7 @@ def decode_step(model, cache: KvCache, token_id: int):
     """Process one token, append its K/V to every layer, return the logits."""
     if not (0 <= token_id < model.config.vocab_size):
         raise UsageError(f"token id {token_id} outside model vocabulary")
-    pos = np.array([cache.next_position], dtype=np.int64)
-    logits, _ = _forward(model, cache, np.array([token_id]), pos, True)
+    logits, _ = _forward(model, cache, np.array([token_id]), True)
     return logits[0], cache
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import kvcbench.evalharness as evalharness
+from kvcbench.cachefile import load_cache
 from kvcbench.cli import TTFT_DEFAULT_SIZES, _exit_code, main
 from kvcbench.errors import (
     FormatError,
@@ -19,7 +21,7 @@ from kvcbench.errors import (
     StaleCacheError,
     UsageError,
 )
-from kvcbench.evalharness import RunRecord, default_eval_config
+from kvcbench.evalharness import RunRecord, default_eval_config, load_records
 from kvcbench.modelcore import init_random_model
 from kvcbench.retrieval import load_index, save_index
 from kvcbench.weights import save_weights
@@ -125,10 +127,13 @@ def test_weights_sidecar_flow(bundle_dir, workdir, capsys):
     config = default_eval_config(vocab_size)
     model = init_random_model(config, seed=5)
     save_weights(model, workdir / "m.kvcw")
-    (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(config)))
+    good = dataclasses.asdict(config)
+    # a hand-written sidecar may spell the float rotary_base as an int
+    (workdir / "m.kvcw.json").write_text(json.dumps({**good, "rotary_base": 10000}))
 
     assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
                  "--weights", "m.kvcw", "--out", "w.kvcc"]) == 0
+    load_cache(workdir / "w.kvcc", model=model)  # same fingerprint as the model in process
     assert main(["ask", "--cache", "w.kvcc", "--bundle", "bundle",
                  "--question", "anything", "--weights", "m.kvcw"]) == 0
     # seed-0 default model did not build this cache
@@ -138,7 +143,8 @@ def test_weights_sidecar_flow(bundle_dir, workdir, capsys):
     (workdir / "m.kvcw.json").unlink()
     assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
                  "--weights", "m.kvcw", "--out", "x.kvcc"]) == 3
-    for sidecar in (json.dumps({"bogus": 1}), "{not json", "[1, 2]"):
+    damaged = [{**good, "n_layers": 2.0}, {**good, "rotary_enabled": "no"}, {**good, "hidden_size": 30}]
+    for sidecar in (json.dumps({"bogus": 1}), "{not json", "[1, 2]", *map(json.dumps, damaged)):
         (workdir / "m.kvcw.json").write_text(sidecar)
         assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
                      "--weights", "m.kvcw", "--out", "x.kvcc"]) == 4
@@ -191,12 +197,33 @@ def test_rag_index_with_out_of_vocabulary_ids_exits_4(bundle_dir, workdir, capsy
     assert "outside the vocabulary" in capsys.readouterr().err
 
 
+def spec_with(**changes):
+    return lambda raw: json.dumps({**json.loads(raw), **changes}).encode()
+
+
+def first_row_with(**changes):
+    def damage(raw):
+        first, rest = raw.split(b"\n", 1)
+        return json.dumps({**json.loads(first), **changes}).encode() + b"\n" + rest
+    return damage
+
+
 @pytest.mark.parametrize("part, damage", [
     ("spec.json", lambda raw: b"{not json" + raw),
     ("corpus.jsonl", lambda raw: raw[: raw.index(b"\n") // 2] + raw[raw.index(b"\n"):]),
     ("questions.jsonl", lambda raw: raw.replace(b'"template_id"', b'"template"', 1)),
     ("vocab.txt", lambda raw: raw[raw.index(b"\n") + 1:]),
-], ids=["spec_not_json", "corpus_torn_line", "question_missing_key", "vocab_no_specials"])
+    ("spec.json", spec_with(connectivity=9)),
+    ("spec.json", spec_with(n_people=0)),
+    ("spec.json", spec_with(name_style="x")),
+    ("corpus.jsonl", first_row_with(text=5)),
+    ("corpus.jsonl", first_row_with(kind=7)),
+    ("corpus.jsonl", first_row_with(page=1)),
+    ("questions.jsonl", first_row_with(gold_positions="ab")),
+    ("questions.jsonl", first_row_with(text=5)),
+], ids=["spec_not_json", "corpus_torn_line", "question_missing_key", "vocab_no_specials",
+        "spec_connectivity_9", "spec_no_people", "spec_bad_name_style", "chunk_text_int",
+        "chunk_kind_int", "chunk_unknown_key", "question_positions_str", "question_text_int"])
 def test_damaged_bundle_exits_4(bundle_dir, capsys, part, damage):
     path = bundle_dir / part
     path.write_bytes(damage(path.read_bytes()))
@@ -246,6 +273,44 @@ def test_eval_grid_and_resume(workdir, capsys):
     assert len(runs.read_text().splitlines()) == 6
     assert main(["eval", "--config", "eval.ini"]) == 0
     assert len(runs.read_text().splitlines()) == 6
+    capsys.readouterr()
+
+
+class Killed(BaseException):
+    """Stands in for a kill: no per-cell ``except Exception`` catches it."""
+
+
+def test_eval_resume_after_a_kill(workdir, monkeypatch, capsys):
+    (workdir / "eval.ini").write_text(EVAL_INI)
+    runs = workdir / "results" / "runs" / "s3c1.jsonl"
+    assert main(["eval", "--config", "eval.ini"]) == 0
+    uninterrupted = load_records(runs)
+
+    run_cell = evalharness._run_cell
+    computed = []
+
+    def cell(*args):  # args[5:8] are the method, budget and question
+        computed.append((args[7].qid, args[5], args[6]))
+        if len(computed) == 4:
+            raise Killed
+        return run_cell(*args)
+
+    monkeypatch.setattr(evalharness, "_run_cell", cell)
+    with pytest.raises(Killed):
+        main(["eval", "--config", "eval.ini"])
+    first_three = runs.read_bytes()
+    assert len(first_three.splitlines()) == 3
+
+    computed.clear()
+    assert main(["eval", "--config", "eval.ini", "--resume"]) == 0
+    resumed = load_records(runs)
+    keys = [(r.qid, r.method, r.budget) for r in resumed]
+    assert len(set(keys)) == len(keys)
+    assert runs.read_bytes().startswith(first_three)
+    assert computed == keys[3:]
+    assert [(r.qid, r.method, r.budget, r.answer, r.overlap, r.retention) for r in resumed] == [
+        (r.qid, r.method, r.budget, r.answer, r.overlap, r.retention) for r in uninterrupted
+    ]
     capsys.readouterr()
 
 

@@ -181,6 +181,23 @@ def test_suite_runs_every_method_with_one_build_each(small_bundle, small_model, 
     assert sorted(key[0] for key in registry) == sorted(["full", "rag_index", *COMPRESSED_METHODS])
 
 
+def test_models_sharing_a_registry_answer_as_with_fresh_registries(small_bundle, small_model, tmp_path):
+    models = (small_model, init_random_model(small_model.config, seed=1))
+
+    def cells(model, registry, name):
+        records = run_suite(
+            model, small_bundle, ("full", "kvc_zs"), (64,), tmp_path / name,
+            params=GenerationParams(max_new_tokens=4), registry=registry,
+        )
+        return [(r.qid, r.method, r.answer, r.retention, r.error) for r in records]
+
+    shared = {}
+    together = [cells(m, shared, f"shared{i}.jsonl") for i, m in enumerate(models)]
+    apart = [cells(m, {}, f"fresh{i}.jsonl") for i, m in enumerate(models)]
+    assert together == apart
+    assert not any(error for suite_cells in together for *_, error in suite_cells)
+
+
 def test_suite_resume_reruns_only_a_torn_last_cell(suite, small_bundle, small_model, tmp_path, caplog):
     records, out, _ = suite
     whole = out.read_bytes().splitlines(keepends=True)

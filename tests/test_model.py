@@ -145,27 +145,18 @@ def test_prefill_rejects_bad_token_ids(tiny_model):
         decode_step(tiny_model, cache, -1)
 
 
-def test_position_discipline(tiny_model):
-    cache = KvCache.empty(tiny_model.config)
-    with pytest.raises(UsageError):
-        prefill(tiny_model, cache, [5, 6], positions=[3, 3])
-    with pytest.raises(UsageError):
-        prefill(tiny_model, cache, [5, 6], positions=[4])
-    prefill(tiny_model, cache, [5, 6], positions=[10, 11])
-    with pytest.raises(UsageError):  # collides with cached positions
-        prefill(tiny_model, cache, [5], positions=[11])
-    with pytest.raises(PositionOverflowError):
-        prefill(tiny_model, cache, [5], positions=[tiny_model.config.max_position])
-
-
 def test_decode_overflow_at_max_position():
     config = ModelConfig(n_layers=1, n_heads=1, hidden_size=16, head_dim=16,
                          vocab_size=16, max_position=8)
     model = init_random_model(config, seed=0)
     cache = KvCache.empty(config)
+    with pytest.raises(PositionOverflowError):  # last row at position 8
+        prefill(model, cache, [4] * 9)
     prefill(model, cache, [4] * 8)
     with pytest.raises(PositionOverflowError):
         decode_step(model, cache, 4)
+    with pytest.raises(PositionOverflowError):
+        prefill(model, cache, [4])
 
 
 def test_capture_rows_are_causal_and_normalized(tiny_model):
