@@ -29,7 +29,6 @@ from .corpusgen import (
     compute_gold_token_positions,
     entity_token_positions,
     generate_corpus,
-    generate_similar_names_variant,
     load_bundle,
     save_bundle,
 )

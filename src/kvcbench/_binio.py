@@ -1,10 +1,14 @@
-"""Shared readers for the artifact formats: a little-endian reader for the
-binary containers and a typed record reader for the JSON ones."""
+"""Shared readers and writer for the artifact formats: a little-endian
+reader for the binary containers, a typed record reader for the JSON ones,
+and the atomic writer every whole-file save goes through."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -76,3 +80,19 @@ def json_record(cls, row, rename=None):
         if f.name in kwargs:
             kwargs[f.name] = _json_value(f.name, kwargs[f.name], f.type)
     return cls(**kwargs)
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode="w", **open_kwargs):
+    """Open a temporary file beside `path` for writing; it replaces `path`
+    when the block completes and is removed if the block raises anything,
+    so readers see either the old file or the whole new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -23,7 +23,7 @@ import numpy as np
 
 from .compress import CompressedCache, CompressionBudget, _context_ids, _walk, select_top
 from .errors import UsageError
-from .modelcore import Model, rotate
+from .modelcore import Model
 
 ZERO_GUIDANCE_FP = b"\x00" * 32
 
@@ -114,7 +114,7 @@ def compress_expected_attention(
         keeps = []
         for layer in range(cfg.n_layers):
             queries = capture.queries[layer].astype(np.float64)
-            k_rot = rotate(cache.keys[layer], cache.positions[layer], cfg).astype(np.float64)
+            k_rot = cache.rotated_keys(layer, cfg).astype(np.float64)
             scores = np.zeros(n)
             for h in range(H):
                 cols = slice(h * dk, (h + 1) * dk)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import Reader
+from ._binio import Reader, atomic_write
 from .compress import CacheMeta, CompressedCache
 from .errors import FormatError, MissingArtifactError, StaleCacheError
 from .modelcore import Model
@@ -63,7 +63,8 @@ def save_cache(compressed: CompressedCache, path) -> None:
         parts.append(np.ascontiguousarray(compressed.kept_positions[layer], dtype="<u4").tobytes())
         parts.append(np.ascontiguousarray(compressed.keys[layer], dtype="<f4").tobytes())
         parts.append(np.ascontiguousarray(compressed.values[layer], dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def load_cache(path, model: Model | None = None) -> CompressedCache:

@@ -166,12 +166,7 @@ class CompressedCache:
         return self.keys[0].shape[0]
 
     def to_kv_cache(self) -> KvCache:
-        r = self.n_kept
-        return KvCache(
-            [k.copy() for k in self.keys],
-            [v.copy() for v in self.values],
-            [np.arange(r, dtype=np.int64) for _ in self.keys],
-        )
+        return KvCache([k.copy() for k in self.keys], [v.copy() for v in self.values])
 
 
 def _context_ids(context) -> np.ndarray:
@@ -224,7 +219,6 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
         cache = KvCache(
             [cache.keys[l][keeps[l]] for l in range(n_layers)],
             [cache.values[l][keeps[l]] for l in range(n_layers)],
-            [np.arange(r, dtype=np.int64) for _ in range(n_layers)],
         )
 
     meta = CacheMeta(

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._binio import json_record
+from ._binio import atomic_write, json_record
 from .errors import FormatError, MalformedSequenceError, MissingArtifactError, UsageError
 from .vocab import TokenSequence, Vocabulary, build_vocabulary, fingerprint_ids
 
@@ -183,6 +183,10 @@ class ChunkDoc:
     kind: str
     text: str
 
+    def __post_init__(self):
+        if self.kind not in CHUNK_KINDS:
+            raise UsageError(f"chunk kind {self.kind!r} is not one of {CHUNK_KINDS}")
+
 
 @dataclass(frozen=True)
 class Question:
@@ -194,6 +198,10 @@ class Question:
     evidence: tuple[int, ...]
     gold_positions: tuple[int, ...]
     entities: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.kind not in QUESTION_KINDS:
+            raise UsageError(f"question kind {self.kind!r} is not one of {QUESTION_KINDS}")
 
 
 @dataclass
@@ -439,11 +447,6 @@ def entity_token_positions(bundle: CorpusBundle, entities) -> tuple[int, ...]:
     return tuple(sorted(positions))
 
 
-def generate_similar_names_variant(spec: CorpusSpec) -> CorpusBundle:
-    """Same corpus with names replaced by person_01..person_NN."""
-    return generate_corpus(dataclasses.replace(spec, name_style="similar"))
-
-
 # --- bundle directory layout -------------------------------------------------
 #   corpus.jsonl     one chunk per line: {chunk_id, kind, text}
 #   questions.jsonl  one question per line, all Question fields
@@ -455,11 +458,11 @@ def save_bundle(bundle: CorpusBundle, out_dir: Path | str) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with (out / "corpus.jsonl").open("w") as fh:
+    with atomic_write(out / "corpus.jsonl") as fh:
         for doc in bundle.chunks:
             fh.write(json.dumps({"chunk_id": doc.chunk_id, "kind": doc.kind, "text": doc.text}) + "\n")
 
-    with (out / "questions.jsonl").open("w") as fh:
+    with atomic_write(out / "questions.jsonl") as fh:
         for q in bundle.questions:
             fh.write(
                 json.dumps(
@@ -480,7 +483,8 @@ def save_bundle(bundle: CorpusBundle, out_dir: Path | str) -> Path:
     meta = dataclasses.asdict(bundle.spec)
     meta["schema_version"] = BUNDLE_SCHEMA_VERSION
     meta["corpus_sha256"] = bundle.corpus_fingerprint().hex()
-    (out / "spec.json").write_text(json.dumps(meta, indent=2) + "\n")
+    with atomic_write(out / "spec.json") as fh:
+        fh.write(json.dumps(meta, indent=2) + "\n")
     bundle.vocab.save(out / "vocab.txt")
     return out
 

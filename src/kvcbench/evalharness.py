@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import json_record
+from ._binio import atomic_write, json_record
 from .baselines import (
     compress_expected_attention,
     compress_snapkv_agnostic,
@@ -491,7 +491,7 @@ TTFT_CSV_COLUMNS = ("scenario", "corpus_tokens", "budget", "question_tokens", "m
 
 
 def write_ttft_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TTFT_CSV_COLUMNS)
         for r in records:
@@ -560,7 +560,7 @@ def emit_report(records, out_path, chunk_tokens: int = 256) -> list[dict]:
                     }
                 )
 
-    with open(out_path, "w", newline="") as fh:
+    with atomic_write(out_path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)

@@ -6,9 +6,12 @@ positions, GELU MLP), final RMSNorm, linear head.
 
 Two properties of the cache design matter to everything downstream:
 
-* Keys are stored **unrotated**. Rotation is applied at attention time from
-  each row's assigned position, so survivors of a compression pass can be
-  renumbered to contiguous positions and re-rotated exactly.
+* Row i of every layer holds position i, and keys are stored **unrotated**,
+  so survivors of a compression pass can be gathered, renumbered to
+  contiguous positions and re-rotated exactly. Attention reads keys from a
+  per-layer rotated shadow that rotates each row once, when it is first
+  read; a gathered cache starts with an empty shadow. Rotary cos/sin come
+  from float32 tables cached per (head_dim, rotary_base).
 * One layer loop, ``_forward``, serves prefill, capture and decode, and
   numbers new rows itself after the cache's last position. ``prefill``
   never produces logits (the first answer token comes from
@@ -81,19 +84,27 @@ class GenerationParams:
 
 
 class KvCache:
-    """Per-layer key/value rows plus the position assigned to each row.
+    """Per-layer key/value rows; row i of every layer holds position i.
 
-    Keys are unrotated. Positions are strictly increasing within a layer and
-    every layer holds the same number of rows. A cache is owned by exactly
-    one in-flight inference; callers that must not disturb a cache fork it.
+    Keys are stored unrotated, as KVCC files store them and compressors
+    gather them. ``rotated_keys`` serves them rotated from a per-layer
+    shadow that rotates only the rows added since it was last read; with
+    rotary off the keys are their own shadow. Keys, values and shadow live
+    in buffers with headroom: outgrowing one reallocates it to
+    ``need + need // 8`` rows, so an appended token copies one row, not the
+    cache. ``keys``, ``values`` and ``positions`` are exact-length views.
+    A cache is owned by exactly one in-flight inference; callers that must
+    not disturb a cache fork it.
     """
 
-    __slots__ = ("keys", "values", "positions")
+    __slots__ = ("_keys", "_values", "_rows", "_rot", "_done")
 
-    def __init__(self, keys, values, positions):
-        self.keys: list[np.ndarray] = keys
-        self.values: list[np.ndarray] = values
-        self.positions: list[np.ndarray] = positions
+    def __init__(self, keys, values):
+        self._keys: list[np.ndarray] = list(keys)
+        self._values: list[np.ndarray] = list(values)
+        self._rows = [k.shape[0] for k in self._keys]
+        self._rot = [np.empty((0,) + k.shape[1:], k.dtype) for k in self._keys]
+        self._done = [0] * len(self._keys)
 
     @classmethod
     def empty(cls, config: ModelConfig) -> "KvCache":
@@ -101,33 +112,64 @@ class KvCache:
         return cls(
             [np.empty((0, d), F32) for _ in range(config.n_layers)],
             [np.empty((0, d), F32) for _ in range(config.n_layers)],
-            [np.empty((0,), np.int64) for _ in range(config.n_layers)],
         )
 
     @property
     def n_layers(self) -> int:
-        return len(self.keys)
+        return len(self._keys)
 
     @property
     def length(self) -> int:
-        return self.keys[0].shape[0]
+        return self._rows[0]
 
     @property
-    def next_position(self) -> int:
-        pos = self.positions[0]
-        return int(pos[-1]) + 1 if pos.size else 0
+    def keys(self) -> list[np.ndarray]:
+        return [k[:n] for k, n in zip(self._keys, self._rows)]
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        return [v[:n] for v, n in zip(self._values, self._rows)]
+
+    @property
+    def positions(self) -> list[np.ndarray]:
+        return [np.arange(n, dtype=np.int64) for n in self._rows]
 
     def fork(self) -> "KvCache":
-        return KvCache(
-            [k.copy() for k in self.keys],
-            [v.copy() for v in self.values],
-            [p.copy() for p in self.positions],
-        )
+        twin = KvCache([k.copy() for k in self.keys], [v.copy() for v in self.values])
+        twin._rot = [r[:n].copy() for r, n in zip(self._rot, self._done)]
+        twin._done = list(self._done)
+        return twin
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
-        self.keys[layer] = np.concatenate([self.keys[layer], k])
-        self.values[layer] = np.concatenate([self.values[layer], v])
-        self.positions[layer] = np.concatenate([self.positions[layer], positions])
+        """Add rows to `layer`; `positions` are their row indices."""
+        n, m = self._rows[layer], self._rows[layer] + k.shape[0]
+        if m > self._keys[layer].shape[0]:
+            self._keys[layer] = _grown(self._keys[layer], n, m)
+            self._values[layer] = _grown(self._values[layer], n, m)
+        self._keys[layer][n:m] = k
+        self._values[layer][n:m] = v
+        self._rows[layer] = m
+
+    def rotated_keys(self, layer: int, config: ModelConfig) -> np.ndarray:
+        """The keys of `layer` rotated to their positions, rotating only the
+        rows [done, n) that no earlier call rotated."""
+        done, n = self._done[layer], self._rows[layer]
+        keys = self._keys[layer]
+        fresh = rotate(keys[done:n], np.arange(done, n, dtype=np.int64), config)
+        if not config.rotary_enabled:
+            return keys[:n]
+        if n > self._rot[layer].shape[0]:
+            self._rot[layer] = _grown(self._rot[layer], done, n)
+        self._rot[layer][done:n] = fresh
+        self._done[layer] = n
+        return self._rot[layer][:n]
+
+
+def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+    """A buffer of need + need // 8 rows holding `buf`'s first `used` rows."""
+    out = np.empty((need + need // 8,) + buf.shape[1:], buf.dtype)
+    out[:used] = buf[:used]
+    return out
 
 
 @dataclass
@@ -296,8 +338,26 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return F32(0.5) * x * (F32(1.0) + np.tanh(c * (x + F32(0.044715) * x * x * x)))
 
 
+_ROTARY_TABLES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _rotary_table(config: ModelConfig, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """float32 cos and sin of ``position * inv_freq`` for positions [0, >= size),
+    kept per (head_dim, rotary_base) and regrown past the largest position
+    asked for."""
+    key = (config.head_dim, config.rotary_base)
+    tables = _ROTARY_TABLES.get(key)
+    if tables is None or tables[0].shape[0] < size:
+        half = config.head_dim // 2
+        inv_freq = config.rotary_base ** (-np.arange(half, dtype=np.float64) / half)
+        angles = np.arange(size + size // 8, dtype=np.float64)[:, None] * inv_freq[None, :]
+        tables = _ROTARY_TABLES[key] = (np.cos(angles).astype(F32), np.sin(angles).astype(F32))
+    return tables
+
+
 def rotate(mat: np.ndarray, positions: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Rotary-rotate per-head key/query rows at the given positions.
+    """Rotary-rotate per-head key/query rows at the given non-negative
+    integer positions.
 
     Angles are accumulated in float64 so large positions stay well
     conditioned; the result is float32. Identity when rotary is disabled.
@@ -306,11 +366,12 @@ def rotate(mat: np.ndarray, positions: np.ndarray, config: ModelConfig) -> np.nd
         return mat
     n, d = mat.shape
     dk = config.head_dim
-    half = dk // 2
-    inv_freq = config.rotary_base ** (-np.arange(half, dtype=np.float64) / half)
-    angles = np.asarray(positions, np.float64)[:, None] * inv_freq[None, :]
-    cos = np.cos(angles).astype(F32)[:, None, :]
-    sin = np.sin(angles).astype(F32)[:, None, :]
+    positions = np.asarray(positions, np.int64)
+    if positions.min() < 0:
+        raise UsageError("rotary positions must be >= 0")
+    cos_t, sin_t = _rotary_table(config, int(positions.max()) + 1)
+    cos = cos_t[positions][:, None, :]
+    sin = sin_t[positions][:, None, :]
     x = mat.reshape(n, config.n_heads, dk)
     x1 = x[..., 0::2]
     x2 = x[..., 1::2]
@@ -352,7 +413,8 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     last layer's attention runs only for observer rows."""
     cfg = model.config
     S = token_ids.shape[0]
-    positions = np.arange(cache.next_position, cache.next_position + S, dtype=np.int64)
+    base = cache.length
+    positions = np.arange(base, base + S, dtype=np.int64)
     if positions[-1] >= cfg.max_position:
         raise PositionOverflowError(f"position {positions[-1]} exceeds max_position {cfg.max_position}")
     want_capture = observer_span is not None and observer_span[1] > observer_span[0]
@@ -362,7 +424,6 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     if want_queries:
         q_lo, q_hi = query_span
 
-    base = cache.length
     total = base + S
     H, dk, d = cfg.n_heads, cfg.head_dim, cfg.hidden_size
     scale = F32(1.0 / np.sqrt(dk))
@@ -390,7 +451,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             query_rows.append(q_rot[q_lo:q_hi].copy())
         if not need_out and not want_capture:
             continue
-        k_rot = rotate(cache.keys[layer], cache.positions[layer], cfg)
+        k_rot = cache.rotated_keys(layer, cfg)
         v_all = cache.values[layer]
         out = np.empty((S, d), F32) if need_out else None
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import Reader
+from ._binio import Reader, atomic_write
 from .corpusgen import CorpusBundle
 from .errors import FormatError, MissingArtifactError, UsageError
 from .vocab import TokenSequence, Vocabulary, tokenize
@@ -199,7 +199,8 @@ def save_index(index: ChunkIndex, path: Path | str) -> None:
     out += np.ascontiguousarray(index.indptr, dtype="<u8").tobytes()
     out += np.ascontiguousarray(index.indices, dtype="<u4").tobytes()
     out += np.ascontiguousarray(index.data, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(out))
+    with atomic_write(path, "wb") as fh:
+        fh.write(out)
 
 
 def load_index(path: Path | str) -> ChunkIndex:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._binio import atomic_write
 from .errors import MalformedSequenceError
 
 PAD, BOS, SEP, UNK = 0, 1, 2, 3
@@ -67,7 +68,7 @@ class Vocabulary:
         return self.token_to_id.get(word.lower(), UNK)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path, encoding="utf-8") as f:
             for tok in self.id_to_token:
                 f.write(tok + "\n")
 

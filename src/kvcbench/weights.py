@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import Reader
+from ._binio import Reader, atomic_write
 from .errors import FormatError, MissingArtifactError
 from .modelcore import Model, ModelConfig, tensor_names, tensor_shape
 
@@ -33,7 +33,8 @@ def save_weights(model: Model, path) -> None:
         parts.append(struct.pack("<BB", _DTYPE_F32, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def load_weights(path, config: ModelConfig) -> Model:

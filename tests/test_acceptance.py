@@ -30,7 +30,6 @@ from kvcbench.corpusgen import (
     CorpusSpec,
     entity_token_positions,
     generate_corpus,
-    generate_similar_names_variant,
 )
 from kvcbench.errors import (
     FormatError,
@@ -231,7 +230,7 @@ def test_criterion_06_similar_name_degradation():
     for seed in range(60, 65):
         spec = CorpusSpec(seed=seed, connectivity=2)
         distinct_scores.append(top1_precision(generate_corpus(spec)))
-        similar_scores.append(top1_precision(generate_similar_names_variant(spec)))
+        similar_scores.append(top1_precision(generate_corpus(dataclasses.replace(spec, name_style="similar"))))
 
     dist_mean = float(np.mean(distinct_scores))
     sim_mean = float(np.mean(similar_scores))

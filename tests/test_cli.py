@@ -221,9 +221,12 @@ def first_row_with(**changes):
     ("corpus.jsonl", first_row_with(page=1)),
     ("questions.jsonl", first_row_with(gold_positions="ab")),
     ("questions.jsonl", first_row_with(text=5)),
+    ("corpus.jsonl", first_row_with(kind="bogus")),
+    ("questions.jsonl", first_row_with(kind="bogus")),
 ], ids=["spec_not_json", "corpus_torn_line", "question_missing_key", "vocab_no_specials",
         "spec_connectivity_9", "spec_no_people", "spec_bad_name_style", "chunk_text_int",
-        "chunk_kind_int", "chunk_unknown_key", "question_positions_str", "question_text_int"])
+        "chunk_kind_int", "chunk_unknown_key", "question_positions_str", "question_text_int",
+        "chunk_kind_unknown", "question_kind_unknown"])
 def test_damaged_bundle_exits_4(bundle_dir, capsys, part, damage):
     path = bundle_dir / part
     path.write_bytes(damage(path.read_bytes()))

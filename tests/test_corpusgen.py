@@ -17,7 +17,6 @@ from kvcbench.corpusgen import (
     compute_gold_token_positions,
     entity_token_positions,
     generate_corpus,
-    generate_similar_names_variant,
     load_bundle,
     save_bundle,
 )
@@ -126,7 +125,7 @@ def test_vocab_covers_corpus_questions_and_guidance(small_bundle):
 
 
 def test_similar_variant_is_token_renaming(small_bundle):
-    similar = generate_similar_names_variant(SMALL_SPEC)
+    similar = generate_corpus(dataclasses.replace(SMALL_SPEC, name_style="similar"))
     assert similar.spec.name_style == "similar"
 
     mapping = {

@@ -1,11 +1,13 @@
 """Model forward-pass correctness against a dense float64 reference, cache
-position discipline, capture semantics, and the diagnostic construction."""
+position discipline and layout, capture semantics, and the diagnostic
+construction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvcbench.compress import CompressedCache, CompressionBudget, _walk
 from kvcbench.errors import PositionOverflowError, UsageError
 from kvcbench.modelcore import (
     ATTENTION_BLOCK,
@@ -232,7 +234,110 @@ def test_cache_fork_is_independent(tiny_model):
     decode_step(tiny_model, fork, 8)
     assert cache.length == 3
     assert fork.length == 4
-    assert cache.next_position == 3
+    assert np.array_equal(cache.positions[0], np.arange(3))
+
+
+def direct_rotate(mat, positions, config):
+    """Rotary rotation with angles computed per call in float64."""
+    half = config.head_dim // 2
+    inv_freq = config.rotary_base ** (-np.arange(half, dtype=np.float64) / half)
+    angles = np.asarray(positions, np.float64)[:, None] * inv_freq[None, :]
+    cos = np.cos(angles).astype(np.float32)[:, None, :]
+    sin = np.sin(angles).astype(np.float32)[:, None, :]
+    x = mat.reshape(mat.shape[0], config.n_heads, config.head_dim)
+    out = np.empty_like(x)
+    out[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+    out[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+    return out.reshape(mat.shape)
+
+
+def test_rotate_table_equals_direct_formula(tiny_config):
+    rng = np.random.default_rng(6)
+    positions = np.concatenate([
+        [0, tiny_config.max_position - 1, 130_000],
+        rng.integers(0, 140_000, size=500),
+    ])
+    mat = rng.standard_normal((positions.size, tiny_config.hidden_size)).astype(np.float32)
+    assert np.array_equal(rotate(mat, positions, tiny_config), direct_rotate(mat, positions, tiny_config))
+    with pytest.raises(UsageError):
+        rotate(mat[:1], np.array([-1]), tiny_config)
+
+
+def assert_shadow_exact(model, cache):
+    for layer in range(model.config.n_layers):
+        keys = cache.keys[layer]
+        expected = rotate(keys, np.arange(keys.shape[0]), model.config)
+        assert np.array_equal(cache.rotated_keys(layer, model.config), expected)
+
+
+@pytest.mark.parametrize("n0", [1, 7, ATTENTION_BLOCK - 1, ATTENTION_BLOCK, ATTENTION_BLOCK + 8])
+def test_shadow_equals_full_rotation_across_growth(n0):
+    config = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16,
+                         vocab_size=64, max_position=2048)
+    model = init_random_model(config, seed=2)
+    rng = np.random.default_rng(n0)
+    cache = KvCache.empty(config)
+    prefill(model, cache, random_ids(rng, 64, n0))
+    # 70 single-row steps cross the n0 + n0 // 8 headroom of every n0 here
+    for tok in random_ids(rng, 64, 70):
+        decode_step(model, cache, tok)
+        assert_shadow_exact(model, cache)
+    prefill(model, cache, random_ids(rng, 64, ATTENTION_BLOCK + 3))
+    assert_shadow_exact(model, cache)
+    assert np.array_equal(cache.positions[1], np.arange(n0 + 70 + ATTENTION_BLOCK + 3))
+
+
+def test_fork_and_parent_grow_independently(tiny_model):
+    def replay(tokens):
+        cache = KvCache.empty(tiny_model.config)
+        prefill(tiny_model, cache, list(range(10, 40)))
+        for tok in tokens:
+            decode_step(tiny_model, cache, tok)
+        return cache
+
+    ours, theirs = [5, 6, 7, 8, 9] * 3, [11, 12, 13] * 5
+    parent = replay([])
+    fork = parent.fork()
+    for a, b in zip(ours, theirs):
+        decode_step(tiny_model, parent, a)
+        decode_step(tiny_model, fork, b)
+    for cache, tokens in ((parent, ours), (fork, theirs)):
+        fresh = replay(tokens)
+        for layer in range(tiny_model.config.n_layers):
+            assert np.array_equal(cache.keys[layer], fresh.keys[layer])
+            assert np.array_equal(cache.values[layer], fresh.values[layer])
+            assert np.array_equal(
+                cache.rotated_keys(layer, tiny_model.config),
+                fresh.rotated_keys(layer, tiny_model.config),
+            )
+
+
+def test_gathered_caches_decode_like_a_fresh_prefill(tiny_model):
+    rng = np.random.default_rng(8)
+    ids = np.array(random_ids(rng, 64, 700))
+    fresh = KvCache.empty(tiny_model.config)
+    prefill(tiny_model, fresh, ids[:350])
+    prefill(tiny_model, fresh, ids[350:])
+    # a keep-all rule: the walk gathers every row after the first segment
+    walked = _walk(tiny_model, ids, CompressionBudget(700), 2,
+                   lambda capture, cache, n, r: [np.arange(n)] * cache.n_layers, b"", "walk")
+    loaded = CompressedCache(fresh.keys, fresh.values, walked.kept_positions, walked.meta)
+    caches = [walked.to_kv_cache(), loaded.to_kv_cache(), fresh]
+    for tok in (5, 9, 13):
+        logits = [decode_step(tiny_model, c, tok)[0] for c in caches]
+        assert np.array_equal(logits[0], logits[2])
+        assert np.array_equal(logits[1], logits[2])
+
+
+def test_shadow_is_the_keys_with_rotary_off():
+    config = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16,
+                         vocab_size=64, max_position=2048, rotary_enabled=False)
+    model = init_random_model(config, seed=3)
+    cache = KvCache.empty(config)
+    prefill(model, cache, list(range(4, 60)))
+    decode_step(model, cache, 7)
+    for layer in range(config.n_layers):
+        assert np.shares_memory(cache.rotated_keys(layer, config), cache.keys[layer])
 
 
 def test_generate_greedy_contract(tiny_model):
