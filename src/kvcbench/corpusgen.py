@@ -26,6 +26,7 @@ stream, which makes the two variants isomorphic under token renaming.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -96,7 +97,7 @@ CHUNK_KINDS = ("person", "project", "membership", "filler")
 QUESTION_KINDS = ("direct", "join")
 NAME_STYLES = ("distinct", "similar")
 MAX_CONNECTIVITY = 8
-BUNDLE_SCHEMA_VERSION = 1
+BUNDLE_SCHEMA_VERSION = 2
 
 # question text per (kind, template id); {p} person name, {t} project title.
 # Punctuation-free renderings so every word round-trips the tokenizer.
@@ -450,8 +451,18 @@ def entity_token_positions(bundle: CorpusBundle, entities) -> tuple[int, ...]:
 # --- bundle directory layout -------------------------------------------------
 #   corpus.jsonl     one chunk per line: {chunk_id, kind, text}
 #   questions.jsonl  one question per line, all Question fields
-#   spec.json        CorpusSpec fields + schema_version + corpus_sha256
 #   vocab.txt        one token per line, id = line number
+#   spec.json        CorpusSpec fields + schema_version + bundle_sha256, the
+#                    fingerprint of the spec fields and the other three files
+BUNDLE_DATA_FILES = ("corpus.jsonl", "questions.jsonl", "vocab.txt")
+
+
+def _bundle_sha256(spec: CorpusSpec, root: Path) -> str:
+    h = hashlib.sha256(json.dumps(dataclasses.asdict(spec), sort_keys=True).encode())
+    for part in BUNDLE_DATA_FILES:
+        data = (root / part).read_bytes()
+        h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
 
 
 def save_bundle(bundle: CorpusBundle, out_dir: Path | str) -> Path:
@@ -480,12 +491,12 @@ def save_bundle(bundle: CorpusBundle, out_dir: Path | str) -> Path:
                 + "\n"
             )
 
+    bundle.vocab.save(out / "vocab.txt")
     meta = dataclasses.asdict(bundle.spec)
     meta["schema_version"] = BUNDLE_SCHEMA_VERSION
-    meta["corpus_sha256"] = bundle.corpus_fingerprint().hex()
+    meta["bundle_sha256"] = _bundle_sha256(bundle.spec, out)
     with atomic_write(out / "spec.json") as fh:
         fh.write(json.dumps(meta, indent=2) + "\n")
-    bundle.vocab.save(out / "vocab.txt")
     return out
 
 
@@ -505,14 +516,14 @@ def load_bundle(bundle_dir: Path | str) -> CorpusBundle:
     spec_path = root / "spec.json"
     if not spec_path.exists():
         raise MissingArtifactError(f"no bundle at {root} (missing spec.json)")
-    for part in ("corpus.jsonl", "questions.jsonl", "vocab.txt"):
+    for part in BUNDLE_DATA_FILES:
         if not (root / part).exists():
             raise MissingArtifactError(f"bundle at {root} is missing {part}")
     try:
         meta = json.loads(spec_path.read_bytes())
         if meta.pop("schema_version", BUNDLE_SCHEMA_VERSION) != BUNDLE_SCHEMA_VERSION:
             raise FormatError(f"unsupported bundle schema in {spec_path}")
-        stored_sha = meta.pop("corpus_sha256", None)
+        stored_sha = meta.pop("bundle_sha256", None)
         spec = json_record(CorpusSpec, meta)
     except (ValueError, TypeError, AttributeError, UsageError) as exc:
         raise FormatError(f"bad spec.json in {root}: {exc}") from None
@@ -533,7 +544,9 @@ def load_bundle(bundle_dir: Path | str) -> CorpusBundle:
         vocab = Vocabulary.load(root / "vocab.txt")
     except (MalformedSequenceError, ValueError) as exc:
         raise FormatError(f"bad vocab.txt in {root}: {exc}") from None
-    bundle = CorpusBundle(spec=spec, chunks=chunks, questions=questions, vocab=vocab)
-    if stored_sha is not None and bundle.corpus_fingerprint().hex() != stored_sha:
-        raise FormatError(f"{root}: corpus text does not match recorded fingerprint")
-    return bundle
+    if stored_sha != _bundle_sha256(spec, root):
+        raise FormatError(
+            f"{root}: the content of spec.json, {', '.join(BUNDLE_DATA_FILES)} does not match "
+            f"recorded fingerprint bundle_sha256{'' if stored_sha else ' (none recorded)'}"
+        )
+    return CorpusBundle(spec=spec, chunks=chunks, questions=questions, vocab=vocab)

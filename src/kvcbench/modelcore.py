@@ -9,15 +9,16 @@ Two properties of the cache design matter to everything downstream:
 * Row i of every layer holds position i, and keys are stored **unrotated**,
   so survivors of a compression pass can be gathered, renumbered to
   contiguous positions and re-rotated exactly. Attention reads keys from a
-  per-layer rotated shadow that rotates each row once, when it is first
-  read; a gathered cache starts with an empty shadow. Rotary cos/sin come
+  per-layer rotated shadow that rotates each row once. Every forward pass
+  leaves every layer's shadow complete; only a cache built from gathered
+  rows starts with an empty one, filled on first read. Rotary cos/sin come
   from float32 tables cached per (head_dim, rotary_base).
 * One layer loop, ``_forward``, serves prefill, capture and decode, and
-  numbers new rows itself after the cache's last position. ``prefill``
-  never produces logits (the first answer token comes from
-  ``decode_step``), so the loop skips the last layer's attention apart
-  from observer rows, which roughly halves prefill cost on a two-layer
-  model.
+  numbers new rows itself after the cache's last position. Each layer
+  attends over one range of rows. ``prefill`` never produces logits (the
+  first answer token comes from ``decode_step``), so its last layer's
+  range is just the observer rows, which roughly halves prefill cost on a
+  two-layer model.
 
 Attention weights for a designated observer span (guidance tokens) can be
 captured per layer and head during prefill; compression ranks context
@@ -88,9 +89,10 @@ class KvCache:
 
     Keys are stored unrotated, as KVCC files store them and compressors
     gather them. ``rotated_keys`` serves them rotated from a per-layer
-    shadow that rotates only the rows added since it was last read; with
-    rotary off the keys are their own shadow. Keys, values and shadow live
-    in buffers with headroom: outgrowing one reallocates it to
+    shadow that rotates only the rows added since it was last read; every
+    forward pass reads it, so only a gathered cache fills it on first read.
+    With rotary off the keys are their own shadow. Keys, values and shadow
+    live in buffers with headroom: outgrowing one reallocates it to
     ``need + need // 8`` rows, so an appended token copies one row, not the
     cache. ``keys``, ``values`` and ``positions`` are exact-length views.
     A cache is owned by exactly one in-flight inference; callers that must
@@ -409,31 +411,26 @@ def prefill(model, cache: KvCache, ids, observer_span=None, query_span=None):
 def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query_span=None):
     """The layer loop of prefill and decode_step; grows `cache` in place and
     returns (logits or None, capture or None). New rows take the positions
-    after the cache's last one; spans arrive checked. Without logits, the
-    last layer's attention runs only for observer rows."""
+    after the cache's last one; spans arrive checked. Each layer attends
+    over one row range, all rows when its output feeds on, else (last layer,
+    no logits) the observer rows; it leaves every rotated-key shadow complete."""
     cfg = model.config
     S = token_ids.shape[0]
     base = cache.length
     positions = np.arange(base, base + S, dtype=np.int64)
     if positions[-1] >= cfg.max_position:
         raise PositionOverflowError(f"position {positions[-1]} exceeds max_position {cfg.max_position}")
-    want_capture = observer_span is not None and observer_span[1] > observer_span[0]
-    if want_capture:
-        obs_lo, obs_hi = observer_span
-    want_queries = query_span is not None and query_span[1] > query_span[0]
-    if want_queries:
-        q_lo, q_hi = query_span
+    (obs_lo, obs_hi), (q_lo, q_hi) = (
+        tuple(span) if span is not None and span[1] > span[0] else (0, 0)
+        for span in (observer_span, query_span)
+    )
 
-    total = base + S
     H, dk, d = cfg.n_heads, cfg.head_dim, cfg.hidden_size
     scale = F32(1.0 / np.sqrt(dk))
     w = model.weights
     x = w["embedding"][token_ids]
-    captures = (
-        [np.zeros((H, obs_hi - obs_lo, total), F32) for _ in range(cfg.n_layers)]
-        if want_capture
-        else []
-    )
+    n_obs = obs_hi - obs_lo
+    captures = [np.zeros((H, n_obs, base + S), F32) for _ in range(cfg.n_layers)] if n_obs else []
     query_rows: list[np.ndarray] = []
 
     for layer in range(cfg.n_layers):
@@ -442,49 +439,38 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         k = hn @ w[f"layers.{layer}.k_proj"]
         v = hn @ w[f"layers.{layer}.v_proj"]
         cache.append(layer, k, v, positions)
+        k_rot = cache.rotated_keys(layer, cfg)
 
         need_out = logits or layer < cfg.n_layers - 1
-        if not need_out and not want_capture and not want_queries:
+        lo, hi = (0, S) if need_out else (obs_lo, obs_hi)
+        if lo == hi and q_lo == q_hi:
             continue
         q_rot = rotate(q, positions, cfg)
-        if want_queries:
+        if q_hi > q_lo:
             query_rows.append(q_rot[q_lo:q_hi].copy())
-        if not need_out and not want_capture:
-            continue
-        k_rot = cache.rotated_keys(layer, cfg)
         v_all = cache.values[layer]
         out = np.empty((S, d), F32) if need_out else None
 
         for s0 in range(0, S, ATTENTION_BLOCK):
             s1 = min(s0 + ATTENTION_BLOCK, S)
+            r0, r1 = max(lo, s0), min(hi, s1)
+            if r0 >= r1:
+                continue
             end = base + s1
             # row at local index i sees columns [0, base+i]
-            future = (
-                np.arange(end, dtype=np.int64)[None, :]
-                > (base + np.arange(s0, s1, dtype=np.int64))[:, None]
-            )
-            cap_rows = None
-            if want_capture:
-                lo, hi = max(obs_lo, s0), min(obs_hi, s1)
-                if lo < hi:
-                    cap_rows = (lo, hi)
-            if not need_out and cap_rows is None:
-                continue
-            rows = slice(s0, s1) if need_out else slice(cap_rows[0], cap_rows[1])
-            fut = future if need_out else future[cap_rows[0] - s0 : cap_rows[1] - s0]
+            future = np.arange(end, dtype=np.int64)[None, :] > positions[r0:r1, None]
+            c0, c1 = max(r0, obs_lo), min(r1, obs_hi)
             for h in range(H):
                 cols = slice(h * dk, (h + 1) * dk)
-                scores = (q_rot[rows, cols] @ k_rot[:end, cols].T) * scale
-                scores[fut] = -np.inf
+                scores = (q_rot[r0:r1, cols] @ k_rot[:end, cols].T) * scale
+                scores[future] = -np.inf
                 scores -= scores.max(axis=1, keepdims=True)
                 np.exp(scores, out=scores)
                 scores /= scores.sum(axis=1, keepdims=True)
                 if need_out:
-                    out[rows, cols] = scores @ v_all[:end, cols]
-                if cap_rows is not None:
-                    lo, hi = cap_rows
-                    src = scores[lo - s0 : hi - s0] if need_out else scores
-                    captures[layer][h, lo - obs_lo : hi - obs_lo, :end] = src
+                    out[r0:r1, cols] = scores @ v_all[:end, cols]
+                if c0 < c1:
+                    captures[layer][h, c0 - obs_lo : c1 - obs_lo, :end] = scores[c0 - r0 : c1 - r0]
 
         if need_out:
             x = x + out @ w[f"layers.{layer}.o_proj"]
@@ -492,8 +478,8 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             x = x + _gelu(mn @ w[f"layers.{layer}.mlp_fc1"]) @ w[f"layers.{layer}.mlp_fc2"]
 
     out_logits = _rmsnorm(x, w["final_norm"]) @ w["lm_head"] if logits else None
-    capture = AttentionCapture(captures, query_rows if want_queries else None)
-    return out_logits, (capture if want_capture or want_queries else None)
+    capture = AttentionCapture(captures, query_rows if q_hi > q_lo else None)
+    return out_logits, (capture if n_obs or q_hi > q_lo else None)
 
 
 def decode_step(model, cache: KvCache, token_id: int):

@@ -223,10 +223,16 @@ def first_row_with(**changes):
     ("questions.jsonl", first_row_with(text=5)),
     ("corpus.jsonl", first_row_with(kind="bogus")),
     ("questions.jsonl", first_row_with(kind="bogus")),
+    ("spec.json", spec_with(seed=8)),
+    ("spec.json", spec_with(connectivity=3)),
+    ("questions.jsonl", first_row_with(answers=["nobody"])),
+    ("spec.json", lambda raw: json.dumps(
+        {k: v for k, v in json.loads(raw).items() if k != "bundle_sha256"}).encode()),
 ], ids=["spec_not_json", "corpus_torn_line", "question_missing_key", "vocab_no_specials",
         "spec_connectivity_9", "spec_no_people", "spec_bad_name_style", "chunk_text_int",
         "chunk_kind_int", "chunk_unknown_key", "question_positions_str", "question_text_int",
-        "chunk_kind_unknown", "question_kind_unknown"])
+        "chunk_kind_unknown", "question_kind_unknown", "spec_seed_edit", "spec_connectivity_edit",
+        "question_answer_edit", "spec_no_fingerprint"])
 def test_damaged_bundle_exits_4(bundle_dir, capsys, part, damage):
     path = bundle_dir / part
     path.write_bytes(damage(path.read_bytes()))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvcbench import modelcore
 from kvcbench.compress import CompressedCache, CompressionBudget, _walk
 from kvcbench.errors import PositionOverflowError, UsageError
 from kvcbench.modelcore import (
@@ -310,6 +311,27 @@ def test_fork_and_parent_grow_independently(tiny_model):
                 cache.rotated_keys(layer, tiny_model.config),
                 fresh.rotated_keys(layer, tiny_model.config),
             )
+
+
+def test_plain_prefill_leaves_every_shadow_complete(tiny_model, monkeypatch):
+    """Forks of a prefilled context rotate only their own new rows: one
+    query row and one key row per layer for a decode step."""
+    config = tiny_model.config
+    cache = KvCache.empty(config)
+    prefill(tiny_model, cache, random_ids(np.random.default_rng(9), 64, 600))
+    rows = []
+
+    def counted(mat, positions, cfg):
+        rows.append(mat.shape[0])
+        return rotate(mat, positions, cfg)
+
+    monkeypatch.setattr(modelcore, "rotate", counted)
+    decode_step(tiny_model, cache.fork(), 5)
+    assert sum(rows) == 2 * config.n_layers
+    rows.clear()
+    for layer in range(config.n_layers):
+        cache.rotated_keys(layer, config)
+    assert sum(rows) == 0
 
 
 def test_gathered_caches_decode_like_a_fresh_prefill(tiny_model):
