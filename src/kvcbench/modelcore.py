@@ -4,7 +4,7 @@ The runtime is CPU-only float32 numpy. Architecture: token embedding,
 pre-norm blocks (RMSNorm, multi-head attention with optional rotary
 positions, GELU MLP), final RMSNorm, linear head.
 
-Two properties of the cache design matter to everything downstream:
+Three properties of the design matter to everything downstream:
 
 * Row i of every layer holds position i, and keys are stored **unrotated**,
   so survivors of a compression pass can be gathered, renumbered to
@@ -19,6 +19,15 @@ Two properties of the cache design matter to everything downstream:
   first answer token comes from ``decode_step``), so its last layer's
   range is just the observer rows, which roughly halves prefill cost on a
   two-layer model.
+* Attention is one blocked kernel. The range is cut into tiles of
+  ``ATTENTION_BLOCK`` rows starting at its first row; a tile of rows
+  [r0, r1) scores columns [0, base + r1) with queries pre-multiplied by
+  1/sqrt(d_k). Only its diagonal columns [base + r0, base + r1) can hold a
+  future position, so only they are masked, from one constant triangle.
+  Softmax normalisation is deferred to the output: ``exp(s - max) @ V`` is
+  divided by the row sums, touching (rows, d_k) values instead of
+  (rows, columns). Captured observer rows are divided in full, so they
+  remain probabilities.
 
 Attention weights for a designated observer span (guidance tokens) can be
 captured per layer and head during prefill; compression ranks context
@@ -37,7 +46,9 @@ from .vocab import SEP, TokenSequence, Vocabulary
 
 F32 = np.float32
 
-ATTENTION_BLOCK = 512
+ATTENTION_BLOCK = 64
+# the causal mask of one diagonal tile: entry (i, j) is True when j > i
+_FUTURE = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
 
 # init_diagnostic_model needs room for one sink channel plus near-orthogonal
 # random codes; below this width the code construction cannot separate tokens.
@@ -413,7 +424,11 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     returns (logits or None, capture or None). New rows take the positions
     after the cache's last one; spans arrive checked. Each layer attends
     over one row range, all rows when its output feeds on, else (last layer,
-    no logits) the observer rows; it leaves every rotated-key shadow complete."""
+    no logits) the observer rows; it leaves every rotated-key shadow complete.
+    The range runs in ATTENTION_BLOCK-row tiles from its first row: scaled
+    queries against all columns a tile's last row sees, the causal mask on
+    the diagonal tile only, the softmax divide applied to the (rows, d_k)
+    output and, for captured observer rows, to their full score rows."""
     cfg = model.config
     S = token_ids.shape[0]
     base = cache.length
@@ -448,29 +463,28 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         q_rot = rotate(q, positions, cfg)
         if q_hi > q_lo:
             query_rows.append(q_rot[q_lo:q_hi].copy())
+        q_rot *= scale
         v_all = cache.values[layer]
         out = np.empty((S, d), F32) if need_out else None
 
-        for s0 in range(0, S, ATTENTION_BLOCK):
-            s1 = min(s0 + ATTENTION_BLOCK, S)
-            r0, r1 = max(lo, s0), min(hi, s1)
-            if r0 >= r1:
-                continue
-            end = base + s1
-            # row at local index i sees columns [0, base+i]
-            future = np.arange(end, dtype=np.int64)[None, :] > positions[r0:r1, None]
+        for r0 in range(lo, hi, ATTENTION_BLOCK):
+            r1 = min(r0 + ATTENTION_BLOCK, hi)
+            end = base + r1
+            # row r sees columns [0, base + r]: only the diagonal tile is masked
+            future = _FUTURE[: r1 - r0, : r1 - r0]
             c0, c1 = max(r0, obs_lo), min(r1, obs_hi)
             for h in range(H):
                 cols = slice(h * dk, (h + 1) * dk)
-                scores = (q_rot[r0:r1, cols] @ k_rot[:end, cols].T) * scale
-                scores[future] = -np.inf
+                scores = q_rot[r0:r1, cols] @ k_rot[:end, cols].T
+                scores[:, base + r0 :][future] = -np.inf
                 scores -= scores.max(axis=1, keepdims=True)
                 np.exp(scores, out=scores)
-                scores /= scores.sum(axis=1, keepdims=True)
+                rowsum = scores.sum(axis=1, keepdims=True)
                 if need_out:
-                    out[r0:r1, cols] = scores @ v_all[:end, cols]
+                    out[r0:r1, cols] = (scores @ v_all[:end, cols]) / rowsum
                 if c0 < c1:
-                    captures[layer][h, c0 - obs_lo : c1 - obs_lo, :end] = scores[c0 - r0 : c1 - r0]
+                    obs = slice(c0 - r0, c1 - r0)
+                    captures[layer][h, c0 - obs_lo : c1 - obs_lo, :end] = scores[obs] / rowsum[obs]
 
         if need_out:
             x = x + out @ w[f"layers.{layer}.o_proj"]

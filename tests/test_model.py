@@ -31,10 +31,11 @@ from kvcbench.vocab import SEP, Vocabulary, build_vocabulary
 from conftest import random_ids
 
 
-def reference_logits(model: Model, token_ids) -> np.ndarray:
+def reference_forward(model: Model, token_ids) -> tuple[np.ndarray, list[np.ndarray]]:
     """Straight-line float64 forward pass: dense causal attention over the
     whole sequence at once, no cache, no blocking, rotary via complex
-    multiplication. Returns logits for every prefix position."""
+    multiplication. Returns logits for every prefix position and, per
+    layer, the (n_heads, n, n) softmax probabilities."""
     cfg = model.config
     w = {k: v.astype(np.float64) for k, v in model.weights.items()}
     ids = np.asarray(token_ids)
@@ -64,23 +65,26 @@ def reference_logits(model: Model, token_ids) -> np.ndarray:
 
     future = np.triu(np.ones((n, n), dtype=bool), k=1)
     x = w["embedding"][ids]
+    attention = []
     for layer in range(cfg.n_layers):
         hn = rmsnorm(x, w[f"layers.{layer}.attn_norm"])
         q = rot(hn @ w[f"layers.{layer}.q_proj"])
         k = rot(hn @ w[f"layers.{layer}.k_proj"])
         v = hn @ w[f"layers.{layer}.v_proj"]
         out = np.zeros_like(x)
+        attention.append(np.empty((cfg.n_heads, n, n)))
         for h in range(cfg.n_heads):
             cols = slice(h * dk, (h + 1) * dk)
             scores = q[:, cols] @ k[:, cols].T / np.sqrt(dk)
             scores[future] = -np.inf
             p = np.exp(scores - scores.max(axis=1, keepdims=True))
             p /= p.sum(axis=1, keepdims=True)
+            attention[layer][h] = p
             out[:, cols] = p @ v[:, cols]
         x = x + out @ w[f"layers.{layer}.o_proj"]
         mn = rmsnorm(x, w[f"layers.{layer}.mlp_norm"])
         x = x + gelu(mn @ w[f"layers.{layer}.mlp_fc1"]) @ w[f"layers.{layer}.mlp_fc2"]
-    return rmsnorm(x, w["final_norm"]) @ w["lm_head"]
+    return rmsnorm(x, w["final_norm"]) @ w["lm_head"], attention
 
 
 def last_logits(model, ids):
@@ -94,7 +98,7 @@ def last_logits(model, ids):
 def test_decode_matches_dense_reference_step_by_step(tiny_model):
     rng = np.random.default_rng(0)
     ids = random_ids(rng, tiny_model.config.vocab_size, 12)
-    ref = reference_logits(tiny_model, ids)
+    ref = reference_forward(tiny_model, ids)[0]
     cache = KvCache.empty(tiny_model.config)
     for i, tok in enumerate(ids):
         logits, _ = decode_step(tiny_model, cache, tok)
@@ -106,7 +110,7 @@ def test_prefill_matches_dense_reference_across_blocks(tiny_model):
     rng = np.random.default_rng(1)
     n = ATTENTION_BLOCK + 88
     ids = random_ids(rng, tiny_model.config.vocab_size, n)
-    ref = reference_logits(tiny_model, ids)
+    ref = reference_forward(tiny_model, ids)[0]
     assert np.max(np.abs(last_logits(tiny_model, ids) - ref[-1])) < 1e-4
 
 
@@ -179,6 +183,33 @@ def test_capture_rows_are_causal_and_normalized(tiny_model):
             visible = 30 + 10 + row + 1  # base + local index + self
             assert np.allclose(layer[:, row, :visible].sum(axis=-1), 1.0, atol=1e-5)
             assert np.all(layer[:, row, visible:] == 0.0)
+
+
+@pytest.mark.parametrize("head_dim", [16, 32])  # tiny_config's, ttft_reference_config's
+def test_capture_and_logits_match_dense_reference_across_tile_edges(head_dim):
+    # a cache length that is no multiple of the tile, then a prefill of more
+    # than two tiles whose observer span starts mid-tile and is longer than
+    # one tile: the first layer's tiles cut the span, the last layer's range
+    # (the span alone) takes two tiles
+    config = ModelConfig(n_layers=2, n_heads=2, hidden_size=2 * head_dim, head_dim=head_dim,
+                         vocab_size=64, max_position=2048)
+    model = init_random_model(config, seed=4)
+    rng = np.random.default_rng(head_dim)
+    base, n = ATTENTION_BLOCK // 2 + 37, 2 * ATTENTION_BLOCK + 41
+    lo, hi = ATTENTION_BLOCK // 2 + 5, 3 * ATTENTION_BLOCK // 2 + 20
+    ids = random_ids(rng, 64, base + n + 1)
+    ref_logits, ref_attention = reference_forward(model, ids)
+
+    cache = KvCache.empty(config)
+    prefill(model, cache, ids[:base])
+    capture = prefill(model, cache, ids[base : base + n], observer_span=(lo, hi))
+    for got, ref in zip(capture.layers, ref_attention):
+        rows = ref[:, base + lo : base + hi, : base + n]
+        assert np.max(np.abs(got - rows)) < 1e-5
+        future = np.arange(base + n)[None, :] > np.arange(base + lo, base + hi)[:, None]
+        assert np.all(got[:, future] == 0.0)
+    logits, _ = decode_step(model, cache, ids[-1])
+    assert np.max(np.abs(logits - ref_logits[-1])) < 1e-4
 
 
 def test_capture_spans_validated(tiny_model):
