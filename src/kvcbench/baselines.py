@@ -13,15 +13,15 @@ Three reference policies that never see guidance text:
 
 Each checks its arguments and hands a keep rule to the segment walk of
 the task-aware compressor, run as one segment with no guidance rows, so
-all three return the same CompressedCache shape; the guidance fingerprint
-is all zeros since none is used.
+all three return the same CompressedCache shape and accept the same shared
+context prefill; the guidance fingerprint is all zeros since none is used.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .compress import CompressedCache, CompressionBudget, _context_ids, _walk, select_top
+from .compress import CompressedCache, CompressionBudget, ContextPrefill, _context_ids, _walk, select_top
 from .errors import UsageError
 from .modelcore import Model
 
@@ -33,7 +33,9 @@ DEFAULT_POOL_WIDTH = 7
 DEFAULT_SAMPLE_SIZE = 256
 
 
-def compress_streaming_llm(model: Model, context, k: int, sink: int = DEFAULT_SINK) -> CompressedCache:
+def compress_streaming_llm(
+    model: Model, context, k: int, sink: int = DEFAULT_SINK, prefix: ContextPrefill | None = None,
+) -> CompressedCache:
     """Keep the first `sink` positions and the last k - sink positions."""
     budget = CompressionBudget(k)
     if sink < 0:
@@ -49,7 +51,7 @@ def compress_streaming_llm(model: Model, context, k: int, sink: int = DEFAULT_SI
         )
         return [rows for _ in range(model.config.n_layers)]
 
-    return _walk(model, _context_ids(context), budget, 1, keep, ZERO_GUIDANCE_FP, "streaming")
+    return _walk(model, _context_ids(context), budget, 1, keep, ZERO_GUIDANCE_FP, "streaming", prefix=prefix)
 
 
 def _max_pool(x: np.ndarray, width: int) -> np.ndarray:
@@ -67,6 +69,7 @@ def compress_snapkv_agnostic(
     k: int,
     window: int = DEFAULT_WINDOW,
     pool_width: int = DEFAULT_POOL_WIDTH,
+    prefix: ContextPrefill | None = None,
 ) -> CompressedCache:
     """Keep the last `window` context tokens plus the top k - window earlier
     tokens by window attention, max-pooled so neighbors of hot tokens
@@ -90,7 +93,7 @@ def compress_snapkv_agnostic(
             keeps.append(np.concatenate([chosen.astype(np.int64), window_rows]))
         return keeps
 
-    return _walk(model, ctx, budget, 1, keep, ZERO_GUIDANCE_FP, "snapkv", observe=w_eff)
+    return _walk(model, ctx, budget, 1, keep, ZERO_GUIDANCE_FP, "snapkv", observe=w_eff, prefix=prefix)
 
 
 def compress_expected_attention(
@@ -98,6 +101,7 @@ def compress_expected_attention(
     context,
     k: int,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
+    prefix: ContextPrefill | None = None,
 ) -> CompressedCache:
     """Score every key by its expected attention logit under a Gaussian fit
     to the last `sample_size` rotated query vectors. With fewer than two
@@ -126,4 +130,4 @@ def compress_expected_attention(
             keeps.append(select_top(scores / H, r))
         return keeps
 
-    return _walk(model, ctx, budget, 1, keep, ZERO_GUIDANCE_FP, "expattn", sample=m)
+    return _walk(model, ctx, budget, 1, keep, ZERO_GUIDANCE_FP, "expattn", sample=m, prefix=prefix)

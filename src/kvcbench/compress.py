@@ -16,6 +16,16 @@ because the cache stores unrotated keys, renumbering is exact rather than
 approximate. The task-agnostic baselines run the same segment walk with
 their own keep rules; only ``compress_oracle`` stays a separate one-shot
 reference.
+
+The first segment may start from a ``ContextPrefill``, one plain prefill of
+the whole context shared by many compressions (the eval grid keeps one per
+model and corpus). Attention is causal, so the walk takes a head fork of
+the rows its first segment neither observes nor samples, cut to whole
+attention tiles, and prefills only the rest: the guidance rows for the
+task-aware compressor, the window for SnapKV, the query sample for
+Expected Attention, nothing for StreamingLLM beyond the tile remainder.
+Every row then meets the same columns in the same tile as without the
+prefix, so the result is bitwise the same.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StaleCacheError, UsageError
-from .modelcore import GenerationParams, KvCache, Model, generate_greedy, prefill
+from .modelcore import ATTENTION_BLOCK, GenerationParams, KvCache, Model, generate_greedy, prefill
 from .vocab import TokenSequence, Vocabulary, fingerprint_ids, tokenize
 
 GUIDANCE_KINDS = ("zs", "fs", "fsq")
@@ -186,13 +196,32 @@ def _guidance_ids(guidance: GuidancePrompt, vocab: Vocabulary) -> np.ndarray:
 _NO_GUIDANCE = np.empty(0, np.int64)
 
 
+@dataclass(frozen=True)
+class ContextPrefill:
+    """A plain prefill of ``ids`` and the fingerprints of the model and ids
+    it was built from; compressors fork it, never grow it."""
+
+    cache: KvCache
+    model_fingerprint: bytes
+    ids_fingerprint: bytes
+
+
+def prefill_context(model: Model, context) -> ContextPrefill:
+    """Prefill a context once for every compression that shares it."""
+    ids = _context_ids(context)
+    cache = KvCache.empty(model.config)
+    prefill(model, cache, ids)
+    return ContextPrefill(cache, model.fingerprint, fingerprint_ids(ids))
+
+
 def _guidance_top(capture, cache: KvCache, n_cand: int, r: int) -> list[np.ndarray]:
     """Keep rule of the task-aware compressor: per layer, the r candidates
     the guidance rows attend to most."""
     return [select_top(layer, r) for layer in score_tokens(capture, n_cand)]
 
 
-def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUIDANCE, observe=0, sample=0):
+def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUIDANCE, observe=0, sample=0,
+          prefix: ContextPrefill | None = None):
     """The segment walk every compressor except the oracle runs.
 
     Per segment it prefills [survivors, segment, gids], capturing the
@@ -200,21 +229,35 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
     last ``sample`` rows, asks ``keep_rows(capture, cache, n_cand, r)`` for
     ``r`` of the ``n_cand`` survivor and segment rows per layer, then
     gathers them and renumbers them to positions 0..r-1. Rows of ``gids``
-    observe but are never candidates.
+    observe but are never candidates. With a ``prefix`` of ``ctx`` the first
+    segment forks the prefix rows that no observed or sampled row needs and
+    prefills only the rest; a prefix of another model or other ids raises
+    StaleCacheError.
     """
     _count_call()
     n = int(ctx.shape[0])
     n_layers = model.config.n_layers
     cache = KvCache.empty(model.config)
+    if prefix is not None:
+        if prefix.model_fingerprint != model.fingerprint:
+            raise StaleCacheError("context prefill was built by a different model")
+        if prefix.ids_fingerprint != fingerprint_ids(ctx[: prefix.cache.length]):
+            raise StaleCacheError("context prefill was built over other ids")
     kept = [np.empty(0, np.int64) for _ in range(n_layers)]
     for start, end in plan_chunks(n, s):
         n_cand = cache.length + end - start
+        segment = np.arange(start, end, dtype=np.int64)
+        if prefix is not None and start == 0:
+            # fork what no observed or sampled row needs, in whole attention
+            # tiles so every row meets the columns it meets without a prefix
+            start = min(prefix.cache.length, end - max(0, max(observe, sample) - gids.shape[0]))
+            start -= start % ATTENTION_BLOCK
+            cache = prefix.cache.fork(start)
         seq = np.concatenate([ctx[start:end], gids])
         S = seq.shape[0]
         capture = prefill(model, cache, seq, observer_span=(S - observe, S), query_span=(S - sample, S))
         r = min(budget.target_rows(end, n), n_cand)
         keeps = keep_rows(capture, cache, n_cand, r)
-        segment = np.arange(start, end, dtype=np.int64)
         kept = [np.concatenate([kept[l], segment])[keeps[l]] for l in range(n_layers)]
         cache = KvCache(
             [cache.keys[l][keeps[l]] for l in range(n_layers)],
@@ -240,14 +283,17 @@ def compress_iterative(
     vocab: Vocabulary,
     budget: CompressionBudget,
     s: int = 2,
+    prefix: ContextPrefill | None = None,
 ) -> CompressedCache:
     """Compress a context to at most ``budget.k`` rows per layer in ``s``
-    segment passes. Guidance rows observe but are never kept."""
+    segment passes. Guidance rows observe but are never kept. A ``prefix``
+    of the context leaves only the guidance rows to prefill in the first
+    segment."""
     ctx = _context_ids(context)
     gids = _guidance_ids(guidance, vocab)
     return _walk(
         model, ctx, budget, s, _guidance_top, guidance_fingerprint(guidance, vocab),
-        budget.schedule, gids=gids, observe=gids.shape[0],
+        budget.schedule, gids=gids, observe=gids.shape[0], prefix=prefix,
     )
 
 

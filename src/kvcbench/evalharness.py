@@ -7,10 +7,19 @@ JSON line per completed cell so an interrupted run resumes where it
 stopped, and keeps every compressed cache in an in-process registry keyed
 by (method, model, corpus, guidance, budget, segments) so a cache is built
 once and reused across questions. One table names each compressed method's
-guidance kind and offline build. Few-shot guidance examples are drawn from
-the generated questions and reserved out of the eval set for every method,
-task-aware or not. A failing cell is recorded with its error text and the
-suite moves on.
+guidance kind and offline build.
+
+The registry also holds one plain prefill of the corpus per (model,
+corpus), the shared prefix. ``full`` cells answer on a fork of it, and
+every compressed build except the oracle's starts its first segment from a
+head fork of it, prefilling only the rows it observes or samples. A build
+claims the prefix only when it runs, so a cell whose cache is already built
+never prefills the corpus; the prefill is charged to whichever cell claims
+it first, the first ``full`` cell's prefill_s or a build's compress_s.
+
+Few-shot guidance examples are drawn from the generated questions and
+reserved out of the eval set for every method, task-aware or not. A failing
+cell is recorded with its error text and the suite moves on.
 
 Each record decomposes wall time into compress (cache build, charged to the
 record that triggered it), retrieve, prefill, and first decoded token.
@@ -50,6 +59,7 @@ from .compress import (
     compress_iterative,
     compress_oracle,
     guidance_fingerprint,
+    prefill_context,
     retention,
 )
 from .corpusgen import DEFAULT_TASK_DESCRIPTION, CorpusBundle, Question
@@ -135,20 +145,21 @@ def make_guidance(kind: str, examples: list[Question], query: str | None = None)
     raise UsageError(f"unknown guidance kind {kind!r}")
 
 
-def _kvc(model, corpus, guidance, vocab, budget, s):
-    return compress_iterative(model, corpus, guidance, vocab, CompressionBudget(budget), s=s)
+def _kvc(model, corpus, guidance, vocab, budget, s, shared):
+    return compress_iterative(model, corpus, guidance, vocab, CompressionBudget(budget), s=s, prefix=shared())
 
 
 # compressed method -> (guidance kind or None, offline build taking
-# (model, corpus, guidance, vocab, budget, s))
+# (model, corpus, guidance, vocab, budget, s, shared)); shared() returns the
+# suite's one ContextPrefill of the corpus, which the oracle never asks for
 COMPRESSED_METHODS = {
     "kvc_zs": ("zs", _kvc),
     "kvc_fs": ("fs", _kvc),
     "kvc_fsq": ("fsq", _kvc),
-    "streaming": (None, lambda m, c, g, v, k, s: compress_streaming_llm(m, c, k)),
-    "snapkv": (None, lambda m, c, g, v, k, s: compress_snapkv_agnostic(m, c, k)),
-    "expattn": (None, lambda m, c, g, v, k, s: compress_expected_attention(m, c, k)),
-    "oracle": ("fs", lambda m, c, g, v, k, s: compress_oracle(m, c, g, v, k)),
+    "streaming": (None, lambda m, c, g, v, k, s, p: compress_streaming_llm(m, c, k, prefix=p())),
+    "snapkv": (None, lambda m, c, g, v, k, s, p: compress_snapkv_agnostic(m, c, k, prefix=p())),
+    "expattn": (None, lambda m, c, g, v, k, s, p: compress_expected_attention(m, c, k, prefix=p())),
+    "oracle": ("fs", lambda m, c, g, v, k, s, p: compress_oracle(m, c, g, v, k)),
 }
 METHODS = ("full", "rag", *COMPRESSED_METHODS)
 
@@ -332,12 +343,13 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
     error = ""
     t_start = time.perf_counter()
 
+    def shared():
+        return _claim(registry, ("full", model.fingerprint, corpus_fp), lambda: prefill_context(model, corpus))
+
     try:
         if method == "full":
-            base, build_s = _claim(
-                registry, ("full", model.fingerprint, corpus_fp), lambda: _prefilled(model, corpus)
-            )
-            answer, prefill_s, first_s = _timed_answer(model, base.fork(), prompt, params)
+            base, build_s = shared()
+            answer, prefill_s, first_s = _timed_answer(model, base.cache.fork(), prompt, params)
             prefill_s += build_s
             ret = 1.0
         elif method == "rag":
@@ -360,7 +372,7 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
             gfp = guidance_fingerprint(guidance, vocab).hex() if kind else None
             compressed, compress_s = _claim(
                 registry, (method, model.fingerprint, corpus_fp, gfp, budget, s),
-                lambda: build(model, corpus, guidance, vocab, budget, s),
+                lambda: build(model, corpus, guidance, vocab, budget, s, lambda: shared()[0]),
             )
             ret = retention(compressed, q.gold_positions) if q.gold_positions else None
             answer, prefill_s, first_s = _timed_answer(model, compressed.to_kv_cache(), prompt, params)

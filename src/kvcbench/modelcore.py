@@ -147,10 +147,18 @@ class KvCache:
     def positions(self) -> list[np.ndarray]:
         return [np.arange(n, dtype=np.int64) for n in self._rows]
 
-    def fork(self) -> "KvCache":
-        twin = KvCache([k.copy() for k in self.keys], [v.copy() for v in self.values])
-        twin._rot = [r[:n].copy() for r, n in zip(self._rot, self._done)]
-        twin._done = list(self._done)
+    def fork(self, rows: int | None = None) -> "KvCache":
+        """An independent copy of the first `rows` rows (all by default),
+        rotated-key shadow included. Row i holds position i and attention
+        is causal, so a head fork of a plain prefill of ``ids`` holds a
+        plain prefill of ``ids[:rows]``; bitwise so when `rows` is a
+        multiple of ATTENTION_BLOCK, since every row then sat in a tile of
+        the same columns. Compressors start from a head fork of one shared
+        context prefill."""
+        n = self.length if rows is None else rows
+        twin = KvCache([k[:n].copy() for k in self.keys], [v[:n].copy() for v in self.values])
+        twin._rot = [r[: min(d, n)].copy() for r, d in zip(self._rot, self._done)]
+        twin._done = [min(d, n) for d in self._done]
         return twin
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:

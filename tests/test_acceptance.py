@@ -23,6 +23,7 @@ from kvcbench.compress import (
     answer_with_cache,
     compress_iterative,
     compress_oracle,
+    prefill_context,
     retention,
 )
 from kvcbench.corpusgen import (
@@ -265,14 +266,16 @@ def test_criterion_07_diagnostic_retention():
     corpus = bundle.corpus_tokens()
     k = 4096
     examples = select_fewshot(bundle, 3)
+    # one shared prefill of the corpus; each compression prefills only its guidance
+    prefix = prefill_context(model, corpus)
 
-    streaming = compress_streaming_llm(model, corpus, k=k, sink=4)
+    streaming = compress_streaming_llm(model, corpus, k=k, sink=4, prefix=prefix)
     stream_fracs = []
     for q in bundle.questions:
         entity_pos = entity_token_positions(bundle, q.entities)
         guidance = make_guidance("fsq", examples, query=q.text)
         compressed = compress_iterative(model, corpus, guidance, vocab,
-                                        CompressionBudget(k), s=1)
+                                        CompressionBudget(k), s=1, prefix=prefix)
         assert retention(compressed, entity_pos) == 1.0, q.qid
         stream_fracs.append(retention(streaming, entity_pos))
 

@@ -1,6 +1,7 @@
 """Task-aware compression: guidance handling, segment planning, selection,
-lossless behavior at k = n, and equality of the iterative s=1 path with the
-one-shot reference."""
+lossless behavior at k = n, equality of the iterative s=1 path with the
+one-shot reference, and compressions started from a shared context
+prefill."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kvcbench.compress as compress_mod
+from kvcbench.baselines import (
+    compress_expected_attention,
+    compress_snapkv_agnostic,
+    compress_streaming_llm,
+)
 from kvcbench.compress import (
     CompressedCache,
     CompressionBudget,
@@ -17,6 +23,7 @@ from kvcbench.compress import (
     compress_oracle,
     guidance_fingerprint,
     plan_chunks,
+    prefill_context,
     retention,
     score_tokens,
     select_top,
@@ -303,3 +310,77 @@ def test_compression_calls_counter_moves_once_per_call():
     compress_iterative(model, ctx, zs(), VOCAB, CompressionBudget(8), s=2)
     compress_oracle(model, ctx, zs(), VOCAB, 8)
     assert compress_mod.COMPRESSION_CALLS == before + 2
+
+
+# --- shared context prefill -------------------------------------------------------
+
+def _prefix_compressors(model):
+    """(name, build taking a prefix) for every compressor that accepts one."""
+    out = []
+    for kind, guide in (("zs", zs()), ("fs", fs()), ("fsq", fsq())):
+        for s in (1, 2, 3):
+            out.append((f"{kind}-s{s}", lambda ctx, p, g=guide, s=s: compress_iterative(
+                model, ctx, g, VOCAB, CompressionBudget(len(ctx) // 5), s=s, prefix=p)))
+    out.append(("snapkv", lambda ctx, p: compress_snapkv_agnostic(model, ctx, 40, prefix=p)))
+    out.append(("expattn", lambda ctx, p: compress_expected_attention(model, ctx, 40, prefix=p)))
+    out.append(("streaming", lambda ctx, p: compress_streaming_llm(model, ctx, 40, prefix=p)))
+    return out
+
+
+@pytest.mark.parametrize("n", [150, 333])
+def test_prefix_gives_bitwise_the_cache_of_a_run_without_one(n):
+    model = make_model(seed=12)
+    ctx = np.array(random_ids(np.random.default_rng(n), len(VOCAB), n))
+    for name, build in _prefix_compressors(model):
+        want = build(ctx, None)
+        first = plan_chunks(n, want.meta.s)[0][1]
+        # shorter than, as long as and (for s > 1) longer than the first segment
+        for m in (first // 2 + 7, first, n):
+            got = build(ctx, prefill_context(model, ctx[:m]))
+            for layer in range(model.config.n_layers):
+                assert np.array_equal(got.kept_positions[layer], want.kept_positions[layer]), (name, m)
+                assert np.array_equal(got.keys[layer], want.keys[layer]), (name, m)
+                assert np.array_equal(got.values[layer], want.values[layer]), (name, m)
+            assert got.meta == want.meta
+
+
+def test_prefix_leaves_only_observed_or_sampled_rows_to_prefill(monkeypatch):
+    model = make_model(seed=13)
+    n = 640  # ten attention tiles, so the head fork needs no rounding
+    ctx = np.array(random_ids(np.random.default_rng(4), len(VOCAB), n))
+    prefix = prefill_context(model, ctx)
+    lengths = []
+
+    def counted(model, cache, ids, **spans):
+        lengths.append(len(ids))
+        return prefill(model, cache, ids, **spans)
+
+    monkeypatch.setattr(compress_mod, "prefill", counted)
+    n_guide = len(fs().token_stream(VOCAB).ids)
+    for build, want in (
+        (lambda p: compress_iterative(model, ctx, fs(), VOCAB, CompressionBudget(100), s=1, prefix=p), n_guide),
+        (lambda p: compress_snapkv_agnostic(model, ctx, 100, prefix=p), 64),
+        (lambda p: compress_expected_attention(model, ctx, 100, prefix=p), 256),
+        (lambda p: compress_streaming_llm(model, ctx, 100, prefix=p), 0),
+    ):
+        lengths.clear()
+        build(prefix)
+        assert lengths == [want]
+
+
+def test_stale_prefix_raises_instead_of_compressing():
+    model = make_model(seed=14)
+    other = make_model(seed=15)
+    ctx = np.array(random_ids(np.random.default_rng(5), len(VOCAB), 120))
+    edited = ctx.copy()
+    edited[30] = 4 if ctx[30] != 4 else 5
+    stale = (
+        prefill_context(other, ctx),
+        prefill_context(model, edited),
+        prefill_context(model, np.concatenate([ctx, ctx[:10]])),
+    )
+    for prefix in stale:
+        with pytest.raises(StaleCacheError):
+            compress_iterative(model, ctx, fsq(), VOCAB, CompressionBudget(20), s=2, prefix=prefix)
+        with pytest.raises(StaleCacheError):
+            compress_snapkv_agnostic(model, ctx, 20, prefix=prefix)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import kvcbench.compress as compress_mod
+import kvcbench.evalharness as evalharness
 from kvcbench.baselines import compress_streaming_llm
+from kvcbench.compress import guidance_fingerprint, plan_chunks
 from kvcbench.errors import FormatError, UsageError
 from kvcbench.evalharness import (
     COMPRESSED_METHODS,
@@ -31,7 +33,7 @@ from kvcbench.evalharness import (
     word_overlap,
     write_ttft_csv,
 )
-from kvcbench.modelcore import GenerationParams, ModelConfig, init_random_model
+from kvcbench.modelcore import GenerationParams, ModelConfig, init_random_model, prefill
 from kvcbench.retrieval import index_chunks
 from kvcbench.vocab import tokenize
 
@@ -179,6 +181,62 @@ def test_suite_runs_every_method_with_one_build_each(small_bundle, small_model, 
     assert [r.method for r in records] == list(METHODS)
     assert [r.error for r in records] == [""] * len(METHODS)
     assert sorted(key[0] for key in registry) == sorted(["full", "rag_index", *COMPRESSED_METHODS])
+
+
+def test_suite_prefills_the_corpus_once_for_every_build(small_bundle, small_model, tmp_path, monkeypatch):
+    n = len(small_bundle.corpus_tokens().ids)
+    first_segment = plan_chunks(n, 2)[0][1]
+    corpus_prefills = []
+
+    def counted(model, cache, ids, **spans):
+        # a prefill from row 0 covering at least a first segment of the corpus
+        if cache.length == 0 and len(ids) >= first_segment:
+            corpus_prefills.append(len(ids))
+        return prefill(model, cache, ids, **spans)
+
+    for module in (compress_mod, evalharness):
+        monkeypatch.setattr(module, "prefill", counted)
+    examples = select_fewshot(small_bundle, 3)
+    questions = [q for q in small_bundle.questions if q not in examples][:2]
+    methods = ("full", "kvc_fs", "kvc_fsq", "snapkv", "expattn", "streaming")
+    registry = {}
+    records = run_suite(
+        small_model, small_bundle, methods, (160, 320), tmp_path / "shared.jsonl",
+        questions=questions, params=GenerationParams(max_new_tokens=4), registry=registry,
+    )
+    assert not any(r.error for r in records)
+    assert corpus_prefills == [n]
+
+    guidance = {}
+    for kind in ("fs", "fsq"):
+        for q in questions:
+            g = make_guidance(kind, examples, query=q.text)
+            guidance[guidance_fingerprint(g, small_bundle.vocab).hex()] = g
+    built = [(key, entry["value"]) for key, entry in registry.items() if key[0] in COMPRESSED_METHODS]
+    assert len(built) == 2 * (1 + len(questions) + 3)
+    for (method, _, _, gfp, budget, s), compressed in built:
+        build = COMPRESSED_METHODS[method][1]
+        alone = build(small_model, small_bundle.corpus_tokens(), guidance.get(gfp),
+                      small_bundle.vocab, budget, s, lambda: None)
+        for layer in range(small_model.config.n_layers):
+            assert np.array_equal(compressed.kept_positions[layer], alone.kept_positions[layer])
+            assert np.array_equal(compressed.keys[layer], alone.keys[layer])
+
+    # a build already in the registry never claims the prefill again
+    corpus_prefills.clear()
+    del registry[("full", small_model.fingerprint, small_bundle.corpus_fingerprint().hex())]
+    run_suite(
+        small_model, small_bundle, ("kvc_fs", "snapkv"), (160,), tmp_path / "warm.jsonl",
+        questions=questions, params=GenerationParams(max_new_tokens=4), registry=registry,
+    )
+    assert corpus_prefills == []
+
+    rag = run_suite(
+        small_model, small_bundle, ("rag",), (160,), tmp_path / "rag.jsonl",
+        questions=questions, params=GenerationParams(max_new_tokens=4), registry={},
+    )
+    assert not any(r.error for r in rag)
+    assert corpus_prefills == []
 
 
 def test_models_sharing_a_registry_answer_as_with_fresh_registries(small_bundle, small_model, tmp_path):
