@@ -375,27 +375,9 @@ def cmd_ttft(args) -> int:
         bundle = _ttft_bundle(size, args.seed)
         vocab_size = len(bundle.vocab)
         model = _model(args.weights, args.model_seed, ttft_reference_config(vocab_size))
-        corpus = bundle.corpus_tokens()
         rng = np.random.default_rng(args.seed)
         question = rng.integers(4, vocab_size, size=args.question_tokens).tolist()
-
-        index = index_chunks(bundle)
-        guidance = make_guidance("zs", [])
-        t0 = time.perf_counter()
-        compressed = compress_iterative(
-            model, corpus, guidance, bundle.vocab, CompressionBudget(args.budget), s=2
-        )
-        offline_s = time.perf_counter() - t0
-
-        records.append(measure_ttft(model, "full", question, corpus=corpus, reps=args.reps))
-        records.append(measure_ttft(
-            model, "rag", question, bundle=bundle, index=index,
-            budget=args.budget, reps=args.reps,
-        ))
-        records.append(measure_ttft(
-            model, "kvc", question, compressed=compressed,
-            budget=args.budget, reps=args.reps, offline_s=offline_s,
-        ))
+        records += measure_ttft(model, bundle, question, args.budget, args.reps)
         for rec in records[-3:]:
             status = f"{rec.median_s:.4f}s median" if rec.feasible else "infeasible"
             print(f"corpus {size:7d}  {rec.scenario:4s}  {status}")

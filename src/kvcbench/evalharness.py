@@ -24,10 +24,11 @@ cell is recorded with its error text and the suite moves on.
 Each record decomposes wall time into compress (cache build, charged to the
 record that triggered it), retrieve, prefill, and first decoded token.
 
-Time-to-first-token follows the query-time accounting: compression is
-offline work and stays outside the timed region (it is logged instead),
-while retrieval, cache forking, question prefill, and the first decode step
-are inside. A scenario whose context rows plus question tokens exceed the
+Time-to-first-token, one call per corpus timing full, rag and kvc, follows
+the query-time accounting: the index and the kvc cache are offline builds
+outside the timed region (compression seconds are logged instead), while
+retrieval, cache forking, question prefill, and the first decode step are
+inside. A scenario whose context rows plus question tokens exceed the
 model's positions is reported as NaN, never raised.
 """
 
@@ -419,84 +420,64 @@ class TimingRecord:
     feasible: bool
 
 
-def measure_ttft(
-    model: Model,
-    scenario: str,
-    question,
-    corpus=None,
-    bundle: CorpusBundle | None = None,
-    index=None,
-    compressed=None,
-    budget: int = 0,
-    reps: int = 5,
-    offline_s: float | None = None,
-) -> TimingRecord:
-    """Wall-clock time to the first generated token for one scenario.
+def measure_ttft(model: Model, bundle: CorpusBundle, question, budget: int, reps: int = 5) -> list[TimingRecord]:
+    """Wall-clock time to the first generated token of full, rag and kvc.
 
     full: prefill the corpus, then the question, one decode step.
     rag:  retrieve + assemble + prefill selection + question, one decode.
     kvc:  fork the compressed cache + prefill question, one decode.
 
-    One warm-up repetition is discarded; `reps` timed repetitions follow and
-    the record keeps their median and min. Context rows plus question tokens
-    beyond the model's positions yield feasible=False with NaN times, not an
-    error. Offline compression time is excluded by construction; pass
-    `offline_s` to have it logged alongside the measurement.
+    Offline work stays outside the timed region and comes first: the chunk
+    index, one assembly of the rag context to count its rows, and the kvc
+    cache, a zero-shot two-segment compress_iterative to `budget` rows whose
+    seconds are logged. Each scenario discards one warm-up repetition and
+    keeps the median and min of `reps` timed ones. Context rows plus
+    question tokens beyond the model's positions yield feasible=False with
+    NaN times, not an error.
     """
     if reps < 1:
         raise UsageError("reps must be >= 1")
     q_ids = np.asarray(getattr(question, "ids", question), dtype=np.int64)
     if q_ids.size == 0:
         raise UsageError("question must be nonempty")
+    corpus = bundle.corpus_tokens()
+    index = index_chunks(bundle)
 
-    if scenario == "full":
-        if corpus is None:
-            raise UsageError("full scenario needs the corpus tokens")
-        ctx = np.asarray(getattr(corpus, "ids", corpus), dtype=np.int64)
-        corpus_tokens = ctx_rows = int(ctx.size)
+    def rag_context():
+        return assemble_context(bundle, retrieve(index, q_ids, len(bundle.chunks)), budget)
 
-        def context():
-            return _prefilled(model, ctx)
-    elif scenario == "rag":
-        if bundle is None or index is None:
-            raise UsageError("rag scenario needs a bundle and an index")
-        corpus_tokens, ctx_rows = bundle.spec.n_tokens, budget
-
-        def context():
-            result = retrieve(index, q_ids, len(bundle.chunks))
-            return _prefilled(model, assemble_context(bundle, result, budget))
-    elif scenario == "kvc":
-        if compressed is None:
-            raise UsageError("kvc scenario needs a compressed cache")
-        corpus_tokens, ctx_rows = compressed.meta.n_context, compressed.n_kept
-        context = compressed.to_kv_cache
-    else:
-        raise UsageError(f"unknown scenario {scenario!r} (full, rag, kvc)")
-
-    if offline_s is not None:
-        log.info("scenario=%s budget=%d offline compression excluded from timing: %.3fs", scenario, budget, offline_s)
-
-    if ctx_rows + q_ids.size > model.config.max_position:
-        log.warning("scenario=%s infeasible at %d corpus tokens for max_position=%d",
-                    scenario, corpus_tokens, model.config.max_position)
-        return TimingRecord(scenario, corpus_tokens, budget, int(q_ids.size),
-                            float("nan"), float("nan"), reps, False)
+    rag_rows = len(rag_context().ids)
+    t0 = time.perf_counter()
+    compressed = compress_iterative(
+        model, corpus, make_guidance("zs", []), bundle.vocab, CompressionBudget(budget), s=2
+    )
+    log.info("budget=%d offline compression excluded from timing: %.3fs", budget, time.perf_counter() - t0)
 
     first_token = GenerationParams(max_new_tokens=1)
+    records = []
+    for scenario, k, rows, context in (
+        ("full", 0, len(corpus.ids), lambda: _prefilled(model, corpus)),
+        ("rag", budget, rag_rows, lambda: _prefilled(model, rag_context())),
+        ("kvc", budget, compressed.n_kept, compressed.to_kv_cache),
+    ):
+        def timed():
+            t0 = time.perf_counter()
+            _timed_answer(model, context(), q_ids, first_token)
+            return time.perf_counter() - t0
 
-    def once():
-        _timed_answer(model, context(), q_ids, first_token)
-
-    once()  # warm-up, discarded
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        once()
-        times.append(time.perf_counter() - t0)
-    return TimingRecord(
-        scenario, corpus_tokens, budget, int(q_ids.size),
-        float(statistics.median(times)), float(min(times)), reps, True,
-    )
+        feasible = rows + q_ids.size <= model.config.max_position
+        times = [float("nan")]
+        if feasible:
+            timed()  # warm-up, discarded
+            times = [timed() for _ in range(reps)]
+        else:
+            log.warning("scenario=%s infeasible at %d context rows for max_position=%d",
+                        scenario, rows, model.config.max_position)
+        records.append(TimingRecord(
+            scenario, bundle.spec.n_tokens, k, int(q_ids.size),
+            float(statistics.median(times)), float(min(times)), reps, feasible,
+        ))
+    return records
 
 
 TTFT_CSV_COLUMNS = ("scenario", "corpus_tokens", "budget", "question_tokens", "median_s", "min_s")

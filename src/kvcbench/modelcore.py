@@ -154,11 +154,13 @@ class KvCache:
         plain prefill of ``ids[:rows]``; bitwise so when `rows` is a
         multiple of ATTENTION_BLOCK, since every row then sat in a tile of
         the same columns. Compressors start from a head fork of one shared
-        context prefill."""
+        context prefill. Its buffers get the usual headroom, so appending
+        up to an eighth of `rows` reallocates nothing."""
         n = self.length if rows is None else rows
-        twin = KvCache([k[:n].copy() for k in self.keys], [v[:n].copy() for v in self.values])
-        twin._rot = [r[: min(d, n)].copy() for r, d in zip(self._rot, self._done)]
+        twin = KvCache([_head(k, n) for k in self._keys], [_head(v, n) for v in self._values])
+        twin._rows = [n] * self.n_layers
         twin._done = [min(d, n) for d in self._done]
+        twin._rot = [_head(r, d) for r, d in zip(self._rot, twin._done)]
         return twin
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
@@ -184,6 +186,13 @@ class KvCache:
         self._rot[layer][done:n] = fresh
         self._done[layer] = n
         return self._rot[layer][:n]
+
+
+def _head(buf: np.ndarray, n: int) -> np.ndarray:
+    """A copy of `buf`'s first n rows in a buffer of n + n // 8 rows."""
+    out = np.empty((n + n // 8,) + buf.shape[1:], buf.dtype)
+    out[:n] = buf[:n]
+    return out
 
 
 def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:

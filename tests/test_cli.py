@@ -348,9 +348,8 @@ def test_ttft_sweep(workdir, capsys):
     assert "ttft table:" in out
     with (workdir / "ttft.csv").open() as fh:
         rows = list(csv.reader(fh))
-    assert len(rows) == 4  # header + full/rag/kvc
-    assert [r[0] for r in rows[1:]] == ["full", "rag", "kvc"]
-    assert all(r[1] == "2048" for r in rows[1:])
+    assert [r[:4] for r in rows[1:]] == [  # every column but the timings
+        ["full", "2048", "0", "8"], ["rag", "2048", "256", "8"], ["kvc", "2048", "256", "8"]]
 
 
 @pytest.mark.parametrize("sizes", ["12,x", "100", "256"])

@@ -12,7 +12,6 @@ import pytest
 
 import kvcbench.compress as compress_mod
 import kvcbench.evalharness as evalharness
-from kvcbench.baselines import compress_streaming_llm
 from kvcbench.compress import guidance_fingerprint, plan_chunks
 from kvcbench.errors import FormatError, UsageError
 from kvcbench.evalharness import (
@@ -34,7 +33,6 @@ from kvcbench.evalharness import (
     write_ttft_csv,
 )
 from kvcbench.modelcore import GenerationParams, ModelConfig, init_random_model, prefill
-from kvcbench.retrieval import index_chunks
 from kvcbench.vocab import tokenize
 
 from conftest import random_ids
@@ -364,90 +362,73 @@ def test_emit_report_on_real_suite(suite, tmp_path):
     assert bounds[128]["mean_evidence_recall"] == pytest.approx((128 // 80) / 3)
 
 
-def test_measure_ttft_full_and_kvc(tiny_model):
-    rng = np.random.default_rng(9)
-    corpus = random_ids(rng, tiny_model.config.vocab_size, 256)
-    question = random_ids(rng, tiny_model.config.vocab_size, 8)
-    rec = measure_ttft(tiny_model, "full", question, corpus=corpus, reps=2)
-    assert rec.feasible and rec.reps == 2
-    assert 0 < rec.min_s <= rec.median_s
-    assert rec.corpus_tokens == 256 and rec.question_tokens == 8
-
-    compressed = compress_streaming_llm(tiny_model, corpus, k=32)
-    krec = measure_ttft(tiny_model, "kvc", question, compressed=compressed,
-                        budget=32, reps=2)
-    assert krec.feasible and krec.budget == 32
-    assert krec.corpus_tokens == 256
-
-
-def test_measure_ttft_rag(small_bundle, small_model):
-    index = index_chunks(small_bundle)
+def test_measure_ttft_times_full_rag_and_kvc(small_bundle, small_model):
     q = question_prompt(small_bundle.questions[0].text, small_bundle.vocab)
-    rec = measure_ttft(small_model, "rag", q, bundle=small_bundle, index=index,
-                       budget=160, reps=1)
-    assert rec.feasible
-    assert rec.corpus_tokens == small_bundle.spec.n_tokens
+    records = measure_ttft(small_model, small_bundle, q, 160, reps=2)
+    assert [(r.scenario, r.corpus_tokens, r.budget, r.question_tokens) for r in records] == [
+        ("full", 1600, 0, len(q.ids)), ("rag", 1600, 160, len(q.ids)), ("kvc", 1600, 160, len(q.ids))]
+    for rec in records:
+        assert rec.feasible and rec.reps == 2
+        assert 0 < rec.min_s <= rec.median_s
 
 
-def _infeasible_full(tiny_model, small_bundle):
-    rng = np.random.default_rng(10)
-    corpus = random_ids(rng, tiny_model.config.vocab_size, tiny_model.config.max_position + 100)
-    return measure_ttft(tiny_model, "full", [5, 6], corpus=corpus, reps=2)
-
-
-def _infeasible_rag(tiny_model, small_bundle):
-    # a 320-token selection plus the question overflows 256 positions
+def _ttft_model(small_bundle, max_position):
     config = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16,
-                         vocab_size=len(small_bundle.vocab.id_to_token), max_position=256)
-    q = question_prompt(small_bundle.questions[0].text, small_bundle.vocab)
-    return measure_ttft(init_random_model(config, seed=0), "rag", q, bundle=small_bundle,
-                        index=index_chunks(small_bundle), budget=320, reps=2)
+                         vocab_size=len(small_bundle.vocab.id_to_token), max_position=max_position)
+    return init_random_model(config, seed=0)
 
 
-def _infeasible_kvc(tiny_model, small_bundle):
-    # a cache that already fills every position leaves none for the question
-    rng = np.random.default_rng(10)
-    n = tiny_model.config.max_position
-    compressed = compress_streaming_llm(tiny_model, random_ids(rng, tiny_model.config.vocab_size, n), k=n)
-    assert compressed.n_kept == n
-    return measure_ttft(tiny_model, "kvc", [5, 6], compressed=compressed, budget=n, reps=2)
+@pytest.mark.parametrize("budget,q_len,feasible", [
+    # the 1,600-token corpus plus 200 question tokens overflow 1,700 positions
+    pytest.param(800, 200, (False, True, True), id="full"),
+    # rag assembles whole 80-token chunks, 1,520 rows, and fits; kvc keeps
+    # all 1,590 budgeted rows and does not
+    pytest.param(1590, 150, (False, True, False), id="kvc"),
+    # every context is 1,600 rows: the compression fits, n_kept + question not
+    pytest.param(1600, 200, (False, False, False), id="rag"),
+])
+def test_measure_ttft_infeasible_is_nan_not_error(small_bundle, budget, q_len, feasible):
+    model = _ttft_model(small_bundle, 1700)
+    question = random_ids(np.random.default_rng(10), model.config.vocab_size, q_len)
+    records = measure_ttft(model, small_bundle, question, budget, reps=1)
+    assert tuple(r.feasible for r in records) == feasible
+    for rec in records:
+        assert math.isnan(rec.median_s) != rec.feasible
+        assert math.isnan(rec.min_s) != rec.feasible
 
 
-@pytest.mark.parametrize("scenario", ["full", "rag", "kvc"])
-def test_measure_ttft_infeasible_is_nan_not_error(tiny_model, small_bundle, scenario):
-    rec = {"full": _infeasible_full, "rag": _infeasible_rag, "kvc": _infeasible_kvc}[scenario](
-        tiny_model, small_bundle)
-    assert not rec.feasible and rec.scenario == scenario
-    assert math.isnan(rec.median_s) and math.isnan(rec.min_s)
+def test_measure_ttft_rag_counts_assembled_rows(small_bundle):
+    """A budget above the corpus assembles the whole 1,600-token corpus:
+    with an 8-token question that fits 1,700 positions, as full does."""
+    records = measure_ttft(_ttft_model(small_bundle, 1700), small_bundle, [5] * 8, 4000, reps=1)
+    assert [(r.scenario, r.feasible) for r in records] == [("full", True), ("rag", True), ("kvc", True)]
 
 
-def test_measure_ttft_validation(tiny_model):
-    with pytest.raises(UsageError, match="unknown scenario"):
-        measure_ttft(tiny_model, "warp", [5], corpus=[6])
+def test_measure_ttft_validation(small_bundle, small_model, monkeypatch):
     with pytest.raises(UsageError, match="reps"):
-        measure_ttft(tiny_model, "full", [5], corpus=[6], reps=0)
+        measure_ttft(small_model, small_bundle, [5], 160, reps=0)
     with pytest.raises(UsageError, match="question must be nonempty"):
-        measure_ttft(tiny_model, "full", [], corpus=[6])
-    with pytest.raises(UsageError, match="needs the corpus"):
-        measure_ttft(tiny_model, "full", [5])
-    with pytest.raises(UsageError, match="needs a bundle and an index"):
-        measure_ttft(tiny_model, "rag", [5])
-    with pytest.raises(UsageError, match="needs a compressed cache"):
-        measure_ttft(tiny_model, "kvc", [5])
+        measure_ttft(small_model, small_bundle, [], 160)
+    # a budget below one 80-token chunk is refused before anything is
+    # compressed or timed
+    monkeypatch.setattr(evalharness, "_timed_answer", lambda *a: pytest.fail("timed"))
+    before = compress_mod.COMPRESSION_CALLS
+    with pytest.raises(UsageError, match="below chunk width"):
+        measure_ttft(small_model, small_bundle, [5], 40)
+    assert compress_mod.COMPRESSION_CALLS == before
 
 
-def test_write_ttft_csv(tmp_path, tiny_model):
-    rng = np.random.default_rng(11)
-    corpus = random_ids(rng, tiny_model.config.vocab_size, 64)
-    rec = measure_ttft(tiny_model, "full", [5, 6], corpus=corpus, reps=1)
+def test_write_ttft_csv(tmp_path, small_bundle, small_model):
+    records = measure_ttft(small_model, small_bundle, [5, 6], 160, reps=1)
     path = tmp_path / "ttft.csv"
-    write_ttft_csv([rec], path)
+    write_ttft_csv(records, path)
     with path.open() as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == TTFT_CSV_COLUMNS
     assert "schema_version" not in rows[0]
-    assert rows[1][0] == "full"
-    assert len(rows) == 2
+    assert [r[:4] for r in rows[1:]] == [
+        ["full", "1600", "0", "2"], ["rag", "1600", "160", "2"], ["kvc", "1600", "160", "2"]]
+    assert [r[4:] for r in rows[1:]] == [[repr(r.median_s), repr(r.min_s)] for r in records]
 
 
 def test_methods_catalog_is_pinned():

@@ -344,6 +344,29 @@ def test_fork_and_parent_grow_independently(tiny_model):
             )
 
 
+def test_fork_leaves_headroom_for_its_first_appends(tiny_model, monkeypatch):
+    """A fork, and the question or segment rows appended to it, reallocate
+    no buffer: a whole fork then a 3-token prefill, and a head fork of 960
+    rows then 40 more."""
+    rng = np.random.default_rng(12)
+    cache = KvCache.empty(tiny_model.config)
+    prefill(tiny_model, cache, random_ids(rng, 64, 1000))
+    calls = []
+
+    def counted(buf, used, need):
+        calls.append(need)
+        return grown(buf, used, need)
+
+    grown = modelcore._grown
+    monkeypatch.setattr(modelcore, "_grown", counted)
+    for rows, extra in ((None, 3), (960, 40)):
+        fork = cache.fork(rows)
+        prefill(tiny_model, fork, random_ids(rng, 64, extra))
+        assert fork.length == (rows or 1000) + extra
+        assert_shadow_exact(tiny_model, fork)
+    assert calls == []
+
+
 def test_plain_prefill_leaves_every_shadow_complete(tiny_model, monkeypatch):
     """Forks of a prefilled context rotate only their own new rows: one
     query row and one key row per layer for a decode step."""
