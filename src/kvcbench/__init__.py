@@ -70,7 +70,6 @@ from .retrieval import (
     evidence_recall,
     index_chunks,
     load_index,
-    oracle_ranking,
     retrieve,
     save_index,
 )

@@ -24,12 +24,16 @@ class Reader:
         self.off = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
+        """Claim the next n bytes and return their offset."""
         if self.off + n > len(self.data):
             raise FormatError(f"{self.path}: unexpected end of container at byte {self.off}")
-        chunk = self.data[self.off : self.off + n]
         self.off += n
-        return chunk
+        return self.off - n
+
+    def take(self, n: int) -> bytes:
+        off = self._advance(n)
+        return self.data[off : off + n]
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -42,7 +46,7 @@ class Reader:
 
     def array(self, dtype, count: int) -> np.ndarray:
         dt = np.dtype(dtype)
-        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
+        return np.frombuffer(self.data, dt, count, self._advance(dt.itemsize * count)).copy()
 
     def expect_end(self) -> None:
         if self.off != len(self.data):

@@ -176,7 +176,7 @@ class CompressedCache:
         return self.keys[0].shape[0]
 
     def to_kv_cache(self) -> KvCache:
-        return KvCache([k.copy() for k in self.keys], [v.copy() for v in self.values])
+        return KvCache(self.keys, self.values)
 
 
 def _context_ids(context) -> np.ndarray:
@@ -259,10 +259,9 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
         r = min(budget.target_rows(end, n), n_cand)
         keeps = keep_rows(capture, cache, n_cand, r)
         kept = [np.concatenate([kept[l], segment])[keeps[l]] for l in range(n_layers)]
-        cache = KvCache(
-            [cache.keys[l][keeps[l]] for l in range(n_layers)],
-            [cache.values[l][keeps[l]] for l in range(n_layers)],
-        )
+        keys = [cache.keys[l][keeps[l]] for l in range(n_layers)]
+        values = [cache.values[l][keeps[l]] for l in range(n_layers)]
+        cache = KvCache(keys, values)
 
     meta = CacheMeta(
         model_fingerprint=model.fingerprint,
@@ -273,7 +272,7 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
         s=s,
         schedule=schedule,
     )
-    return CompressedCache(cache.keys, cache.values, kept, meta)
+    return CompressedCache(keys, values, kept, meta)
 
 
 def compress_iterative(

@@ -11,8 +11,11 @@ Three properties of the design matter to everything downstream:
   contiguous positions and re-rotated exactly. Attention reads keys from a
   per-layer rotated shadow that rotates each row once. Every forward pass
   leaves every layer's shadow complete; only a cache built from gathered
-  rows starts with an empty one, filled on first read. Rotary cos/sin come
-  from float32 tables cached per (head_dim, rotary_base).
+  rows starts with an empty one, filled on first read. Rows are always
+  rotated in runs of consecutive positions, so ``rotate`` takes the first
+  position and reads one slice of a float32 cos/sin table with a column
+  per (head, pair), cached per (n_heads, head_dim, rotary_base). Every
+  cache buffer carries an eighth of headroom from construction on.
 * One layer loop, ``_forward``, serves prefill, capture and decode, and
   numbers new rows itself after the cache's last position. Each layer
   attends over one range of rows. ``prefill`` never produces logits (the
@@ -101,23 +104,26 @@ class KvCache:
     Keys are stored unrotated, as KVCC files store them and compressors
     gather them. ``rotated_keys`` serves them rotated from a per-layer
     shadow that rotates only the rows added since it was last read; every
-    forward pass reads it, so only a gathered cache fills it on first read.
-    With rotary off the keys are their own shadow. Keys, values and shadow
-    live in buffers with headroom: outgrowing one reallocates it to
-    ``need + need // 8`` rows, so an appended token copies one row, not the
-    cache. ``keys``, ``values`` and ``positions`` are exact-length views.
-    A cache is owned by exactly one in-flight inference; callers that must
-    not disturb a cache fork it.
+    forward pass reads it, so only a cache built from given rows fills it
+    on first read. With rotary off the keys are their own shadow. Every
+    buffer carries headroom: the constructor copies its n rows into buffers
+    of n + n // 8 rows, shadow included, and outgrowing one reallocates it
+    to ``need + need // 8`` rows, so neither an appended token nor a short
+    question copies the cache. ``keys``, ``values`` and ``positions`` are
+    exact-length views. A cache is owned by exactly one in-flight
+    inference; callers that must not disturb a cache fork it.
     """
 
     __slots__ = ("_keys", "_values", "_rows", "_rot", "_done")
 
     def __init__(self, keys, values):
-        self._keys: list[np.ndarray] = list(keys)
-        self._values: list[np.ndarray] = list(values)
-        self._rows = [k.shape[0] for k in self._keys]
-        self._rot = [np.empty((0,) + k.shape[1:], k.dtype) for k in self._keys]
-        self._done = [0] * len(self._keys)
+        self._rows = [k.shape[0] for k in keys]
+        self._keys = [np.empty((n + n // 8,) + k.shape[1:], k.dtype) for n, k in zip(self._rows, keys)]
+        self._values = [np.empty_like(b, dtype=v.dtype) for b, v in zip(self._keys, values)]
+        self._rot = [np.empty_like(b) for b in self._keys]
+        self._done = [0] * len(keys)
+        for n, k, v, kb, vb in zip(self._rows, keys, values, self._keys, self._values):
+            kb[:n], vb[:n] = k, v
 
     @classmethod
     def empty(cls, config: ModelConfig) -> "KvCache":
@@ -154,13 +160,13 @@ class KvCache:
         plain prefill of ``ids[:rows]``; bitwise so when `rows` is a
         multiple of ATTENTION_BLOCK, since every row then sat in a tile of
         the same columns. Compressors start from a head fork of one shared
-        context prefill. Its buffers get the usual headroom, so appending
-        up to an eighth of `rows` reallocates nothing."""
+        context prefill. Like every cache it gets the constructor's
+        headroom, so appending up to an eighth of `rows` reallocates nothing."""
         n = self.length if rows is None else rows
-        twin = KvCache([_head(k, n) for k in self._keys], [_head(v, n) for v in self._values])
-        twin._rows = [n] * self.n_layers
+        twin = KvCache([k[:n] for k in self._keys], [v[:n] for v in self._values])
         twin._done = [min(d, n) for d in self._done]
-        twin._rot = [_head(r, d) for r, d in zip(self._rot, twin._done)]
+        for src, dst, d in zip(self._rot, twin._rot, twin._done):
+            dst[:d] = src[:d]
         return twin
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
@@ -178,7 +184,7 @@ class KvCache:
         rows [done, n) that no earlier call rotated."""
         done, n = self._done[layer], self._rows[layer]
         keys = self._keys[layer]
-        fresh = rotate(keys[done:n], np.arange(done, n, dtype=np.int64), config)
+        fresh = rotate(keys[done:n], done, config)
         if not config.rotary_enabled:
             return keys[:n]
         if n > self._rot[layer].shape[0]:
@@ -186,13 +192,6 @@ class KvCache:
         self._rot[layer][done:n] = fresh
         self._done[layer] = n
         return self._rot[layer][:n]
-
-
-def _head(buf: np.ndarray, n: int) -> np.ndarray:
-    """A copy of `buf`'s first n rows in a buffer of n + n // 8 rows."""
-    out = np.empty((n + n // 8,) + buf.shape[1:], buf.dtype)
-    out[:n] = buf[:n]
-    return out
 
 
 def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -368,46 +367,46 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return F32(0.5) * x * (F32(1.0) + np.tanh(c * (x + F32(0.044715) * x * x * x)))
 
 
-_ROTARY_TABLES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+_ROTARY_TABLES: dict[tuple[int, int, float], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _rotary_table(config: ModelConfig, size: int) -> tuple[np.ndarray, np.ndarray]:
     """float32 cos and sin of ``position * inv_freq`` for positions [0, >= size),
-    kept per (head_dim, rotary_base) and regrown past the largest position
-    asked for."""
-    key = (config.head_dim, config.rotary_base)
+    one column per (head, pair), kept per (n_heads, head_dim, rotary_base)
+    and regrown past the largest position asked for."""
+    key = (config.n_heads, config.head_dim, config.rotary_base)
     tables = _ROTARY_TABLES.get(key)
     if tables is None or tables[0].shape[0] < size:
         half = config.head_dim // 2
         inv_freq = config.rotary_base ** (-np.arange(half, dtype=np.float64) / half)
         angles = np.arange(size + size // 8, dtype=np.float64)[:, None] * inv_freq[None, :]
-        tables = _ROTARY_TABLES[key] = (np.cos(angles).astype(F32), np.sin(angles).astype(F32))
+        tables = _ROTARY_TABLES[key] = tuple(
+            np.tile(f(angles).astype(F32), config.n_heads) for f in (np.cos, np.sin)
+        )
     return tables
 
 
-def rotate(mat: np.ndarray, positions: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Rotary-rotate per-head key/query rows at the given non-negative
-    integer positions.
+def rotate(mat: np.ndarray, start: int, config: ModelConfig) -> np.ndarray:
+    """Rotary-rotate per-head key/query rows that sit at the consecutive
+    positions ``start, start + 1, ...``.
 
     Angles are accumulated in float64 so large positions stay well
-    conditioned; the result is float32. Identity when rotary is disabled.
+    conditioned, and read as one slice of the float32 table, whose columns
+    line up with the rows' (even, odd) pairs; the result is float32.
+    Identity when rotary is disabled.
     """
     if not config.rotary_enabled or mat.shape[0] == 0:
         return mat
-    n, d = mat.shape
-    dk = config.head_dim
-    positions = np.asarray(positions, np.int64)
-    if positions.min() < 0:
+    if start < 0:
         raise UsageError("rotary positions must be >= 0")
-    cos_t, sin_t = _rotary_table(config, int(positions.max()) + 1)
-    cos = cos_t[positions][:, None, :]
-    sin = sin_t[positions][:, None, :]
-    x = mat.reshape(n, config.n_heads, dk)
-    x1 = x[..., 0::2]
-    x2 = x[..., 1::2]
+    n, d = mat.shape
+    cos_t, sin_t = _rotary_table(config, start + n)
+    cos, sin = cos_t[start : start + n], sin_t[start : start + n]
+    x = mat.reshape(n, d // 2, 2)
+    x1, x2 = x[..., 0], x[..., 1]
     out = np.empty_like(x)
-    out[..., 0::2] = x1 * cos - x2 * sin
-    out[..., 1::2] = x1 * sin + x2 * cos
+    out[..., 0] = x1 * cos - x2 * sin
+    out[..., 1] = x1 * sin + x2 * cos
     return out.reshape(n, d)
 
 
@@ -452,6 +451,10 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     positions = np.arange(base, base + S, dtype=np.int64)
     if positions[-1] >= cfg.max_position:
         raise PositionOverflowError(f"position {positions[-1]} exceeds max_position {cfg.max_position}")
+    if cfg.rotary_enabled:
+        # grow the long-lived rotary table before this pass's temporaries,
+        # so that it cannot pin them in the heap once they are freed
+        _rotary_table(cfg, base + S)
     (obs_lo, obs_hi), (q_lo, q_hi) = (
         tuple(span) if span is not None and span[1] > span[0] else (0, 0)
         for span in (observer_span, query_span)
@@ -477,7 +480,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         lo, hi = (0, S) if need_out else (obs_lo, obs_hi)
         if lo == hi and q_lo == q_hi:
             continue
-        q_rot = rotate(q, positions, cfg)
+        q_rot = rotate(q, base, cfg)
         if q_hi > q_lo:
             query_rows.append(q_rot[q_lo:q_hi].copy())
         q_rot *= scale

@@ -172,15 +172,6 @@ def evidence_recall(result: RetrievalResult, budget_tokens: int, chunk_tokens: i
     return len(gold & got) / len(gold)
 
 
-def oracle_ranking(bundle: CorpusBundle, gold_evidence) -> RetrievalResult:
-    """Best possible ranking: gold chunks first, in id order."""
-    gold = [cid for cid in gold_evidence]
-    rest = [doc.chunk_id for doc in bundle.chunks if doc.chunk_id not in set(gold)]
-    ranking = tuple(gold + rest)
-    scores = tuple(1.0 for _ in gold) + tuple(0.0 for _ in rest)
-    return RetrievalResult(ranking=ranking, scores=scores, no_known_terms=False)
-
-
 # --- on-disk format (KVCI) ----------------------------------------------------
 # magic, version u32, vocab sha 32B, n_chunks u32, vocab_size u32,
 # idf f32[vocab_size], nnz u64, indptr u64[n_chunks+1], indices u32[nnz],

@@ -63,10 +63,10 @@ def load_weights(path, config: ModelConfig) -> Model:
         n_elem = 1
         for dim in dims:
             n_elem *= dim
-        payload = r.take(4 * n_elem)
+        payload = r.array("<f4", n_elem)
         if name in weights:
             raise FormatError(f"{p}: duplicate tensor {name}")
-        weights[name] = np.frombuffer(payload, dtype=np.float32).reshape(dims).copy()
+        weights[name] = payload.reshape(dims)
     r.expect_end()
 
     expected = tensor_names(config)

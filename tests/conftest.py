@@ -5,6 +5,7 @@ import pytest
 
 from kvcbench.corpusgen import CorpusSpec, generate_corpus
 from kvcbench.modelcore import ModelConfig, init_random_model
+from kvcbench.retrieval import RetrievalResult
 
 # 20 chunks x 80 tokens = 1600-token corpus, 8 questions
 SMALL_SPEC = CorpusSpec(
@@ -48,3 +49,12 @@ def tiny_model(tiny_config):
 def random_ids(rng: np.random.Generator, vocab_size: int, n: int) -> list[int]:
     """Token ids avoiding the four reserved specials."""
     return rng.integers(4, vocab_size, size=n).tolist()
+
+
+def oracle_ranking(bundle, gold_evidence) -> RetrievalResult:
+    """Best possible ranking: gold chunks first, in id order."""
+    gold = list(gold_evidence)
+    rest = [doc.chunk_id for doc in bundle.chunks if doc.chunk_id not in set(gold)]
+    ranking = tuple(gold + rest)
+    scores = tuple(1.0 for _ in gold) + tuple(0.0 for _ in rest)
+    return RetrievalResult(ranking=ranking, scores=scores, no_known_terms=False)

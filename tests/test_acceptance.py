@@ -59,13 +59,12 @@ from kvcbench.modelcore import (
 from kvcbench.retrieval import (
     evidence_recall,
     index_chunks,
-    oracle_ranking,
     retrieve,
 )
 from kvcbench.vocab import build_vocabulary, tokenize
 from kvcbench.weights import load_weights, save_weights
 
-from conftest import random_ids
+from conftest import oracle_ranking, random_ids
 
 GUIDE_TEXTS = [
     DEFAULT_TASK_DESCRIPTION,

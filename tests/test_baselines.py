@@ -134,7 +134,7 @@ def test_expected_attention_matches_closed_form_and_monte_carlo():
     cache = KvCache.empty(config)
     capture = prefill(model, cache, ctx, query_span=(n - m, n))
     queries = capture.queries[0].astype(np.float64)
-    k_rot = rotate(cache.keys[0], cache.positions[0], config).astype(np.float64)
+    k_rot = rotate(cache.keys[0], 0, config).astype(np.float64)
     mu = queries.mean(axis=0)
     var = queries.var(axis=0)
     dk = config.head_dim
@@ -159,7 +159,7 @@ def test_expected_attention_single_sample_drops_variance_term():
     cache = KvCache.empty(config)
     capture = prefill(model, cache, ctx, query_span=(19, 20))
     q = capture.queries[0].astype(np.float64)[0]
-    k_rot = rotate(cache.keys[0], cache.positions[0], config).astype(np.float64)
+    k_rot = rotate(cache.keys[0], 0, config).astype(np.float64)
     mean_only = k_rot @ q / np.sqrt(config.head_dim)
     assert compressed.kept_positions[0].tolist() == select_top(mean_only, 6).tolist()
 

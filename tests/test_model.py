@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcbench import modelcore
-from kvcbench.compress import CompressedCache, CompressionBudget, _walk
+from kvcbench.cachefile import load_cache, save_cache
+from kvcbench.compress import CompressedCache, CompressionBudget, _walk, compress_iterative
 from kvcbench.errors import PositionOverflowError, UsageError
+from kvcbench.evalharness import make_guidance
 from kvcbench.modelcore import (
     ATTENTION_BLOCK,
     DIAGNOSTIC_MIN_WIDTH,
@@ -233,7 +235,7 @@ def test_query_capture_matches_manual_projection(tiny_model):
     x = w["embedding"][np.asarray(ids)].astype(np.float64)
     hn = x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6)
     q = (hn * w["layers.0.attn_norm"]) @ w["layers.0.q_proj"]
-    expected = rotate(q.astype(np.float32), np.arange(16), tiny_model.config)[4:12]
+    expected = rotate(q.astype(np.float32), 0, tiny_model.config)[4:12]
     assert capture.queries is not None
     assert np.allclose(capture.queries[0], expected, atol=1e-5)
 
@@ -241,22 +243,22 @@ def test_query_capture_matches_manual_projection(tiny_model):
 def test_rotate_identity_cases(tiny_config):
     rng = np.random.default_rng(4)
     mat = rng.standard_normal((6, tiny_config.hidden_size)).astype(np.float32)
-    assert np.array_equal(rotate(mat, np.zeros(6, dtype=np.int64), tiny_config), mat)
+    for row in mat:
+        assert np.array_equal(rotate(row[None], 0, tiny_config), row[None])
     off = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16,
                       vocab_size=64, max_position=2048, rotary_enabled=False)
-    assert rotate(mat, np.arange(6), off) is mat
+    assert rotate(mat, 7, off) is mat
 
 
 def test_rotate_preserves_pair_norms_at_large_positions(tiny_config):
     rng = np.random.default_rng(5)
     mat = rng.standard_normal((4, tiny_config.hidden_size)).astype(np.float32)
-    positions = np.array([0, 1, 100_000, 130_000])
-    out = rotate(mat, positions, tiny_config)
     x = mat.reshape(4, tiny_config.n_heads, tiny_config.head_dim)
-    y = out.reshape(4, tiny_config.n_heads, tiny_config.head_dim)
     norm_in = np.sqrt(x[..., 0::2] ** 2 + x[..., 1::2] ** 2)
-    norm_out = np.sqrt(y[..., 0::2] ** 2 + y[..., 1::2] ** 2)
-    assert np.allclose(norm_in, norm_out, atol=1e-5)
+    for start in (0, 100_000, 130_000):
+        y = rotate(mat, start, tiny_config).reshape(x.shape)
+        norm_out = np.sqrt(y[..., 0::2] ** 2 + y[..., 1::2] ** 2)
+        assert np.allclose(norm_in, norm_out, atol=1e-5)
 
 
 def test_cache_fork_is_independent(tiny_model):
@@ -285,20 +287,23 @@ def direct_rotate(mat, positions, config):
 
 def test_rotate_table_equals_direct_formula(tiny_config):
     rng = np.random.default_rng(6)
-    positions = np.concatenate([
-        [0, tiny_config.max_position - 1, 130_000],
-        rng.integers(0, 140_000, size=500),
+    starts = np.concatenate([
+        [0, 1, tiny_config.max_position - 1, 130_000],
+        rng.integers(0, 140_000, size=50),
     ])
-    mat = rng.standard_normal((positions.size, tiny_config.hidden_size)).astype(np.float32)
-    assert np.array_equal(rotate(mat, positions, tiny_config), direct_rotate(mat, positions, tiny_config))
+    for start in starts.tolist():
+        n = int(rng.integers(2, 40))
+        mat = rng.standard_normal((n, tiny_config.hidden_size)).astype(np.float32)
+        expected = direct_rotate(mat, np.arange(start, start + n), tiny_config)
+        assert np.array_equal(rotate(mat, start, tiny_config), expected)
     with pytest.raises(UsageError):
-        rotate(mat[:1], np.array([-1]), tiny_config)
+        rotate(mat[:1], -1, tiny_config)
 
 
 def assert_shadow_exact(model, cache):
     for layer in range(model.config.n_layers):
         keys = cache.keys[layer]
-        expected = rotate(keys, np.arange(keys.shape[0]), model.config)
+        expected = rotate(keys, 0, model.config)
         assert np.array_equal(cache.rotated_keys(layer, model.config), expected)
 
 
@@ -344,27 +349,60 @@ def test_fork_and_parent_grow_independently(tiny_model):
             )
 
 
-def test_fork_leaves_headroom_for_its_first_appends(tiny_model, monkeypatch):
+@pytest.fixture
+def grown_calls(monkeypatch):
+    """The `need` of every buffer reallocation made from here on."""
+    calls = []
+    grown = modelcore._grown
+
+    def counted(buf, used, need):
+        calls.append(need)
+        return grown(buf, used, need)
+
+    monkeypatch.setattr(modelcore, "_grown", counted)
+    return calls
+
+
+def test_fork_leaves_headroom_for_its_first_appends(tiny_model, grown_calls):
     """A fork, and the question or segment rows appended to it, reallocate
     no buffer: a whole fork then a 3-token prefill, and a head fork of 960
     rows then 40 more."""
     rng = np.random.default_rng(12)
     cache = KvCache.empty(tiny_model.config)
     prefill(tiny_model, cache, random_ids(rng, 64, 1000))
-    calls = []
-
-    def counted(buf, used, need):
-        calls.append(need)
-        return grown(buf, used, need)
-
-    grown = modelcore._grown
-    monkeypatch.setattr(modelcore, "_grown", counted)
+    grown_calls.clear()
     for rows, extra in ((None, 3), (960, 40)):
         fork = cache.fork(rows)
         prefill(tiny_model, fork, random_ids(rng, 64, extra))
         assert fork.length == (rows or 1000) + extra
         assert_shadow_exact(tiny_model, fork)
-    assert calls == []
+    assert grown_calls == []
+
+
+def test_loaded_cache_answers_without_regrowth(small_bundle, small_model, tmp_path, grown_calls):
+    """The kvc answer path, load_cache then to_kv_cache then a question
+    prefill of an eighth of the kept rows, reallocates no buffer, the
+    rotated-key shadow included. The compressed caches that compression
+    and loading return hold arrays of exactly n_kept rows, not views into
+    a cache's headroom."""
+    path = tmp_path / "c.kvcc"
+    compressed = compress_iterative(small_model, small_bundle.corpus_tokens(), make_guidance("zs", []),
+                                    small_bundle.vocab, CompressionBudget(320), s=2)
+    save_cache(compressed, path)
+    grown_calls.clear()
+    loaded = load_cache(path, small_model)
+    cache = loaded.to_kv_cache()
+    n = loaded.n_kept
+    prefill(small_model, cache, random_ids(np.random.default_rng(13), small_model.config.vocab_size, n // 8))
+    assert cache.length == n + n // 8
+    assert_shadow_exact(small_model, cache)
+    assert grown_calls == []
+    for c in (compressed, loaded):
+        for a in (*c.keys, *c.values):
+            root = a
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            assert a.shape[0] == c.n_kept and root.nbytes == a.nbytes
 
 
 def test_plain_prefill_leaves_every_shadow_complete(tiny_model, monkeypatch):
@@ -375,9 +413,9 @@ def test_plain_prefill_leaves_every_shadow_complete(tiny_model, monkeypatch):
     prefill(tiny_model, cache, random_ids(np.random.default_rng(9), 64, 600))
     rows = []
 
-    def counted(mat, positions, cfg):
+    def counted(mat, start, cfg):
         rows.append(mat.shape[0])
-        return rotate(mat, positions, cfg)
+        return rotate(mat, start, cfg)
 
     monkeypatch.setattr(modelcore, "rotate", counted)
     decode_step(tiny_model, cache.fork(), 5)

@@ -17,14 +17,13 @@ from kvcbench.retrieval import (
     evidence_recall,
     index_chunks,
     load_index,
-    oracle_ranking,
     retrieve,
     save_index,
     vocab_hash,
 )
 from kvcbench.vocab import UNK, build_vocabulary, tokenize
 
-from conftest import SMALL_SPEC
+from conftest import SMALL_SPEC, oracle_ranking
 
 
 def hand_bundle(texts):
