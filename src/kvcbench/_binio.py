@@ -1,6 +1,10 @@
-"""Shared readers and writer for the artifact formats: a little-endian
-reader for the binary containers, a typed record reader for the JSON ones,
-and the atomic writer every whole-file save goes through."""
+"""The one place artifact files are opened. ``read_artifact`` reads every
+artifact whole and turns any OS failure (missing file, a directory, no
+permission) into MissingArtifactError, CLI exit 3. The binary containers
+(KVCC, KVCI, KVCW) share one frame, a 4-byte magic then a u32 version,
+which ``read_container`` checks and ``write_container`` writes. Also here: a
+little-endian reader for container bodies, a typed record reader for the
+JSON formats, and the atomic writer every whole-file save goes through."""
 
 from __future__ import annotations
 
@@ -12,7 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, MissingArtifactError
+
+
+def read_artifact(path, what: str) -> bytes:
+    """The whole of artifact file `path`, `what` naming it in errors. A path
+    the OS cannot read, or cannot even name (a NUL byte), raises
+    MissingArtifactError; its cause is the original exception."""
+    try:
+        return Path(path).read_bytes()
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MissingArtifactError(f"cannot read {what} {path}: {reason}") from exc
 
 
 class Reader:
@@ -53,6 +68,24 @@ class Reader:
             raise FormatError(
                 f"{self.path}: {len(self.data) - self.off} trailing bytes after last field"
             )
+
+
+def read_container(path, magic: bytes, version: int) -> Reader:
+    """A Reader over container `path`, positioned after its checked frame."""
+    name = magic.decode()
+    r = Reader(read_artifact(path, f"{name} container"), path)
+    if r.take(4) != magic:
+        raise FormatError(f"{path}: not a {name} container")
+    found = r.u32()
+    if found != version:
+        raise FormatError(f"{path}: unsupported {name} version {found} (expected {version})")
+    return r
+
+
+def write_container(path, magic: bytes, version: int, parts) -> None:
+    """Atomically write the frame of `magic` and `version`, then `parts`."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"".join([magic, struct.pack("<I", version), *parts]))
 
 
 # dataclass field annotation -> the JSON values it accepts; a tuple field

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import Reader, atomic_write
+from ._binio import read_container, write_container
 from .compress import CacheMeta, CompressedCache
-from .errors import FormatError, MissingArtifactError, StaleCacheError
+from .errors import FormatError, StaleCacheError
 from .modelcore import Model
 
 MAGIC = b"KVCC"
@@ -43,8 +43,6 @@ def save_cache(compressed: CompressedCache, path) -> None:
     n_kept = compressed.n_kept
     hidden = compressed.keys[0].shape[1]
     parts = [
-        MAGIC,
-        struct.pack("<I", VERSION),
         meta.model_fingerprint,
         meta.guidance_fingerprint,
         meta.corpus_fingerprint,
@@ -63,22 +61,14 @@ def save_cache(compressed: CompressedCache, path) -> None:
         parts.append(np.ascontiguousarray(compressed.kept_positions[layer], dtype="<u4").tobytes())
         parts.append(np.ascontiguousarray(compressed.keys[layer], dtype="<f4").tobytes())
         parts.append(np.ascontiguousarray(compressed.values[layer], dtype="<f4").tobytes())
-    with atomic_write(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_container(path, MAGIC, VERSION, parts)
 
 
 def load_cache(path, model: Model | None = None) -> CompressedCache:
     """Read a KVCC container. When `model` is given, a fingerprint mismatch
     raises StaleCacheError; structural damage raises FormatError."""
     p = Path(path)
-    if not p.exists():
-        raise MissingArtifactError(f"cache container not found: {p}")
-    r = Reader(p.read_bytes(), p)
-    if r.take(4) != MAGIC:
-        raise FormatError(f"{p}: not a KVCC container")
-    version = r.u32()
-    if version != VERSION:
-        raise FormatError(f"{p}: unsupported KVCC version {version} (expected {VERSION})")
+    r = read_container(p, MAGIC, VERSION)
     model_fp = r.take(32)
     guidance_fp = r.take(32)
     corpus_fp = r.take(32)

@@ -9,7 +9,8 @@ and ``report`` aggregates run records.
 Paths are resolved against ``--out`` where a command has one, and every
 relative path is anchored at the ``KVC_OUT`` environment variable when set
 (current directory otherwise). Exit codes: 0 success, 2 usage or config
-error, 3 missing artifact, 4 stale or structurally incompatible artifact.
+error, 3 missing or unreadable artifact, 4 stale or structurally
+incompatible artifact.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import json_record
+from ._binio import json_record, read_artifact
 from .cachefile import load_cache, save_cache
 from .compress import (
     BUDGET_SCHEDULES,
@@ -110,12 +111,9 @@ def _model(weights, seed: int, config: ModelConfig) -> Model:
         return init_random_model(config, seed)
     weights_path = _resolve(weights)
     sidecar = weights_path.with_suffix(weights_path.suffix + ".json")
-    if not weights_path.exists():
-        raise MissingArtifactError(f"weight container not found: {weights_path}")
-    if not sidecar.exists():
-        raise MissingArtifactError(f"model config sidecar not found: {sidecar}")
+    raw = read_artifact(sidecar, "model config sidecar")
     try:
-        stored = json_record(ModelConfig, json.loads(sidecar.read_text()))
+        stored = json_record(ModelConfig, json.loads(raw.decode()))
     except (ValueError, TypeError, UsageError) as exc:
         raise FormatError(f"bad model config in {sidecar}: {exc}") from None
     return load_weights(weights_path, stored)
@@ -265,12 +263,10 @@ _CONFIG_SCHEMA = {
 
 
 def parse_eval_config(path: Path) -> RunConfig:
-    if not path.exists():
-        raise MissingArtifactError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read_string(read_artifact(path, "eval config").decode(), source=str(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot parse {path}: {exc}") from None
 
     for section in parser.sections():
@@ -305,10 +301,8 @@ def parse_eval_config(path: Path) -> RunConfig:
             max_new=int(get("eval", "max_new", "12")),
             out_dir=get("out", "dir", "results"),
         )
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:  # configparser: a stray "%"
         raise UsageError(f"{path}: bad value: {exc}") from None
-    if config.weights and not _resolve(config.weights).exists():
-        raise MissingArtifactError(f"config references missing weights: {config.weights}")
     return config
 
 
@@ -327,8 +321,8 @@ def cmd_eval(args) -> int:
             bundle = generate_corpus(CorpusSpec(seed=seed, connectivity=conn, **config.corpus))
             model = _model(config.weights, config.model_seed, default_eval_config(len(bundle.vocab)))
             runs_path = runs_dir / f"s{seed}c{conn}.jsonl"
-            if not args.resume and runs_path.exists():
-                runs_path.unlink()
+            if not args.resume:
+                runs_path.unlink(missing_ok=True)
             records = run_suite(
                 model, bundle,
                 methods=config.methods,
@@ -393,10 +387,7 @@ def cmd_ttft(args) -> int:
 def cmd_report(args) -> int:
     records = []
     for path in args.runs:
-        p = _resolve(path)
-        if not p.exists():
-            raise MissingArtifactError(f"runs file not found: {p}")
-        records.extend(load_records(p))
+        records.extend(load_records(_resolve(path)))
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = emit_report(records, out, chunk_tokens=args.chunk_tokens)

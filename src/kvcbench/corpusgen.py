@@ -32,8 +32,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._binio import atomic_write, json_record
-from .errors import FormatError, MalformedSequenceError, MissingArtifactError, UsageError
+from ._binio import atomic_write, json_record, read_artifact
+from .errors import FormatError, MalformedSequenceError, UsageError
 from .vocab import TokenSequence, Vocabulary, build_vocabulary, fingerprint_ids
 
 FIRST_NAMES = (
@@ -457,53 +457,38 @@ def entity_token_positions(bundle: CorpusBundle, entities) -> tuple[int, ...]:
 BUNDLE_DATA_FILES = ("corpus.jsonl", "questions.jsonl", "vocab.txt")
 
 
-def _bundle_sha256(spec: CorpusSpec, root: Path) -> str:
+def _bundle_sha256(spec: CorpusSpec, files: dict[str, bytes]) -> str:
     h = hashlib.sha256(json.dumps(dataclasses.asdict(spec), sort_keys=True).encode())
     for part in BUNDLE_DATA_FILES:
-        data = (root / part).read_bytes()
-        h.update(len(data).to_bytes(8, "little") + data)
+        h.update(len(files[part]).to_bytes(8, "little") + files[part])
     return h.hexdigest()
 
 
 def save_bundle(bundle: CorpusBundle, out_dir: Path | str) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    with atomic_write(out / "corpus.jsonl") as fh:
-        for doc in bundle.chunks:
-            fh.write(json.dumps({"chunk_id": doc.chunk_id, "kind": doc.kind, "text": doc.text}) + "\n")
-
-    with atomic_write(out / "questions.jsonl") as fh:
-        for q in bundle.questions:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": q.qid,
-                        "kind": q.kind,
-                        "template_id": q.template_id,
-                        "text": q.text,
-                        "answers": list(q.answers),
-                        "evidence": list(q.evidence),
-                        "gold_positions": list(q.gold_positions),
-                        "entities": list(q.entities),
-                    }
-                )
-                + "\n"
-            )
-
-    bundle.vocab.save(out / "vocab.txt")
+    chunks = map(dataclasses.asdict, bundle.chunks)
+    # the inverse of load_bundle's rename of "id" to "qid"
+    questions = [{"id": row.pop("qid"), **row} for row in map(dataclasses.asdict, bundle.questions)]
+    files = {}
+    for part, rows in (("corpus.jsonl", chunks), ("questions.jsonl", questions)):
+        files[part] = "".join(json.dumps(row) + "\n" for row in rows).encode()
+        with atomic_write(out / part, "wb") as fh:
+            fh.write(files[part])
+    files["vocab.txt"] = bundle.vocab.save(out / "vocab.txt")
     meta = dataclasses.asdict(bundle.spec)
     meta["schema_version"] = BUNDLE_SCHEMA_VERSION
-    meta["bundle_sha256"] = _bundle_sha256(bundle.spec, out)
+    meta["bundle_sha256"] = _bundle_sha256(bundle.spec, files)
     with atomic_write(out / "spec.json") as fh:
         fh.write(json.dumps(meta, indent=2) + "\n")
     return out
 
 
-def _json_rows(path: Path, build) -> list:
-    """`build(row)` per JSON line of `path`; FormatError names a bad line."""
+def _json_rows(path: Path, data: bytes, build) -> list:
+    """`build(row)` per JSON line of `data`, read from `path`; FormatError
+    names a bad line."""
     rows = []
-    for i, line in enumerate(path.read_bytes().splitlines(), 1):
+    for i, line in enumerate(data.splitlines(), 1):
         try:
             rows.append(build(json.loads(line)))
         except (ValueError, TypeError, UsageError) as exc:
@@ -513,22 +498,21 @@ def _json_rows(path: Path, build) -> list:
 
 def load_bundle(bundle_dir: Path | str) -> CorpusBundle:
     root = Path(bundle_dir)
-    spec_path = root / "spec.json"
-    if not spec_path.exists():
-        raise MissingArtifactError(f"no bundle at {root} (missing spec.json)")
-    for part in BUNDLE_DATA_FILES:
-        if not (root / part).exists():
-            raise MissingArtifactError(f"bundle at {root} is missing {part}")
+    files = {
+        part: read_artifact(root / part, "bundle file") for part in ("spec.json", *BUNDLE_DATA_FILES)
+    }
     try:
-        meta = json.loads(spec_path.read_bytes())
+        meta = json.loads(files["spec.json"])
         if meta.pop("schema_version", BUNDLE_SCHEMA_VERSION) != BUNDLE_SCHEMA_VERSION:
-            raise FormatError(f"unsupported bundle schema in {spec_path}")
+            raise FormatError(f"unsupported bundle schema in {root / 'spec.json'}")
         stored_sha = meta.pop("bundle_sha256", None)
         spec = json_record(CorpusSpec, meta)
     except (ValueError, TypeError, AttributeError, UsageError) as exc:
         raise FormatError(f"bad spec.json in {root}: {exc}") from None
 
-    chunks = _json_rows(root / "corpus.jsonl", lambda row: json_record(ChunkDoc, row))
+    chunks = _json_rows(
+        root / "corpus.jsonl", files["corpus.jsonl"], lambda row: json_record(ChunkDoc, row)
+    )
     if len(chunks) != spec.n_chunks:
         raise FormatError(f"{root}: expected {spec.n_chunks} chunks, found {len(chunks)}")
     for i, doc in enumerate(chunks):
@@ -538,13 +522,14 @@ def load_bundle(bundle_dir: Path | str) -> CorpusBundle:
             raise FormatError(f"{root}: chunk {i} is not {spec.chunk_tokens} tokens")
 
     questions = _json_rows(
-        root / "questions.jsonl", lambda row: json_record(Question, row, rename={"id": "qid"})
+        root / "questions.jsonl", files["questions.jsonl"],
+        lambda row: json_record(Question, row, rename={"id": "qid"}),
     )
     try:
-        vocab = Vocabulary.load(root / "vocab.txt")
+        vocab = Vocabulary.parse(files["vocab.txt"], root / "vocab.txt")
     except (MalformedSequenceError, ValueError) as exc:
         raise FormatError(f"bad vocab.txt in {root}: {exc}") from None
-    if stored_sha != _bundle_sha256(spec, root):
+    if stored_sha != _bundle_sha256(spec, files):
         raise FormatError(
             f"{root}: the content of spec.json, {', '.join(BUNDLE_DATA_FILES)} does not match "
             f"recorded fingerprint bundle_sha256{'' if stored_sha else ' (none recorded)'}"

@@ -38,7 +38,6 @@ import csv
 import dataclasses
 import json
 import logging
-import os
 import random
 import statistics
 import string
@@ -48,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import atomic_write, json_record
+from ._binio import atomic_write, json_record, read_artifact
 from .baselines import (
     compress_expected_attention,
     compress_snapkv_agnostic,
@@ -64,7 +63,7 @@ from .compress import (
     retention,
 )
 from .corpusgen import DEFAULT_TASK_DESCRIPTION, CorpusBundle, Question
-from .errors import FormatError, UsageError
+from .errors import FormatError, MissingArtifactError, UsageError
 from .modelcore import (
     GenerationParams,
     KvCache,
@@ -191,10 +190,11 @@ def load_records(path) -> list[RunRecord]:
     a last line without one is an interrupted append and is dropped with a
     warning. Any other line that is not a run record of this schema version,
     with every field of its JSON type, raises FormatError."""
-    p = Path(path)
-    if not p.exists():
-        return []
-    data = p.read_bytes()
+    return _records(read_artifact(path, "runs file"), path)
+
+
+def _records(data: bytes, p) -> list[RunRecord]:
+    """The run records in `data`, the bytes of the runs file `p`."""
     lines = data.splitlines()
     if not data.endswith(b"\n") and lines:
         log.warning("%s: dropping torn last line %d", p, len(lines))
@@ -252,13 +252,18 @@ def run_suite(
         if clash:
             raise UsageError(f"questions {clash} are reserved as few-shot examples")
 
-    done = {_record_key(r): r for r in load_records(out_path)}
-    records: list[RunRecord] = []
     out = Path(out_path)
-    if out.exists():  # cut the torn last line load_records dropped
-        os.truncate(out, out.read_bytes().rfind(b"\n") + 1)
+    try:
+        data = read_artifact(out, "runs file")
+    except MissingArtifactError as exc:
+        if not isinstance(exc.__cause__, FileNotFoundError):
+            raise
+        data = b""  # no runs file yet: a new suite
+    done = {_record_key(r): r for r in _records(data, out)}
+    records: list[RunRecord] = []
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "a") as fh:
+        fh.truncate(data.rfind(b"\n") + 1)  # cut the torn last line _records dropped
         for method in methods:
             for budget in [0] if method == "full" else list(budgets):
                 for q in questions:

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._binio import Reader, atomic_write
+from ._binio import read_container, write_container
 from .corpusgen import CorpusBundle
-from .errors import FormatError, MissingArtifactError, UsageError
+from .errors import FormatError, UsageError
 from .vocab import TokenSequence, Vocabulary, tokenize
 
 logger = logging.getLogger(__name__)
@@ -179,31 +180,20 @@ def evidence_recall(result: RetrievalResult, budget_tokens: int, chunk_tokens: i
 
 
 def save_index(index: ChunkIndex, path: Path | str) -> None:
-    out = bytearray()
-    out += INDEX_MAGIC
-    out += np.uint32(INDEX_VERSION).tobytes()
-    out += index.vocab_sha
-    out += np.uint32(index.n_chunks).tobytes()
-    out += np.uint32(index.vocab_size).tobytes()
-    out += np.ascontiguousarray(index.idf, dtype="<f4").tobytes()
-    out += np.uint64(len(index.indices)).tobytes()
-    out += np.ascontiguousarray(index.indptr, dtype="<u8").tobytes()
-    out += np.ascontiguousarray(index.indices, dtype="<u4").tobytes()
-    out += np.ascontiguousarray(index.data, dtype="<f4").tobytes()
-    with atomic_write(path, "wb") as fh:
-        fh.write(out)
+    write_container(path, INDEX_MAGIC, INDEX_VERSION, [
+        index.vocab_sha,
+        struct.pack("<II", index.n_chunks, index.vocab_size),
+        np.ascontiguousarray(index.idf, dtype="<f4").tobytes(),
+        struct.pack("<Q", len(index.indices)),
+        np.ascontiguousarray(index.indptr, dtype="<u8").tobytes(),
+        np.ascontiguousarray(index.indices, dtype="<u4").tobytes(),
+        np.ascontiguousarray(index.data, dtype="<f4").tobytes(),
+    ])
 
 
 def load_index(path: Path | str) -> ChunkIndex:
     p = Path(path)
-    if not p.exists():
-        raise MissingArtifactError(f"no index file at {p}")
-    r = Reader(p.read_bytes(), str(p))
-    if r.take(4) != INDEX_MAGIC:
-        raise FormatError(f"{p}: not a KVCI index file")
-    version = r.u32()
-    if version != INDEX_VERSION:
-        raise FormatError(f"{p}: unsupported index version {version}")
+    r = read_container(p, INDEX_MAGIC, INDEX_VERSION)
     vocab_sha = r.take(32)
     n_chunks = r.u32()
     vocab_size = r.u32()

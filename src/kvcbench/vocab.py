@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._binio import atomic_write
+from ._binio import atomic_write, read_artifact
 from .errors import MalformedSequenceError
 
 PAD, BOS, SEP, UNK = 0, 1, 2, 3
@@ -67,15 +67,21 @@ class Vocabulary:
     def id_of(self, word: str) -> int:
         return self.token_to_id.get(word.lower(), UNK)
 
-    def save(self, path) -> None:
-        with atomic_write(path, encoding="utf-8") as f:
-            for tok in self.id_to_token:
-                f.write(tok + "\n")
+    def save(self, path) -> bytes:
+        """Write one token per line, id = line number; returns the bytes written."""
+        data = "".join(tok + "\n" for tok in self.id_to_token).encode("utf-8")
+        with atomic_write(path, "wb") as f:
+            f.write(data)
+        return data
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f]
+        return cls.parse(read_artifact(path, "vocabulary file"), path)
+
+    @classmethod
+    def parse(cls, data: bytes, path) -> "Vocabulary":
+        """The vocabulary in `data`, the bytes of the vocabulary file `path`."""
+        tokens = data.decode("utf-8").splitlines()
         if tokens[: len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
             raise MalformedSequenceError(f"vocabulary file {path} missing special tokens")
         vocab = cls()

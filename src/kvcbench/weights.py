@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import Reader, atomic_write
-from .errors import FormatError, MissingArtifactError
+from ._binio import read_container, write_container
+from .errors import FormatError
 from .modelcore import Model, ModelConfig, tensor_names, tensor_shape
 
 MAGIC = b"KVCW"
@@ -24,7 +24,7 @@ _DTYPE_F32 = 0
 
 def save_weights(model: Model, path) -> None:
     names = tensor_names(model.config)
-    parts = [MAGIC, struct.pack("<II", VERSION, len(names))]
+    parts = [struct.pack("<I", len(names))]
     for name in names:
         arr = np.ascontiguousarray(model.weights[name], dtype=np.float32)
         raw = name.encode()
@@ -33,21 +33,13 @@ def save_weights(model: Model, path) -> None:
         parts.append(struct.pack("<BB", _DTYPE_F32, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(arr.tobytes())
-    with atomic_write(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_container(path, MAGIC, VERSION, parts)
 
 
 def load_weights(path, config: ModelConfig) -> Model:
     """Read a KVCW container and validate it against the expected tensor set."""
     p = Path(path)
-    if not p.exists():
-        raise MissingArtifactError(f"weight container not found: {p}")
-    r = Reader(p.read_bytes(), p)
-    if r.take(4) != MAGIC:
-        raise FormatError(f"{p}: not a KVCW container")
-    version = r.u32()
-    if version != VERSION:
-        raise FormatError(f"{p}: unsupported KVCW version {version} (expected {VERSION})")
+    r = read_container(p, MAGIC, VERSION)
     count = r.u32()
     weights: dict[str, np.ndarray] = {}
     for _ in range(count):

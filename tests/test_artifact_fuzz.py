@@ -1,6 +1,7 @@
 """Damaged artifacts: every loader turns a truncated or byte-flipped KVCC,
 KVCI, KVCW or bundle file into a KvcError, never another exception, and
-the CLI commands that read them exit with a documented code."""
+the CLI commands that read them, an eval INI or a runs JSONL exit with a
+documented code."""
 
 import dataclasses
 import json
@@ -48,17 +49,23 @@ def saved(small_bundle, small_model, tmp_path_factory):
     return clean, root / "damaged"
 
 
+def damage(raw, kind, data):
+    """`raw` truncated at, with one byte XOR-ed at, or with one byte deleted
+    at an offset `data` draws."""
+    offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    if kind == "truncate":
+        return raw[:offset]
+    if kind == "delete":
+        return raw[:offset] + raw[offset + 1:]
+    flipped = raw[offset] ^ data.draw(st.integers(1, 255), label="xor")
+    return raw[:offset] + bytes([flipped]) + raw[offset + 1:]
+
+
 def damaged_copy(saved, name, truncate, data):
     """A fresh copy of the clean artifacts with `name` truncated or one of
     its bytes XOR-ed, at an offset `data` draws."""
     clean, damaged = saved
-    raw = (clean / name).read_bytes()
-    offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
-    if truncate:
-        raw = raw[:offset]
-    else:
-        flipped = raw[offset] ^ data.draw(st.integers(1, 255), label="xor")
-        raw = raw[:offset] + bytes([flipped]) + raw[offset + 1:]
+    raw = damage((clean / name).read_bytes(), "truncate" if truncate else "xor", data)
     shutil.rmtree(damaged, ignore_errors=True)
     shutil.copytree(clean, damaged)
     (damaged / name).write_bytes(raw)
@@ -111,3 +118,60 @@ def test_damaged_artifacts_exit_with_documented_codes(saved, command, truncate, 
     damaged = damaged_copy(saved, name, truncate, data)
     checked = name.removeprefix("bundle/") in BUNDLE_DATA_FILES or (truncate and not name.endswith(".json"))
     assert main(argv(damaged)) in ((2, 3, 4) if checked else (0, 2, 3, 4))
+
+
+# Every key sits on its own line with no blank between and no space around
+# "=", so one damaged byte cannot grow a value by a digit (" 80" -> "980")
+# or hide a section behind a blank line. Deleting a byte joins, shortens or
+# breaks a line; an XOR may also comment out one line, which sends a single
+# key to its default, at most a 5.5k-token corpus. Cutting the file short is
+# left out: a cut [corpus] section falls back to the default 32k-token corpus.
+EVAL_INI = b"""\
+[model]
+seed=0
+[corpus]
+seeds=3
+connectivity=1
+people=4
+projects=4
+filler=1
+chunk_tokens=80
+questions_per_kind=2
+[eval]
+budgets=48
+fewshot=1
+max_new=4
+methods=full,streaming
+"""
+RUNS = "results/runs/s3c1.jsonl"
+
+
+@pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory):
+    """KVC_OUT for the module, holding the clean INI and the runs file it
+    writes."""
+    root = tmp_path_factory.mktemp("eval")
+    (root / "eval.ini").write_bytes(EVAL_INI)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("KVC_OUT", str(root))
+        assert main(["eval", "--config", "eval.ini"]) == 0
+        yield root, (root / RUNS).read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["xor", "delete"]), data=st.data())
+def test_damaged_eval_config_exits_with_documented_codes(eval_dir, kind, data):
+    root, _ = eval_dir
+    (root / "bad.ini").write_bytes(damage(EVAL_INI, kind, data))
+    assert main(["eval", "--config", "bad.ini"]) in (0, 2, 3, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["truncate", "xor", "delete"]), data=st.data())
+def test_damaged_runs_file_exits_with_documented_codes(eval_dir, kind, data):
+    """`kvc report` reads the damaged runs file, `kvc eval --resume` reads
+    and extends it."""
+    root, clean = eval_dir
+    (root / RUNS).write_bytes(damage(clean, kind, data))
+    assert main(["report", "--runs", RUNS, "--out", "m.csv"]) in (0, 2, 3, 4)
+    assert main(["eval", "--config", "eval.ini", "--resume"]) in (0, 2, 3, 4)

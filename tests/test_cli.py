@@ -12,6 +12,7 @@ import pytest
 import kvcbench.evalharness as evalharness
 from kvcbench.cachefile import load_cache
 from kvcbench.cli import TTFT_DEFAULT_SIZES, _exit_code, main
+from kvcbench.corpusgen import BUNDLE_DATA_FILES
 from kvcbench.errors import (
     FormatError,
     KvcError,
@@ -328,9 +329,12 @@ def test_eval_resume_after_a_kill(workdir, monkeypatch, capsys):
     (lambda t: t.replace("[eval]", "[extras]"), 2),
     (lambda t: t.replace("fewshot = 1", "speed = 9"), 2),
     (lambda t: t.replace("people = 4", "people = x"), 2),
+    (lambda t: t.replace("full,streaming", "full%streaming"), 2),  # a broken interpolation
+    (lambda t: t.replace("seed = 0", "seed = 0\udcff"), 2),  # a byte that is not UTF-8
+    (lambda t: t.replace("seed = 0", "seed = 0\nweights = m\x00.kvcw"), 3),  # no such path
 ])
 def test_eval_config_validation(workdir, capsys, mutate, code):
-    (workdir / "bad.ini").write_text(mutate(EVAL_INI))
+    (workdir / "bad.ini").write_text(mutate(EVAL_INI), errors="surrogateescape")
     assert main(["eval", "--config", "bad.ini"]) == code
     assert "error:" in capsys.readouterr().err
 
@@ -399,6 +403,38 @@ def test_report_on_a_wrongly_typed_record_of_another_schema_exits_4(workdir, cap
 def test_report_missing_runs_file(workdir, capsys):
     assert main(["report", "--runs", "ghost.jsonl", "--out", "m.csv"]) == 3
     capsys.readouterr()
+
+
+RAG = ["rag", "--bundle", "bundle", "--question", "anything", "--budget", "160"]
+RAG_WITH_WEIGHTS = [*RAG, "--answer", "--max-new", "2", "--weights", "m.kvcw"]
+
+# artifact path -> a command that reads it
+READERS = {
+    "c.kvcc": ["ask", "--cache", "c.kvcc", "--bundle", "bundle", "--question", "anything"],
+    "i.kvci": [*RAG, "--index", "i.kvci"],
+    **{f"bundle/{part}": RAG for part in ("spec.json", *BUNDLE_DATA_FILES)},
+    "m.kvcw": RAG_WITH_WEIGHTS,
+    "m.kvcw.json": RAG_WITH_WEIGHTS,
+    "runs.jsonl": ["report", "--runs", "runs.jsonl", "--out", "m.csv"],
+    "eval.ini": ["eval", "--config", "eval.ini"],
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(READERS))
+def test_unreadable_artifact_exits_3(bundle_dir, workdir, capsys, artifact):
+    """A directory in place of an artifact is an unreadable artifact: exit 3
+    with one error line, whatever the command and the file format."""
+    vocab_size = len((bundle_dir / "vocab.txt").read_text().splitlines())
+    model = init_random_model(default_eval_config(vocab_size), 5)
+    save_weights(model, workdir / "m.kvcw")
+    (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(model.config)))
+    target = workdir / artifact
+    target.unlink(missing_ok=True)
+    target.mkdir()
+    assert main(READERS[artifact]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith("error: cannot read ") and err[0].endswith(f"{target}: Is a directory")
 
 
 def test_exit_code_mapping():

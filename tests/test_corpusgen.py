@@ -3,12 +3,17 @@ the distinct/similar token-renaming isomorphism, and bundle directory IO."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kvcbench.corpusgen as corpusgen
+from kvcbench._binio import read_artifact
+from kvcbench.cli import main
 from kvcbench.corpusgen import (
+    BUNDLE_DATA_FILES,
     BUNDLE_SCHEMA_VERSION,
     DEFAULT_TASK_DESCRIPTION,
     GUIDANCE_CUE_WORDS,
@@ -168,7 +173,8 @@ def saved_dir(tmp_path, bundle):
 
 
 def test_load_missing_parts(tmp_path, small_bundle):
-    with pytest.raises(MissingArtifactError, match="missing spec.json"):
+    missing = r"cannot read bundle file \S*nowhere/spec\.json: No such file"
+    with pytest.raises(MissingArtifactError, match=missing):
         load_bundle(tmp_path / "nowhere")
     out = saved_dir(tmp_path, small_bundle)
     (out / "questions.jsonl").unlink()
@@ -188,6 +194,37 @@ def test_load_rejects_tampered_corpus(tmp_path, small_bundle):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="does not match recorded fingerprint"):
         load_bundle(out)
+
+
+def test_load_reads_each_bundle_file_once(tmp_path, small_bundle, monkeypatch, capsys):
+    """The fingerprint check covers the bytes that were parsed: each file is
+    read once, and a data file changed after the save still exits 4."""
+    out = saved_dir(tmp_path, small_bundle)
+    reads = []
+
+    def counted(path, what):
+        reads.append(Path(path).name)
+        return read_artifact(path, what)
+
+    monkeypatch.setattr(corpusgen, "read_artifact", counted)
+    assert load_bundle(out).questions == small_bundle.questions
+    assert sorted(reads) == sorted(["spec.json", *BUNDLE_DATA_FILES])
+
+    # each edit keeps its file parseable, so only the fingerprint sees it
+    edits = {
+        "corpus.jsonl": lambda raw: raw.replace(b'"text": "', b'"text": "x', 1),
+        "questions.jsonl": lambda raw: raw.replace(b'"text": "', b'"text": "x', 1),
+        "vocab.txt": lambda raw: raw[:-1] + b"x\n",
+    }
+    for part, edit in edits.items():
+        path = out / part
+        raw = path.read_bytes()
+        path.write_bytes(edit(raw))
+        reads.clear()
+        assert main(["rag", "--bundle", str(out), "--question", "anything"]) == 4
+        assert sorted(reads) == sorted(["spec.json", *BUNDLE_DATA_FILES])
+        assert "does not match recorded fingerprint" in capsys.readouterr().err
+        path.write_bytes(raw)
 
 
 def test_load_rejects_wrong_chunk_count_and_width(tmp_path, small_bundle):

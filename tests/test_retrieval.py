@@ -195,7 +195,7 @@ def test_index_round_trip_ranks_identically(saved_index, small_bundle):
 
 
 def test_index_missing_file(tmp_path):
-    with pytest.raises(MissingArtifactError, match="no index file"):
+    with pytest.raises(MissingArtifactError, match=r"cannot read KVCI container \S*gone\.kvci: No such file"):
         load_index(tmp_path / "gone.kvci")
 
 
@@ -205,7 +205,7 @@ def test_index_bad_magic(saved_index, tmp_path):
     raw[0:4] = b"XXXX"
     bad = tmp_path / "bad.kvci"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="not a KVCI index file"):
+    with pytest.raises(FormatError, match="not a KVCI container"):
         load_index(bad)
 
 
@@ -215,7 +215,7 @@ def test_index_bad_version(saved_index, tmp_path):
     struct.pack_into("<I", raw, 4, 7)
     bad = tmp_path / "v.kvci"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="unsupported index version 7"):
+    with pytest.raises(FormatError, match=r"unsupported KVCI version 7 \(expected 1\)"):
         load_index(bad)
 
 
