@@ -1,6 +1,8 @@
 """The one place artifact files are opened. ``read_artifact`` reads every
 artifact whole and turns any OS failure (missing file, a directory, no
-permission) into MissingArtifactError, CLI exit 3. The binary containers
+permission) into MissingArtifactError, CLI exit 3; ``writing`` turns one on
+the write side (an output directory that is a file, an output file that is
+a directory, no permission) into UsageError, CLI exit 2. The binary containers
 (KVCC, KVCI, KVCW) share one frame, a 4-byte magic then a u32 version,
 which ``read_container`` checks and ``write_container`` writes. Also here: a
 little-endian reader for container bodies, a typed record reader for the
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, MissingArtifactError
+from .errors import FormatError, MissingArtifactError, UsageError
 
 
 def read_artifact(path, what: str) -> bytes:
@@ -28,6 +30,18 @@ def read_artifact(path, what: str) -> bytes:
     except (OSError, ValueError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise MissingArtifactError(f"cannot read {what} {path}: {reason}") from exc
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Run a block that creates or writes output `path`: an OSError in it
+    raises UsageError naming the path and the OS reason; its cause is the
+    original exception. Output directories and ``atomic_write`` go
+    through it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 class Reader:
@@ -123,13 +137,15 @@ def json_record(cls, row, rename=None):
 def atomic_write(path, mode="w", **open_kwargs):
     """Open a temporary file beside `path` for writing; it replaces `path`
     when the block completes and is removed if the block raises anything,
-    so readers see either the old file or the whole new one."""
+    so readers see either the old file or the whole new one. OS errors
+    raise UsageError, as in ``writing``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **open_kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with writing(path):
+        try:
+            with open(tmp, mode, **open_kwargs) as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

@@ -9,8 +9,8 @@ and ``report`` aggregates run records.
 Paths are resolved against ``--out`` where a command has one, and every
 relative path is anchored at the ``KVC_OUT`` environment variable when set
 (current directory otherwise). Exit codes: 0 success, 2 usage or config
-error, 3 missing or unreadable artifact, 4 stale or structurally
-incompatible artifact.
+error or unwritable output, 3 missing or unreadable artifact, 4 stale or
+structurally incompatible artifact.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import configparser
 import json
 import logging
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import json_record, read_artifact
+from ._binio import json_record, read_artifact, writing
 from .cachefile import load_cache, save_cache
 from .compress import (
     BUDGET_SCHEDULES,
@@ -171,7 +172,8 @@ def cmd_compress(args) -> int:
     )
     dt = time.perf_counter() - t0
     out = _resolve(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    with writing(out.parent):
+        out.parent.mkdir(parents=True, exist_ok=True)
     save_cache(compressed, out)
     n = compressed.meta.n_context
     print(f"compressed {n} -> {compressed.n_kept} rows/layer "
@@ -262,8 +264,14 @@ _CONFIG_SCHEMA = {
 }
 
 
+# a section header line is the header alone: configparser's own pattern
+# reads "[corpus]seeds=3" as "[corpus]" and drops the rest
+_SECTION_LINE = re.compile(r"\[(?P<header>[^]]+)\]$")
+
+
 def parse_eval_config(path: Path) -> RunConfig:
     parser = configparser.ConfigParser()
+    parser.SECTCRE = _SECTION_LINE
     try:
         parser.read_string(read_artifact(path, "eval config").decode(), source=str(path))
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -311,8 +319,9 @@ def cmd_eval(args) -> int:
     out_dir = _resolve(config.out_dir)
     runs_dir = out_dir / "runs"
     report_dir = out_dir / "report"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    report_dir.mkdir(parents=True, exist_ok=True)
+    for folder in (runs_dir, report_dir):
+        with writing(folder):
+            folder.mkdir(parents=True, exist_ok=True)
 
     n_failed = 0
     for seed in config.corpus_seeds:
@@ -376,7 +385,8 @@ def cmd_ttft(args) -> int:
             status = f"{rec.median_s:.4f}s median" if rec.feasible else "infeasible"
             print(f"corpus {size:7d}  {rec.scenario:4s}  {status}")
     out = _resolve(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    with writing(out.parent):
+        out.parent.mkdir(parents=True, exist_ok=True)
     write_ttft_csv(records, out)
     print(f"ttft table: {out}")
     return 0
@@ -389,7 +399,8 @@ def cmd_report(args) -> int:
     for path in args.runs:
         records.extend(load_records(_resolve(path)))
     out = _resolve(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    with writing(out.parent):
+        out.parent.mkdir(parents=True, exist_ok=True)
     rows = emit_report(records, out, chunk_tokens=args.chunk_tokens)
     print(f"{len(rows)} report rows from {len(records)} records -> {out}")
     return 0

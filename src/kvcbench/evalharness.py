@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import atomic_write, json_record, read_artifact
+from ._binio import atomic_write, json_record, read_artifact, writing
 from .baselines import (
     compress_expected_attention,
     compress_snapkv_agnostic,
@@ -261,8 +261,10 @@ def run_suite(
         data = b""  # no runs file yet: a new suite
     done = {_record_key(r): r for r in _records(data, out)}
     records: list[RunRecord] = []
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "a") as fh:
+    with writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(out, "a")
+    with fh:
         fh.truncate(data.rfind(b"\n") + 1)  # cut the torn last line _records dropped
         for method in methods:
             for budget in [0] if method == "full" else list(budgets):

@@ -25,10 +25,14 @@ Three properties of the design matter to everything downstream:
 * Attention is one blocked kernel. The range is cut into tiles of
   ``ATTENTION_BLOCK`` rows starting at its first row; a tile of rows
   [r0, r1) scores columns [0, base + r1) with queries pre-multiplied by
-  1/sqrt(d_k). Only its diagonal columns [base + r0, base + r1) can hold a
-  future position, so only they are masked, from one constant triangle.
-  Softmax normalisation is deferred to the output: ``exp(s - max) @ V`` is
-  divided by the row sums, touching (rows, d_k) values instead of
+  log2(e)/sqrt(d_k), so scores are in base-2 units and ``exp2`` takes the
+  place of ``exp``. Only its diagonal columns [base + r0, base + r1) can
+  hold a future position, so only they are masked, from one constant
+  triangle. The usual row-max shift is skipped when the model's weights
+  bound every score by ``SHIFT_FREE_BOUND`` (``Model.score_bound``, see
+  ``score_bound``), and kept otherwise. Softmax normalisation is deferred
+  to the output: ``exp2(s) @ V`` is divided by the row sums, one GEMV
+  against a vector of ones, touching (rows, d_k) values instead of
   (rows, columns). Captured observer rows are divided in full, so they
   remain probabilities.
 
@@ -52,6 +56,8 @@ F32 = np.float32
 ATTENTION_BLOCK = 64
 # the causal mask of one diagonal tile: entry (i, j) is True when j > i
 _FUTURE = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
+# models whose score_bound is at most this attend without the row-max shift
+SHIFT_FREE_BOUND = 64.0
 
 # init_diagnostic_model needs room for one sink channel plus near-orthogonal
 # random codes; below this width the code construction cannot separate tokens.
@@ -232,10 +238,12 @@ class Model:
     config: ModelConfig
     weights: dict[str, np.ndarray]
     fingerprint: bytes = field(default=b"", repr=False)
+    score_bound: float = field(default=np.inf, init=False, repr=False)
 
     def __post_init__(self):
         if not self.fingerprint:
             self.fingerprint = fingerprint_weights(self.config, self.weights)
+        self.score_bound = score_bound(self.config, self.weights)
 
 
 def tensor_names(config: ModelConfig) -> list[str]:
@@ -278,6 +286,44 @@ def fingerprint_weights(config: ModelConfig, weights: dict[str, np.ndarray]) -> 
         h.update(name.encode())
         h.update(np.ascontiguousarray(weights[name]).tobytes())
     return h.digest()
+
+
+def score_bound(config: ModelConfig, weights: dict[str, np.ndarray]) -> float:
+    """A bound c on |score| in base-2 units over every layer and head, for
+    keys and queries this model computes; inf when a weight is not finite.
+
+    RMSNorm scales a row to root-mean-square at most 1, so after the gain
+    g the normed row ``hn`` has norm at most sqrt(d) * max|g|. A head's
+    query is ``hn @ Wq[:, h]``, of norm at most ||hn|| * sigma(Wq[:, h])
+    with sigma the spectral norm, and likewise its key; rotary rotation
+    preserves both norms. sigma(W)**2, the largest eigenvalue of W^T W, is
+    at most that matrix's largest absolute row sum, whose square root
+    sigma^(W) takes one small product instead of an SVD; it equals sigma
+    for a scaled identity. So, by Cauchy-Schwarz, the kernel's scores
+    ``q . k * log2(e) / sqrt(d_k)`` satisfy, in float64,
+
+        |s| <= c = max over (l, h) of
+                   d * max|g_l|^2 * sigma^(Wq_l[:, h]) * sigma^(Wk_l[:, h])
+                   * log2(e) / sqrt(d_k).
+
+    With c <= SHIFT_FREE_BOUND = 64, every term ``2**s`` lies in
+    [2**-64, 2**64]: a row's largest term, and so its sum, is a normal
+    float32 far above 0, and a sum over ``max_position`` terms stays far
+    below float32's 2**128. The kernel then needs no row-max shift.
+    Finiteness is checked first, as a NaN c would compare false.
+    """
+    if not all(np.isfinite(w).all() for w in weights.values()):
+        return float(np.inf)
+    d, dk = config.hidden_size, config.head_dim
+    c = 0.0
+    for layer in range(config.n_layers):
+        gain = float(np.abs(weights[f"layers.{layer}.attn_norm"].astype(np.float64)).max())
+        wq, wk = (weights[f"layers.{layer}.{n}"].astype(np.float64) for n in ("q_proj", "k_proj"))
+        for h in range(config.n_heads):
+            cols = slice(h * dk, (h + 1) * dk)
+            sq, sk = (np.abs(w[:, cols].T @ w[:, cols]).sum(axis=1).max() for w in (wq, wk))
+            c = max(c, d * gain * gain * float(np.sqrt(sq * sk)) * np.log2(np.e) / np.sqrt(dk))
+    return c
 
 
 def init_random_model(config: ModelConfig, seed: int) -> Model:
@@ -441,10 +487,12 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     after the cache's last one; spans arrive checked. Each layer attends
     over one row range, all rows when its output feeds on, else (last layer,
     no logits) the observer rows; it leaves every rotated-key shadow complete.
-    The range runs in ATTENTION_BLOCK-row tiles from its first row: scaled
-    queries against all columns a tile's last row sees, the causal mask on
-    the diagonal tile only, the softmax divide applied to the (rows, d_k)
-    output and, for captured observer rows, to their full score rows."""
+    The range runs in ATTENTION_BLOCK-row tiles from its first row: queries
+    scaled to base-2 scores against all columns a tile's last row sees, the
+    causal mask on the diagonal tile only, the row-max shift only when the
+    model's score bound exceeds SHIFT_FREE_BOUND, exp2, row sums as one
+    GEMV, and the softmax divide applied to the (rows, d_k) output and, for
+    captured observer rows, to their full score rows."""
     cfg = model.config
     S = token_ids.shape[0]
     base = cache.length
@@ -461,7 +509,9 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     )
 
     H, dk, d = cfg.n_heads, cfg.head_dim, cfg.hidden_size
-    scale = F32(1.0 / np.sqrt(dk))
+    scale = F32(np.log2(np.e) / np.sqrt(dk))
+    shift = model.score_bound > SHIFT_FREE_BOUND
+    ones = np.ones(base + S, F32)
     w = model.weights
     x = w["embedding"][token_ids]
     n_obs = obs_hi - obs_lo
@@ -497,9 +547,10 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
                 cols = slice(h * dk, (h + 1) * dk)
                 scores = q_rot[r0:r1, cols] @ k_rot[:end, cols].T
                 scores[:, base + r0 :][future] = -np.inf
-                scores -= scores.max(axis=1, keepdims=True)
-                np.exp(scores, out=scores)
-                rowsum = scores.sum(axis=1, keepdims=True)
+                if shift:
+                    scores -= scores.max(axis=1, keepdims=True)
+                np.exp2(scores, out=scores)
+                rowsum = (scores @ ones[:end])[:, None]
                 if need_out:
                     out[r0:r1, cols] = (scores @ v_all[:end, cols]) / rowsum
                 if c0 < c1:

@@ -332,11 +332,25 @@ def test_eval_resume_after_a_kill(workdir, monkeypatch, capsys):
     (lambda t: t.replace("full,streaming", "full%streaming"), 2),  # a broken interpolation
     (lambda t: t.replace("seed = 0", "seed = 0\udcff"), 2),  # a byte that is not UTF-8
     (lambda t: t.replace("seed = 0", "seed = 0\nweights = m\x00.kvcw"), 3),  # no such path
+    (lambda t: t.replace("[corpus]\nseeds = 3", "[corpus]seeds=3"), 2),  # text after a header
 ])
 def test_eval_config_validation(workdir, capsys, mutate, code):
     (workdir / "bad.ini").write_text(mutate(EVAL_INI), errors="surrogateescape")
     assert main(["eval", "--config", "bad.ini"]) == code
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_outputs_exit_2(bundle_dir, workdir, capsys):
+    (workdir / "afile").write_text("")
+    (workdir / "eval.ini").write_text(EVAL_INI.replace("dir = results", "dir = afile"))
+    assert main(["eval", "--config", "eval.ini"]) == 2
+    assert "afile" in capsys.readouterr().err
+
+    (workdir / "adir").mkdir()
+    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
+                 "--out", "adir"]) == 2
+    assert "adir" in capsys.readouterr().err
+    assert not list(workdir.glob(".adir.*"))  # no temporary file left behind
 
 
 def test_eval_missing_config(workdir, capsys):

@@ -11,10 +11,11 @@ from kvcbench import modelcore
 from kvcbench.cachefile import load_cache, save_cache
 from kvcbench.compress import CompressedCache, CompressionBudget, _walk, compress_iterative
 from kvcbench.errors import PositionOverflowError, UsageError
-from kvcbench.evalharness import make_guidance
+from kvcbench.evalharness import default_eval_config, make_guidance, ttft_reference_config
 from kvcbench.modelcore import (
     ATTENTION_BLOCK,
     DIAGNOSTIC_MIN_WIDTH,
+    SHIFT_FREE_BOUND,
     GenerationParams,
     KvCache,
     Model,
@@ -212,6 +213,76 @@ def test_capture_and_logits_match_dense_reference_across_tile_edges(head_dim):
         assert np.all(got[:, future] == 0.0)
     logits, _ = decode_step(model, cache, ids[-1])
     assert np.max(np.abs(logits - ref_logits[-1])) < 1e-4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eval_ttft_and_diagnostic_models_attend_without_the_shift(seed):
+    vocab_size = 1500 + 100 * seed
+    for config in (default_eval_config(vocab_size), ttft_reference_config(vocab_size)):
+        model = init_random_model(config, seed)
+        assert 0 < model.score_bound <= SHIFT_FREE_BOUND
+    # criterion 7's geometry; its q and k do not depend on the vocabulary
+    vocab = build_vocabulary(["alpha beta gamma"])
+    diagnostic = init_diagnostic_model(
+        ModelConfig(n_layers=1, n_heads=1, hidden_size=256, head_dim=256,
+                    vocab_size=len(vocab), max_position=40960, rotary_enabled=False),
+        vocab,
+    )
+    assert diagnostic.score_bound == pytest.approx(24 * np.log2(np.e))
+
+
+def test_score_bound_holds_for_the_scores_a_prefill_computes(tiny_model):
+    cfg = tiny_model.config
+    rng = np.random.default_rng(6)
+    ids = random_ids(rng, cfg.vocab_size, 3 * ATTENTION_BLOCK)
+    cache = KvCache.empty(cfg)
+    capture = prefill(tiny_model, cache, ids, query_span=(0, len(ids)))
+    dk = cfg.head_dim
+    for layer, q in enumerate(capture.queries):
+        k = cache.rotated_keys(layer, cfg)
+        for h in range(cfg.n_heads):
+            cols = slice(h * dk, (h + 1) * dk)
+            scores = q[:, cols].astype(np.float64) @ k[:, cols].T * np.log2(np.e) / np.sqrt(dk)
+            assert np.abs(scores).max() <= tiny_model.score_bound
+
+
+def test_a_model_past_the_bound_keeps_the_shift(tiny_model):
+    # q and k scaled by 12 multiply the bound by 144
+    model = Model(tiny_model.config, {
+        name: w * np.float32(12) if name.endswith(("q_proj", "k_proj")) else w
+        for name, w in tiny_model.weights.items()
+    })
+    assert model.score_bound > SHIFT_FREE_BOUND
+    rng = np.random.default_rng(7)
+    base, n = 37, 2 * ATTENTION_BLOCK + 9
+    lo, hi = 20, ATTENTION_BLOCK + 30
+    ids = random_ids(rng, model.config.vocab_size, base + n + 1)
+    ref_logits, ref_attention = reference_forward(model, ids)
+
+    cache = KvCache.empty(model.config)
+    prefill(model, cache, ids[:base])
+    capture = prefill(model, cache, ids[base : base + n], observer_span=(lo, hi))
+    for got, ref in zip(capture.layers, ref_attention):
+        visible = np.arange(base + n)[None, :] <= np.arange(base + lo, base + hi)[:, None]
+        assert np.allclose(got.sum(axis=-1), 1.0, atol=1e-5)
+        assert np.all(got[:, ~visible] == 0.0)
+        assert np.max(np.abs(got - ref[:, base + lo : base + hi, : base + n])) < 1e-4
+    logits, _ = decode_step(model, cache, ids[-1])
+    assert np.max(np.abs(logits - ref_logits[-1])) < 1e-4
+
+    # the shift is what keeps these scores finite: without it exp2 overflows
+    model.score_bound = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        capture = prefill(model, KvCache.empty(model.config), ids[:n], observer_span=(0, n))
+    assert not np.all(np.isfinite(capture.layers[-1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_model_with_a_non_finite_weight_is_built_and_keeps_the_shift(tiny_model, bad):
+    weights = dict(tiny_model.weights)
+    weights["layers.1.q_proj"] = weights["layers.1.q_proj"].copy()
+    weights["layers.1.q_proj"][3, 5] = bad
+    assert Model(tiny_model.config, weights).score_bound == np.inf
 
 
 def test_capture_spans_validated(tiny_model):
