@@ -87,8 +87,7 @@ def compress_snapkv_agnostic(
         window_rows = np.arange(n_cand, n, dtype=np.int64)
         keeps = []
         for layer in capture.layers:
-            scores = layer[:, :, :n_cand].mean(axis=(0, 1))
-            pooled = _max_pool(scores, pool_width)
+            pooled = _max_pool(layer[:n_cand], pool_width)
             chosen = select_top(pooled, r - w_eff)
             keeps.append(np.concatenate([chosen.astype(np.int64), window_rows]))
         return keeps
@@ -124,7 +123,7 @@ def compress_expected_attention(
                 cols = slice(h * dk, (h + 1) * dk)
                 q_h = queries[:, cols]
                 mu = q_h.mean(axis=0)
-                var = q_h.var(axis=0) if m >= 2 else np.zeros(dk)
+                var = q_h.var(axis=0)
                 k_h = k_rot[:, cols]
                 scores += k_h @ mu / np.sqrt(dk) + 0.5 * np.square(k_h) @ var / dk
             keeps.append(select_top(scores / H, r))

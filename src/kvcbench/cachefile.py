@@ -17,22 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from ._binio import read_container, write_container
-from .compress import CacheMeta, CompressedCache
+from .compress import BUDGET_SCHEDULES, CacheMeta, CompressedCache
 from .errors import FormatError, StaleCacheError
 from .modelcore import Model
 
 MAGIC = b"KVCC"
 VERSION = 1
 
-SCHEDULE_CODES = {
-    "proportional": 0,
-    "flat": 1,
-    "oracle": 2,
-    "streaming": 3,
-    "snapkv": 4,
-    "expattn": 5,
-}
-_CODE_SCHEDULES = {v: k for k, v in SCHEDULE_CODES.items()}
+# a schedule's code byte is its index here: append new schedules, never reorder
+SCHEDULE_CODES = (*BUDGET_SCHEDULES, "oracle", "streaming", "snapkv", "expattn")
 
 
 def save_cache(compressed: CompressedCache, path) -> None:
@@ -51,7 +44,7 @@ def save_cache(compressed: CompressedCache, path) -> None:
             meta.n_context,
             meta.k,
             meta.s,
-            SCHEDULE_CODES[meta.schedule],
+            SCHEDULE_CODES.index(meta.schedule),
             n_layers,
             n_kept,
             hidden,
@@ -76,7 +69,7 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
     k = r.u32()
     s = r.u32()
     code = r.u8()
-    if code not in _CODE_SCHEDULES:
+    if code >= len(SCHEDULE_CODES):
         raise FormatError(f"{p}: unknown schedule code {code}")
     n_layers = r.u32()
     n_kept = r.u64()
@@ -101,7 +94,7 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
         n_context=n_context,
         k=k,
         s=s,
-        schedule=_CODE_SCHEDULES[code],
+        schedule=SCHEDULE_CODES[code],
     )
     loaded = CompressedCache(keys, values, kept, meta)
     if model is not None and model.fingerprint != model_fp:

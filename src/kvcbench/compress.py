@@ -3,10 +3,13 @@
 The compressor prefills the context together with a short guidance prompt
 (task description, optionally few-shot examples and the live query),
 captures how the guidance rows attend over context columns, and keeps the
-top-scoring rows per layer. Long contexts are processed in ``s`` segments:
-each iteration prefills [compressed survivors, next segment, guidance],
-re-scores everything visible, and keeps a growing budget, so earlier
-survivors compete with fresh tokens every round. With ``s = 1`` the
+top-scoring rows per layer. A token's score in a layer is the attention
+the guidance rows pay it, averaged over heads and guidance rows; the
+prefill kernel sums that average into one vector per layer as it goes, so
+scoring is a slice of that vector. Long contexts are processed in ``s``
+segments: each iteration prefills [compressed survivors, next segment,
+guidance], re-scores everything visible, and keeps a growing budget, so
+earlier survivors compete with fresh tokens every round. With ``s = 1`` the
 iterative path degenerates to the one-shot oracle. With ``k >= n`` nothing
 is ever dropped and the survivor cache is bit-identical to a plain prefill
 of the context.
@@ -133,11 +136,11 @@ def plan_chunks(n_tokens: int, n_segments: int) -> list[tuple[int, int]]:
 
 
 def score_tokens(capture, n_candidates: int) -> list[np.ndarray]:
-    """Per-layer candidate scores: mean over heads and observer rows of the
-    captured attention mass on the first n_candidates columns."""
+    """Per-layer candidate scores: the captured attention, averaged over
+    heads and observer rows, on the first n_candidates columns."""
     if n_candidates < 1 or n_candidates > capture.total_tokens:
         raise UsageError(f"candidate count {n_candidates} outside capture width")
-    return [layer[:, :, :n_candidates].mean(axis=(0, 1)) for layer in capture.layers]
+    return [layer[:n_candidates] for layer in capture.layers]
 
 
 def select_top(scores: np.ndarray, k: int) -> np.ndarray:

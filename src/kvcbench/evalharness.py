@@ -123,13 +123,13 @@ def question_prompt(text: str, vocab: Vocabulary) -> TokenSequence:
     return tokenize(f"question {text} answer", vocab)
 
 
-def select_fewshot(bundle: CorpusBundle, n: int, seed: int = 0) -> list[Question]:
+def select_fewshot(bundle: CorpusBundle, n: int) -> list[Question]:
     """Deterministically reserve n questions as guidance examples."""
     if n == 0:
         return []
     if n >= len(bundle.questions):
         raise UsageError(f"cannot reserve {n} few-shot examples from {len(bundle.questions)} questions")
-    rng = random.Random((seed << 16) ^ int.from_bytes(bundle.corpus_fingerprint()[:4], "little"))
+    rng = random.Random(int.from_bytes(bundle.corpus_fingerprint()[:4], "little"))
     return rng.sample(bundle.questions, n)
 
 

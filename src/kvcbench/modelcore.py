@@ -33,12 +33,15 @@ Three properties of the design matter to everything downstream:
   ``score_bound``), and kept otherwise. Softmax normalisation is deferred
   to the output: ``exp2(s) @ V`` is divided by the row sums, one GEMV
   against a vector of ones, touching (rows, d_k) values instead of
-  (rows, columns). Captured observer rows are divided in full, so they
-  remain probabilities.
+  (rows, columns).
 
-Attention weights for a designated observer span (guidance tokens) can be
-captured per layer and head during prefill; compression ranks context
-tokens with those rows.
+A prefill can capture how a designated observer span (guidance tokens)
+attends: per layer, one vector over columns holding the mean over heads and
+observer rows of their attention probabilities, which is all compression
+ranks context tokens by. The kernel builds it from the tiles it already
+holds, one GEMV per tile and head that weighs each observer row's ``exp2``
+scores by 1 / (n_heads * n_obs * row sum), so no per-head, per-row
+probability matrix is ever stored.
 """
 
 from __future__ import annotations
@@ -211,10 +214,10 @@ def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
 class AttentionCapture:
     """Per-layer tensors recorded during one prefill.
 
-    ``layers[l]`` holds post-softmax attention of the observer span, shape
-    (n_heads, n_observers, total_tokens) where total_tokens counts all
-    cached plus current tokens after the prefill. Columns a row could not
-    causally see are zero; visible columns sum to 1. Empty list when no
+    ``layers[l]`` holds the observer span's post-softmax attention averaged
+    over heads and observer rows, shape (total_tokens,) where total_tokens
+    counts all cached plus current tokens after the prefill. It sums to 1,
+    and columns past the last observer row are zero. Empty list when no
     observer span was requested.
 
     ``queries[l]`` holds the rotated query rows of the query span, shape
@@ -225,12 +228,8 @@ class AttentionCapture:
     queries: list[np.ndarray] | None = None
 
     @property
-    def n_observers(self) -> int:
-        return self.layers[0].shape[1]
-
-    @property
     def total_tokens(self) -> int:
-        return self.layers[0].shape[2]
+        return self.layers[0].shape[0]
 
 
 @dataclass
@@ -461,7 +460,8 @@ def prefill(model, cache: KvCache, ids, observer_span=None, query_span=None):
 
     New rows are numbered by `_forward`, contiguously after the cache.
     observer_span: optional (start, end) local index range into `ids`; when
-        nonempty, the capture holds those rows' attention at every layer.
+        nonempty, the capture holds those rows' attention at every layer,
+        averaged over heads and rows into one vector over all columns.
     query_span: optional (start, end) local range; when nonempty, the
         capture holds those rows' rotated query vectors at every layer.
 
@@ -491,8 +491,9 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     scaled to base-2 scores against all columns a tile's last row sees, the
     causal mask on the diagonal tile only, the row-max shift only when the
     model's score bound exceeds SHIFT_FREE_BOUND, exp2, row sums as one
-    GEMV, and the softmax divide applied to the (rows, d_k) output and, for
-    captured observer rows, to their full score rows."""
+    GEMV, and the softmax divide applied to the (rows, d_k) output. Captured
+    observer rows add their probabilities, each divided by H * n_obs, into
+    the layer's capture vector with one GEMV per tile and head."""
     cfg = model.config
     S = token_ids.shape[0]
     base = cache.length
@@ -515,7 +516,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     w = model.weights
     x = w["embedding"][token_ids]
     n_obs = obs_hi - obs_lo
-    captures = [np.zeros((H, n_obs, base + S), F32) for _ in range(cfg.n_layers)] if n_obs else []
+    captures = [np.zeros(base + S, F32) for _ in range(cfg.n_layers)] if n_obs else []
     query_rows: list[np.ndarray] = []
 
     for layer in range(cfg.n_layers):
@@ -555,7 +556,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
                     out[r0:r1, cols] = (scores @ v_all[:end, cols]) / rowsum
                 if c0 < c1:
                     obs = slice(c0 - r0, c1 - r0)
-                    captures[layer][h, c0 - obs_lo : c1 - obs_lo, :end] = scores[obs] / rowsum[obs]
+                    captures[layer][:end] += (F32(1 / (H * n_obs)) / rowsum[obs, 0]) @ scores[obs]
 
         if need_out:
             x = x + out @ w[f"layers.{layer}.o_proj"]

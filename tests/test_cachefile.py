@@ -1,6 +1,7 @@
 """KVCC container round trips and structural validation."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,14 @@ def test_oracle_schedule_round_trips(tmp_path):
     path = tmp_path / "o.kvcc"
     save_cache(comp, path)
     assert load_cache(path, model).meta.schedule == "oracle"
+    # every schedule keeps the code byte that KVCC files have always carried
+    old_codes = {"proportional": 0, "flat": 1, "oracle": 2, "streaming": 3, "snapkv": 4, "expattn": 5}
+    assert set(SCHEDULE_CODES) == set(old_codes)
+    for schedule, code in old_codes.items():
+        save_cache(CompressedCache(comp.keys, comp.values, comp.kept_positions,
+                                   replace(comp.meta, schedule=schedule)), path)
+        assert path.read_bytes()[120] == code
+        assert load_cache(path, model).meta.schedule == schedule
 
 
 def test_missing_file(tmp_path):
@@ -122,7 +131,7 @@ def test_bad_version(saved, tmp_path):
 
 def test_unknown_schedule_code(saved, tmp_path):
     _, _, path = saved
-    assert max(SCHEDULE_CODES.values()) < 99
+    assert len(SCHEDULE_CODES) < 99
     bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(120, 99))
     with pytest.raises(FormatError, match="unknown schedule code 99"):
         load_cache(bad)

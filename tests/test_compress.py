@@ -156,18 +156,26 @@ def test_select_top_is_monotone_in_k(values, data):
 
 
 def test_score_tokens_means_and_bounds():
-    layer = np.zeros((2, 3, 5), dtype=np.float32)  # heads, observers, columns
-    layer[:, :, 1] = 0.5
-    layer[0, 0, 2] = 1.0
+    layer = np.arange(5, dtype=np.float32)  # one layer's mean attention per column
     capture = AttentionCapture(layers=[layer])
     scores = score_tokens(capture, 4)
     assert len(scores) == 1 and scores[0].shape == (4,)
-    assert scores[0][1] == pytest.approx(0.5)
-    assert scores[0][2] == pytest.approx(1.0 / 6.0)
+    assert scores[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert len(score_tokens(capture, 5)[0]) == 5
     with pytest.raises(UsageError):
         score_tokens(capture, 6)
     with pytest.raises(UsageError):
         score_tokens(capture, 0)
+
+    # a prefill's scores are the mean over observer rows of one-row scores,
+    # and each one-row score is that row's attention averaged over heads
+    model = make_model(seed=1)
+    ids = random_ids(np.random.default_rng(5), len(VOCAB), 40)
+    spans = [(37, 38), (38, 39), (39, 40)]
+    rows = [score_tokens(prefill(model, KvCache.empty(model.config), ids, observer_span=sp), 30) for sp in spans]
+    scores = score_tokens(prefill(model, KvCache.empty(model.config), ids, observer_span=(37, 40)), 30)
+    for layer, got in enumerate(scores):
+        assert np.max(np.abs(got - np.mean([r[layer] for r in rows], axis=0))) < 1e-6
 
 
 # --- compression behavior ---------------------------------------------------------

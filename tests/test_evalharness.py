@@ -65,7 +65,6 @@ def test_select_fewshot_contract(small_bundle):
     assert picked == select_fewshot(small_bundle, 3)
     assert len({q.qid for q in picked}) == 3
     assert all(q in small_bundle.questions for q in picked)
-    assert select_fewshot(small_bundle, 3, seed=1) != picked
     with pytest.raises(UsageError, match="few-shot"):
         select_fewshot(small_bundle, len(small_bundle.questions))
 

@@ -169,23 +169,35 @@ def test_decode_overflow_at_max_position():
         prefill(model, cache, [4])
 
 
+def assert_capture_is_a_distribution(layer, visible):
+    # the mean of probability rows sums to 1; no row sees a column past `visible`
+    assert abs(float(layer.sum(dtype=np.float64)) - 1.0) < 1e-5
+    assert np.all(layer[visible:] == 0.0)
+
+
 def test_capture_rows_are_causal_and_normalized(tiny_model):
     rng = np.random.default_rng(2)
     base_ids = random_ids(rng, tiny_model.config.vocab_size, 30)
     ids = random_ids(rng, tiny_model.config.vocab_size, 50)
-    cache = KvCache.empty(tiny_model.config)
-    prefill(tiny_model, cache, base_ids)
-    capture = prefill(tiny_model, cache, ids, observer_span=(10, 20))
+    head = KvCache.empty(tiny_model.config)
+    prefill(tiny_model, head, base_ids)
+    capture = prefill(tiny_model, head.fork(), ids, observer_span=(10, 20))
 
     assert len(capture.layers) == tiny_model.config.n_layers
-    assert capture.n_observers == 10
     assert capture.total_tokens == 80
     for layer in capture.layers:
-        assert layer.shape == (tiny_model.config.n_heads, 10, 80)
-        for row in range(10):
-            visible = 30 + 10 + row + 1  # base + local index + self
-            assert np.allclose(layer[:, row, :visible].sum(axis=-1), 1.0, atol=1e-5)
-            assert np.all(layer[:, row, visible:] == 0.0)
+        assert layer.shape == (80,)
+        assert_capture_is_a_distribution(layer, 30 + 20)  # base + the last row's local index + self
+    # one row at a time: each row is normalised and sees only its past, and
+    # the span's capture is the mean of its rows' captures
+    rows = []
+    for row in range(10, 20):
+        one = prefill(tiny_model, head.fork(), ids, observer_span=(row, row + 1))
+        for layer in one.layers:
+            assert_capture_is_a_distribution(layer, 30 + row + 1)
+        rows.append(one.layers)
+    for layer, got in enumerate(capture.layers):
+        assert np.max(np.abs(got - np.mean([r[layer] for r in rows], axis=0))) < 1e-6
 
 
 @pytest.mark.parametrize("head_dim", [16, 32])  # tiny_config's, ttft_reference_config's
@@ -203,16 +215,29 @@ def test_capture_and_logits_match_dense_reference_across_tile_edges(head_dim):
     ids = random_ids(rng, 64, base + n + 1)
     ref_logits, ref_attention = reference_forward(model, ids)
 
-    cache = KvCache.empty(config)
-    prefill(model, cache, ids[:base])
-    capture = prefill(model, cache, ids[base : base + n], observer_span=(lo, hi))
-    for got, ref in zip(capture.layers, ref_attention):
-        rows = ref[:, base + lo : base + hi, : base + n]
-        assert np.max(np.abs(got - rows)) < 1e-5
-        future = np.arange(base + n)[None, :] > np.arange(base + lo, base + hi)[:, None]
-        assert np.all(got[:, future] == 0.0)
+    head = KvCache.empty(config)
+    prefill(model, head, ids[:base])
+    assert_capture_matches_reference(model, head, ids[base : base + n], ref_attention, (lo, hi), 1e-5)
+    cache = head.fork()
+    prefill(model, cache, ids[base : base + n])
     logits, _ = decode_step(model, cache, ids[-1])
     assert np.max(np.abs(logits - ref_logits[-1])) < 1e-4
+
+
+def assert_capture_matches_reference(model, head, ids, ref_attention, span, tol):
+    """Prefill `ids` on forks of `head` and check the capture of `span`, and
+    of one-row spans on both sides of the first layer's first tile edge,
+    against the dense reference: each layer's vector is the reference rows
+    averaged over heads and rows, within `tol`, and a distribution over the
+    columns the last row sees."""
+    base, n = head.length, len(ids)
+    for lo, hi in (span, (ATTENTION_BLOCK - 1, ATTENTION_BLOCK), (ATTENTION_BLOCK, ATTENTION_BLOCK + 1)):
+        capture = prefill(model, head.fork(), ids, observer_span=(lo, hi))
+        for got, ref in zip(capture.layers, ref_attention):
+            assert got.shape == (base + n,)
+            want = ref[:, base + lo : base + hi, : base + n].mean(axis=(0, 1))
+            assert np.max(np.abs(got - want)) < tol
+            assert_capture_is_a_distribution(got, base + hi)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -259,14 +284,11 @@ def test_a_model_past_the_bound_keeps_the_shift(tiny_model):
     ids = random_ids(rng, model.config.vocab_size, base + n + 1)
     ref_logits, ref_attention = reference_forward(model, ids)
 
-    cache = KvCache.empty(model.config)
-    prefill(model, cache, ids[:base])
-    capture = prefill(model, cache, ids[base : base + n], observer_span=(lo, hi))
-    for got, ref in zip(capture.layers, ref_attention):
-        visible = np.arange(base + n)[None, :] <= np.arange(base + lo, base + hi)[:, None]
-        assert np.allclose(got.sum(axis=-1), 1.0, atol=1e-5)
-        assert np.all(got[:, ~visible] == 0.0)
-        assert np.max(np.abs(got - ref[:, base + lo : base + hi, : base + n])) < 1e-4
+    head = KvCache.empty(model.config)
+    prefill(model, head, ids[:base])
+    assert_capture_matches_reference(model, head, ids[base : base + n], ref_attention, (lo, hi), 1e-4)
+    cache = head.fork()
+    prefill(model, cache, ids[base : base + n])
     logits, _ = decode_step(model, cache, ids[-1])
     assert np.max(np.abs(logits - ref_logits[-1])) < 1e-4
 
@@ -634,7 +656,8 @@ def test_diagnostic_attention_peaks_on_matching_ids():
     ids = [4, 5, 6, 7, 8, 9, 5]  # final token repeats id 5 at position 1
     cache = KvCache.empty(config)
     capture = prefill(model, cache, ids, observer_span=(6, 7))
-    row = capture.layers[0][0, 0]
+    row = capture.layers[0]  # one head and one observer row: that row itself
+    assert row.shape == (len(ids),)
     # the two id-5 columns split nearly all the mass between them
     assert row[1] + row[6] > 0.99
     assert np.all(row[[0, 2, 3, 4, 5]] < 1e-4)
@@ -642,6 +665,6 @@ def test_diagnostic_attention_peaks_on_matching_ids():
     cache2 = KvCache.empty(config)
     ids2 = [2, 4, 5, 6, 10]  # leading separator is the sink
     capture2 = prefill(model, cache2, ids2, observer_span=(4, 5))
-    row2 = capture2.layers[0][0, 0]
+    row2 = capture2.layers[0]
     assert row2.argmax() == 4  # self-match dominates
     assert row2[0] > max(row2[1], row2[2], row2[3])  # sink beats non-matches
