@@ -21,7 +21,13 @@ Three properties of the design matter to everything downstream:
   attends over one range of rows. ``prefill`` never produces logits (the
   first answer token comes from ``decode_step``), so its last layer's
   range is just the observer rows, which roughly halves prefill cost on a
-  two-layer model.
+  two-layer model. That layer projects queries only for the observer and
+  query rows. Keys and values are written straight into the cache's
+  buffers, and RMSNorm and GELU work in place, so a pass holds few
+  (tokens, width) arrays at once: a 32,768-token prefill of a one-layer,
+  256-wide model with rotary off peaks at 3.26 such float32 arrays
+  (``tracemalloc``), the cache's keys and values with headroom plus one
+  normed copy.
 * Attention is one blocked kernel. The range is cut into tiles of
   ``ATTENTION_BLOCK`` rows starting at its first row; a tile of rows
   [r0, r1) scores columns [0, base + r1) with queries pre-multiplied by
@@ -178,15 +184,22 @@ class KvCache:
             dst[:d] = src[:d]
         return twin
 
+    def extend(self, layer: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Commit `m` more rows to `layer`, growing its buffers if needed, and
+        return writable (keys, values) views of those rows; the caller fills
+        them before anything reads the layer. ``_forward`` writes its key and
+        value projections straight into them."""
+        n = self._rows[layer]
+        if n + m > self._keys[layer].shape[0]:
+            self._keys[layer] = _grown(self._keys[layer], n, n + m)
+            self._values[layer] = _grown(self._values[layer], n, n + m)
+        self._rows[layer] = n + m
+        return self._keys[layer][n : n + m], self._values[layer][n : n + m]
+
     def append(self, layer: int, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
         """Add rows to `layer`; `positions` are their row indices."""
-        n, m = self._rows[layer], self._rows[layer] + k.shape[0]
-        if m > self._keys[layer].shape[0]:
-            self._keys[layer] = _grown(self._keys[layer], n, m)
-            self._values[layer] = _grown(self._values[layer], n, m)
-        self._keys[layer][n:m] = k
-        self._values[layer][n:m] = v
-        self._rows[layer] = m
+        kb, vb = self.extend(layer, k.shape[0])
+        kb[...], vb[...] = k, v
 
     def rotated_keys(self, layer: int, config: ModelConfig) -> np.ndarray:
         """The keys of `layer` rotated to their positions, rotating only the
@@ -402,14 +415,32 @@ def init_diagnostic_model(config: ModelConfig, vocab: Vocabulary) -> Model:
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + F32(1e-6))
-    return (x * inv * gain).astype(F32, copy=False)
+    """``x * inv * gain`` with ``inv`` the reciprocal root mean square of each
+    row; the squares' buffer becomes the result, so one (rows, d) array is
+    allocated."""
+    out = np.square(x)
+    inv = 1.0 / np.sqrt(np.mean(out, axis=-1, keepdims=True) + F32(1e-6))
+    np.multiply(x, inv, out=out)
+    out *= gain
+    return out
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation; exactness is irrelevant, determinism is not
+    """tanh-approximate GELU, overwriting and returning `x`:
+    ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x)))`` evaluated in
+    that order (float addition and multiplication commute bitwise), with one
+    temporary the size of `x`. Exactness is irrelevant, determinism is not."""
     c = F32(np.sqrt(2.0 / np.pi))
-    return F32(0.5) * x * (F32(1.0) + np.tanh(c * (x + F32(0.044715) * x * x * x)))
+    t = F32(0.044715) * x
+    t *= x
+    t *= x
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    t += F32(1.0)
+    x *= F32(0.5)
+    x *= t
+    return x
 
 
 _ROTARY_TABLES: dict[tuple[int, int, float], tuple[np.ndarray, np.ndarray]] = {}
@@ -484,22 +515,25 @@ def prefill(model, cache: KvCache, ids, observer_span=None, query_span=None):
 def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query_span=None):
     """The layer loop of prefill and decode_step; grows `cache` in place and
     returns (logits or None, capture or None). New rows take the positions
-    after the cache's last one; spans arrive checked. Each layer attends
-    over one row range, all rows when its output feeds on, else (last layer,
-    no logits) the observer rows; it leaves every rotated-key shadow complete.
-    The range runs in ATTENTION_BLOCK-row tiles from its first row: queries
-    scaled to base-2 scores against all columns a tile's last row sees, the
-    causal mask on the diagonal tile only, the row-max shift only when the
-    model's score bound exceeds SHIFT_FREE_BOUND, exp2, row sums as one
-    GEMV, and the softmax divide applied to the (rows, d_k) output. Captured
+    after the cache's last one; spans arrive checked. Each layer projects its
+    keys and values straight into the cache's buffers (``KvCache.extend``)
+    and attends over one row range, all rows when its output feeds on, else
+    (last layer, no logits) the observer rows; it leaves every rotated-key
+    shadow complete. A layer whose output nothing reads also drops the
+    hidden states once normed and projects queries only for the rows that
+    cover the observer and query spans. The range runs in ATTENTION_BLOCK-row
+    tiles from its first row: queries scaled to base-2 scores against all
+    columns a tile's last row sees, the causal mask on the diagonal tile
+    only, the row-max shift only when the model's score bound exceeds
+    SHIFT_FREE_BOUND, exp2, row sums as one GEMV, and the softmax divide
+    applied to the (rows, d_k) output. Captured
     observer rows add their probabilities, each divided by H * n_obs, into
     the layer's capture vector with one GEMV per tile and head."""
     cfg = model.config
     S = token_ids.shape[0]
     base = cache.length
-    positions = np.arange(base, base + S, dtype=np.int64)
-    if positions[-1] >= cfg.max_position:
-        raise PositionOverflowError(f"position {positions[-1]} exceeds max_position {cfg.max_position}")
+    if base + S > cfg.max_position:
+        raise PositionOverflowError(f"position {base + S - 1} exceeds max_position {cfg.max_position}")
     if cfg.rotary_enabled:
         # grow the long-lived rotary table before this pass's temporaries,
         # so that it cannot pin them in the heap once they are freed
@@ -520,21 +554,29 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     query_rows: list[np.ndarray] = []
 
     for layer in range(cfg.n_layers):
+        need_out = logits or layer < cfg.n_layers - 1
         hn = _rmsnorm(x, w[f"layers.{layer}.attn_norm"])
-        q = hn @ w[f"layers.{layer}.q_proj"]
-        k = hn @ w[f"layers.{layer}.k_proj"]
-        v = hn @ w[f"layers.{layer}.v_proj"]
-        cache.append(layer, k, v, positions)
+        if not need_out:
+            x = None
+        k_new, v_new = cache.extend(layer, S)
+        np.matmul(hn, w[f"layers.{layer}.k_proj"], out=k_new)
+        np.matmul(hn, w[f"layers.{layer}.v_proj"], out=v_new)
         k_rot = cache.rotated_keys(layer, cfg)
 
-        need_out = logits or layer < cfg.n_layers - 1
         lo, hi = (0, S) if need_out else (obs_lo, obs_hi)
         if lo == hi and q_lo == q_hi:
             continue
-        q_rot = rotate(q, base, cfg)
+        # queries for rows [a, b) only, which cover both spans; at least
+        # ATTENTION_BLOCK of them, as a product of a few rows can take another
+        # BLAS path (numpy sends one row to gemv) whose sums round differently
+        a = min(s0 for s0, s1 in ((lo, hi), (q_lo, q_hi)) if s1 > s0)
+        b = min(S, max(hi, q_hi, a + ATTENTION_BLOCK))
+        a = max(0, min(a, b - ATTENTION_BLOCK))
+        q = rotate(hn[a:b] @ w[f"layers.{layer}.q_proj"], base + a, cfg)
+        del hn
         if q_hi > q_lo:
-            query_rows.append(q_rot[q_lo:q_hi].copy())
-        q_rot *= scale
+            query_rows.append(q[q_lo - a : q_hi - a].copy())
+        q *= scale
         v_all = cache.values[layer]
         out = np.empty((S, d), F32) if need_out else None
 
@@ -546,7 +588,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             c0, c1 = max(r0, obs_lo), min(r1, obs_hi)
             for h in range(H):
                 cols = slice(h * dk, (h + 1) * dk)
-                scores = q_rot[r0:r1, cols] @ k_rot[:end, cols].T
+                scores = q[r0 - a : r1 - a, cols] @ k_rot[:end, cols].T
                 scores[:, base + r0 :][future] = -np.inf
                 if shift:
                     scores -= scores.max(axis=1, keepdims=True)
@@ -559,9 +601,12 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
                     captures[layer][:end] += (F32(1 / (H * n_obs)) / rowsum[obs, 0]) @ scores[obs]
 
         if need_out:
-            x = x + out @ w[f"layers.{layer}.o_proj"]
-            mn = _rmsnorm(x, w[f"layers.{layer}.mlp_norm"])
-            x = x + _gelu(mn @ w[f"layers.{layer}.mlp_fc1"]) @ w[f"layers.{layer}.mlp_fc2"]
+            x += out @ w[f"layers.{layer}.o_proj"]
+            # free what this layer no longer reads before the MLP's (S, 4d) arrays
+            del q, out
+            up = _rmsnorm(x, w[f"layers.{layer}.mlp_norm"]) @ w[f"layers.{layer}.mlp_fc1"]
+            x += _gelu(up) @ w[f"layers.{layer}.mlp_fc2"]
+            del up
 
     out_logits = _rmsnorm(x, w["final_norm"]) @ w["lm_head"] if logits else None
     capture = AttentionCapture(captures, query_rows if q_hi > q_lo else None)

@@ -2,6 +2,8 @@
 position discipline and layout, capture semantics, and the diagnostic
 construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,11 +36,12 @@ from kvcbench.vocab import SEP, Vocabulary, build_vocabulary
 from conftest import random_ids
 
 
-def reference_forward(model: Model, token_ids) -> tuple[np.ndarray, list[np.ndarray]]:
+def reference_forward(model: Model, token_ids, queries=None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Straight-line float64 forward pass: dense causal attention over the
     whole sequence at once, no cache, no blocking, rotary via complex
     multiplication. Returns logits for every prefix position and, per
-    layer, the (n_heads, n, n) softmax probabilities."""
+    layer, the (n_heads, n, n) softmax probabilities. When `queries` is a
+    list, each layer's rotated (n, hidden_size) queries are appended to it."""
     cfg = model.config
     w = {k: v.astype(np.float64) for k, v in model.weights.items()}
     ids = np.asarray(token_ids)
@@ -72,6 +75,8 @@ def reference_forward(model: Model, token_ids) -> tuple[np.ndarray, list[np.ndar
     for layer in range(cfg.n_layers):
         hn = rmsnorm(x, w[f"layers.{layer}.attn_norm"])
         q = rot(hn @ w[f"layers.{layer}.q_proj"])
+        if queries is not None:
+            queries.append(q)
         k = rot(hn @ w[f"layers.{layer}.k_proj"])
         v = hn @ w[f"layers.{layer}.v_proj"]
         out = np.zeros_like(x)
@@ -331,6 +336,94 @@ def test_query_capture_matches_manual_projection(tiny_model):
     expected = rotate(q.astype(np.float32), 0, tiny_model.config)[4:12]
     assert capture.queries is not None
     assert np.allclose(capture.queries[0], expected, atol=1e-5)
+
+
+@pytest.mark.parametrize("obs_span, q_span", [((20, 40), (130, 140)), ((150, 170), (70, 80)), ((100, 101), None)])
+def test_last_layer_queries_cover_only_the_spans_and_match_the_reference(obs_span, q_span):
+    # the last layer projects queries only for rows covering both spans, and
+    # rotates them from that first row's position: its query capture of a
+    # span mid-sequence, after a cached head, matches float64, and its
+    # captures are bitwise what a projection of every row gives. Width 64,
+    # where numpy computes a one-row product by gemv, which rounds otherwise.
+    config = ModelConfig(n_layers=2, n_heads=2, hidden_size=64, head_dim=32, vocab_size=64, max_position=2048)
+    model = init_random_model(config, seed=6)
+    rng = np.random.default_rng(8)
+    base, n = 50, 200
+    ids = random_ids(rng, 64, base + n)
+    ref_queries = []
+    reference_forward(model, ids, queries=ref_queries)
+
+    head = KvCache.empty(config)
+    prefill(model, head, ids[:base])
+    capture = prefill(model, head.fork(), ids[base:], observer_span=obs_span, query_span=q_span)
+    every_row = prefill(model, head.fork(), ids[base:], observer_span=obs_span, query_span=(0, n))
+    for got, want in zip(capture.layers, every_row.layers):
+        assert np.array_equal(got, want)
+    if q_span is not None:
+        got = capture.queries[-1]
+        assert got.shape == (q_span[1] - q_span[0], config.hidden_size)
+        assert np.max(np.abs(got - ref_queries[-1][base + q_span[0] : base + q_span[1]])) < 1e-5
+        assert np.array_equal(got, every_row.queries[-1][q_span[0] : q_span[1]])
+
+
+def rmsnorm_expression(x, gain):
+    inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(1e-6))
+    return (x * inv * gain).astype(np.float32, copy=False)
+
+
+def gelu_expression(x):
+    c = np.float32(np.sqrt(2.0 / np.pi))
+    return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 257])
+def test_in_place_rmsnorm_and_gelu_equal_the_expression_forms_bitwise(rows):
+    # magnitudes from 1e-3 to 1e15, so that x**3 and the squares overflow
+    rng = np.random.default_rng(rows)
+    d = 96
+    x = (rng.standard_normal((rows, 4 * d)) * 10.0 ** rng.uniform(-3, 15, (rows, 4 * d))).astype(np.float32)
+    gain = rng.uniform(-2, 2, d).astype(np.float32)
+    with np.errstate(over="ignore"):
+        for part in (x[:, :d], x[:, d : 2 * d] * np.float32(1e-12)):
+            got = modelcore._rmsnorm(part, gain)
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), rmsnorm_expression(part, gain).view(np.uint32))
+        want = gelu_expression(x)
+        arg = x.copy()
+        got = modelcore._gelu(arg)
+    assert got is arg
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prefill_holds_few_full_width_arrays():
+    # U is one (S, d) float32 array. A one-layer prefill holds the cache's
+    # keys and values with an eighth of headroom (2.25 U) and one normed copy
+    # (U): the hidden states are dropped, and queries, the score tile and the
+    # capture are small. Full queries and K/V temporaries took 7.25 U.
+    S, d = 1024, 512
+    rng = np.random.default_rng(9)
+    unit = S * d * 4
+    for layers, bound in ((1, 4.0), (2, 13.0)):
+        config = ModelConfig(n_layers=layers, n_heads=4, hidden_size=d, head_dim=d // 4,
+                             vocab_size=64, max_position=2 * S, rotary_enabled=False)
+        model = init_random_model(config, seed=layers)
+        ids = random_ids(rng, 64, S)
+        cache = KvCache.empty(config)
+        peak = traced_peak(lambda: prefill(model, cache, ids, observer_span=(900, 1000), query_span=(1000, S)))
+        # two layers: the first one's MLP holds the cache (2.25 U), the hidden
+        # states (U), the (S, 4d) fc1 output and one GELU temporary of that
+        # size (8 U); a second GELU temporary would take the peak to 15.25 U
+        assert peak < bound * unit, (layers, peak / unit)
+        assert cache.length == S
 
 
 def test_rotate_identity_cases(tiny_config):
