@@ -73,9 +73,15 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
-    def array(self, dtype, count: int) -> np.ndarray:
+    def view(self, dtype, count: int) -> np.ndarray:
+        """The next `count` items as a read-only, possibly unaligned view of
+        the file's bytes, which it keeps alive."""
         dt = np.dtype(dtype)
-        return np.frombuffer(self.data, dt, count, self._advance(dt.itemsize * count)).copy()
+        return np.frombuffer(self.data, dt, count, self._advance(dt.itemsize * count))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        """The next `count` items as an array of their own."""
+        return self.view(dtype, count).copy()
 
     def expect_end(self) -> None:
         if self.off != len(self.data):
@@ -84,22 +90,28 @@ class Reader:
             )
 
 
-def read_container(path, magic: bytes, version: int) -> Reader:
-    """A Reader over container `path`, positioned after its checked frame."""
+def read_container(path, magic: bytes, versions) -> tuple[Reader, int]:
+    """A Reader over container `path`, positioned after its checked frame,
+    and the version it found, one of `versions`."""
     name = magic.decode()
     r = Reader(read_artifact(path, f"{name} container"), path)
     if r.take(4) != magic:
         raise FormatError(f"{path}: not a {name} container")
     found = r.u32()
-    if found != version:
-        raise FormatError(f"{path}: unsupported {name} version {found} (expected {version})")
-    return r
+    if found not in versions:
+        expected = " or ".join(map(str, sorted(versions)))
+        raise FormatError(f"{path}: unsupported {name} version {found} (expected {expected})")
+    return r, found
 
 
 def write_container(path, magic: bytes, version: int, parts) -> None:
-    """Atomically write the frame of `magic` and `version`, then `parts`."""
+    """Atomically write the frame of `magic` and `version`, then each of
+    `parts` (bytes, or C-contiguous arrays written through the buffer
+    protocol) in turn, so no joined copy of the file is ever made."""
     with atomic_write(path, "wb") as fh:
-        fh.write(b"".join([magic, struct.pack("<I", version), *parts]))
+        fh.write(magic + struct.pack("<I", version))
+        for part in parts:
+            fh.write(part)
 
 
 # dataclass field annotation -> the JSON values it accepts; a tuple field

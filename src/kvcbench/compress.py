@@ -16,7 +16,12 @@ of the context.
 
 Survivors are renumbered to contiguous positions after every selection;
 because the cache stores unrotated keys, renumbering is exact rather than
-approximate. The task-agnostic baselines run the same segment walk with
+approximate. A segment's survivors enter the next segment's cache with an
+empty rotated-key shadow, which its prefill fills; the final survivors are
+rotated once, to positions 0..r-1, and the compressed cache keeps those
+rotated keys (``CompressedCache.rotated``, None with rotary off), so a
+cache built from it, and a KVCC v2 file, rotate only the rows a question
+adds. The task-agnostic baselines run the same segment walk with
 their own keep rules; only ``compress_oracle`` stays a separate one-shot
 reference.
 
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StaleCacheError, UsageError
-from .modelcore import ATTENTION_BLOCK, GenerationParams, KvCache, Model, generate_greedy, prefill
+from .modelcore import ATTENTION_BLOCK, GenerationParams, KvCache, Model, generate_greedy, prefill, rotate
 from .vocab import TokenSequence, Vocabulary, fingerprint_ids, tokenize
 
 GUIDANCE_KINDS = ("zs", "fs", "fsq")
@@ -167,19 +172,30 @@ class CacheMeta:
 class CompressedCache:
     """Survivor K/V rows per layer plus the original context position of
     every survivor. Keys are unrotated; assigned positions are the row
-    indices 0..r-1."""
+    indices 0..r-1. ``rotated`` holds each layer's keys rotated to those
+    positions, or None: with rotary off, or when they are not at hand (a
+    KVCC v1 file), and then a cache built from this one rotates them on
+    its first read."""
 
     keys: list[np.ndarray]
     values: list[np.ndarray]
     kept_positions: list[np.ndarray]
     meta: CacheMeta
+    rotated: list[np.ndarray] | None = None
 
     @property
     def n_kept(self) -> int:
         return self.keys[0].shape[0]
 
     def to_kv_cache(self) -> KvCache:
-        return KvCache(self.keys, self.values)
+        return KvCache(self.keys, self.values, self.rotated)
+
+
+def _survivors(config, keys, values, kept, meta: CacheMeta) -> CompressedCache:
+    """The compressed cache of gathered survivor rows, with their keys
+    rotated to positions 0..r-1 when the model rotates keys."""
+    rotated = [rotate(k, 0, config) for k in keys] if config.rotary_enabled else None
+    return CompressedCache(keys, values, kept, meta, rotated)
 
 
 def _context_ids(context) -> np.ndarray:
@@ -231,11 +247,12 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
     attention of the last ``observe`` rows and the rotated queries of the
     last ``sample`` rows, asks ``keep_rows(capture, cache, n_cand, r)`` for
     ``r`` of the ``n_cand`` survivor and segment rows per layer, then
-    gathers them and renumbers them to positions 0..r-1. Rows of ``gids``
-    observe but are never candidates. With a ``prefix`` of ``ctx`` the first
-    segment forks the prefix rows that no observed or sampled row needs and
-    prefills only the rest; a prefix of another model or other ids raises
-    StaleCacheError.
+    gathers them and renumbers them to positions 0..r-1. The result
+    carries the last survivors' keys rotated to those positions. Rows of
+    ``gids`` observe but are never candidates. With a ``prefix`` of ``ctx``
+    the first segment forks the prefix rows that no observed or sampled row
+    needs and prefills only the rest; a prefix of another model or other
+    ids raises StaleCacheError.
     """
     _count_call()
     n = int(ctx.shape[0])
@@ -275,7 +292,7 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
         s=s,
         schedule=schedule,
     )
-    return CompressedCache(keys, values, kept, meta)
+    return _survivors(model.config, keys, values, kept, meta)
 
 
 def compress_iterative(
@@ -336,7 +353,7 @@ def compress_oracle(
         s=1,
         schedule="oracle",
     )
-    return CompressedCache(keys, values, kept, meta)
+    return _survivors(model.config, keys, values, kept, meta)
 
 
 def answer_with_cache(

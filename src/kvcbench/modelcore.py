@@ -10,12 +10,14 @@ Three properties of the design matter to everything downstream:
   so survivors of a compression pass can be gathered, renumbered to
   contiguous positions and re-rotated exactly. Attention reads keys from a
   per-layer rotated shadow that rotates each row once. Every forward pass
-  leaves every layer's shadow complete; only a cache built from gathered
-  rows starts with an empty one, filled on first read. Rows are always
-  rotated in runs of consecutive positions, so ``rotate`` takes the first
-  position and reads one slice of a float32 cos/sin table with a column
-  per (head, pair), cached per (n_heads, head_dim, rotary_base). Every
-  cache buffer carries an eighth of headroom from construction on.
+  leaves every layer's shadow complete, and a compressed cache carries its
+  survivors' rotated keys into the shadow of the caches built from it;
+  only gathered rows given without them start with an empty shadow,
+  filled on first read. Rows are always rotated in runs of consecutive
+  positions, so ``rotate`` takes the first position and reads one slice of
+  a float32 cos/sin table with a column per (head, pair), cached per
+  (n_heads, head_dim, rotary_base). Every cache buffer carries an eighth
+  of headroom from construction on.
 * One layer loop, ``_forward``, serves prefill, capture and decode, and
   numbers new rows itself after the cache's last position. Each layer
   attends over one range of rows. ``prefill`` never produces logits (the
@@ -116,29 +118,34 @@ class GenerationParams:
 class KvCache:
     """Per-layer key/value rows; row i of every layer holds position i.
 
-    Keys are stored unrotated, as KVCC files store them and compressors
-    gather them. ``rotated_keys`` serves them rotated from a per-layer
-    shadow that rotates only the rows added since it was last read; every
-    forward pass reads it, so only a cache built from given rows fills it
-    on first read. With rotary off the keys are their own shadow. Every
-    buffer carries headroom: the constructor copies its n rows into buffers
-    of n + n // 8 rows, shadow included, and outgrowing one reallocates it
-    to ``need + need // 8`` rows, so neither an appended token nor a short
-    question copies the cache. ``keys``, ``values`` and ``positions`` are
-    exact-length views. A cache is owned by exactly one in-flight
-    inference; callers that must not disturb a cache fork it.
+    Keys are stored unrotated, as compressors gather them. ``rotated_keys``
+    serves them rotated from a per-layer shadow that rotates only the rows
+    added since it was last read. The constructor takes each layer's keys
+    rotated to positions 0..r-1 as ``rotated`` when it has them, so the
+    shadow starts at r rows (compressed caches and KVCC v2 files carry all
+    of them, a fork its source's); every forward pass reads the shadow, so
+    only a cache built without them (the segment walk's survivors, a KVCC
+    v1 file) fills it on first read. With rotary off the keys are their
+    own shadow. Every buffer carries headroom: the constructor copies its
+    n rows into buffers of n + n // 8 rows, shadow included, and outgrowing
+    one reallocates it to ``need + need // 8`` rows, so neither an appended
+    token nor a short question copies the cache. ``keys``, ``values`` and
+    ``positions`` are exact-length views. A cache is owned by exactly one
+    in-flight inference; callers that must not disturb a cache fork it.
     """
 
     __slots__ = ("_keys", "_values", "_rows", "_rot", "_done")
 
-    def __init__(self, keys, values):
+    def __init__(self, keys, values, rotated=None):
         self._rows = [k.shape[0] for k in keys]
         self._keys = [np.empty((n + n // 8,) + k.shape[1:], k.dtype) for n, k in zip(self._rows, keys)]
         self._values = [np.empty_like(b, dtype=v.dtype) for b, v in zip(self._keys, values)]
         self._rot = [np.empty_like(b) for b in self._keys]
-        self._done = [0] * len(keys)
+        self._done = [0] * len(keys) if rotated is None else [r.shape[0] for r in rotated]
         for n, k, v, kb, vb in zip(self._rows, keys, values, self._keys, self._values):
             kb[:n], vb[:n] = k, v
+        for r, rb in zip(rotated or (), self._rot):
+            rb[: r.shape[0]] = r
 
     @classmethod
     def empty(cls, config: ModelConfig) -> "KvCache":
@@ -178,11 +185,8 @@ class KvCache:
         context prefill. Like every cache it gets the constructor's
         headroom, so appending up to an eighth of `rows` reallocates nothing."""
         n = self.length if rows is None else rows
-        twin = KvCache([k[:n] for k in self._keys], [v[:n] for v in self._values])
-        twin._done = [min(d, n) for d in self._done]
-        for src, dst, d in zip(self._rot, twin._rot, twin._done):
-            dst[:d] = src[:d]
-        return twin
+        return KvCache([k[:n] for k in self._keys], [v[:n] for v in self._values],
+                       [r[: min(d, n)] for r, d in zip(self._rot, self._done)])
 
     def extend(self, layer: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Commit `m` more rows to `layer`, growing its buffers if needed, and

@@ -183,17 +183,17 @@ def save_index(index: ChunkIndex, path: Path | str) -> None:
     write_container(path, INDEX_MAGIC, INDEX_VERSION, [
         index.vocab_sha,
         struct.pack("<II", index.n_chunks, index.vocab_size),
-        np.ascontiguousarray(index.idf, dtype="<f4").tobytes(),
+        np.ascontiguousarray(index.idf, dtype="<f4"),
         struct.pack("<Q", len(index.indices)),
-        np.ascontiguousarray(index.indptr, dtype="<u8").tobytes(),
-        np.ascontiguousarray(index.indices, dtype="<u4").tobytes(),
-        np.ascontiguousarray(index.data, dtype="<f4").tobytes(),
+        np.ascontiguousarray(index.indptr, dtype="<u8"),
+        np.ascontiguousarray(index.indices, dtype="<u4"),
+        np.ascontiguousarray(index.data, dtype="<f4"),
     ])
 
 
 def load_index(path: Path | str) -> ChunkIndex:
     p = Path(path)
-    r = read_container(p, INDEX_MAGIC, INDEX_VERSION)
+    r, _ = read_container(p, INDEX_MAGIC, {INDEX_VERSION})
     vocab_sha = r.take(32)
     n_chunks = r.u32()
     vocab_size = r.u32()

@@ -26,20 +26,20 @@ def save_weights(model: Model, path) -> None:
     names = tensor_names(model.config)
     parts = [struct.pack("<I", len(names))]
     for name in names:
-        arr = np.ascontiguousarray(model.weights[name], dtype=np.float32)
+        arr = np.ascontiguousarray(model.weights[name], dtype="<f4")
         raw = name.encode()
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
         parts.append(struct.pack("<BB", _DTYPE_F32, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(arr.tobytes())
+        parts.append(arr)
     write_container(path, MAGIC, VERSION, parts)
 
 
 def load_weights(path, config: ModelConfig) -> Model:
     """Read a KVCW container and validate it against the expected tensor set."""
     p = Path(path)
-    r = read_container(p, MAGIC, VERSION)
+    r, _ = read_container(p, MAGIC, {VERSION})
     count = r.u32()
     weights: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -16,7 +16,7 @@ from kvcbench.compress import (
     compress_oracle,
 )
 from kvcbench.errors import FormatError, MissingArtifactError, StaleCacheError
-from kvcbench.modelcore import ModelConfig, init_random_model
+from kvcbench.modelcore import ModelConfig, decode_step, init_random_model, prefill, rotate
 from kvcbench.vocab import build_vocabulary, tokenize
 
 from conftest import random_ids
@@ -27,9 +27,9 @@ VOCAB = build_vocabulary([
 ])
 
 
-def make_compressed(seed=0, k=6, schedule="iterative"):
+def make_compressed(seed=0, k=6, schedule="iterative", rotary=True):
     config = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16,
-                         vocab_size=len(VOCAB), max_position=512)
+                         vocab_size=len(VOCAB), max_position=512, rotary_enabled=rotary)
     model = init_random_model(config, seed)
     rng = np.random.default_rng(seed + 10)
     ctx = random_ids(rng, len(VOCAB), 24)
@@ -62,6 +62,81 @@ def test_round_trip_bit_identical(saved):
     assert m.guidance_fingerprint == comp.meta.guidance_fingerprint
     assert m.corpus_fingerprint == comp.meta.corpus_fingerprint
     assert (m.n_context, m.k, m.s, m.schedule) == (24, 6, 2, "proportional")
+
+
+# the header: frame 8, fingerprints 96, geometry 33; v2 adds the rotated flag
+HEADER_V1 = 137
+
+
+def test_v2_round_trip_keeps_rotated_keys_bitwise(saved):
+    model, comp, path = saved
+    raw = path.read_bytes()
+    assert struct.unpack("<I", raw[4:8]) == (2,) and raw[HEADER_V1] == 1
+    n, d = comp.n_kept, 32
+    assert len(raw) == HEADER_V1 + 1 + 2 * n * (4 + 3 * 4 * d)
+    loaded = load_cache(path, model)
+    for layer in range(2):
+        assert np.array_equal(comp.rotated[layer], rotate(comp.keys[layer], 0, model.config))
+        assert np.array_equal(loaded.rotated[layer], comp.rotated[layer])
+        assert np.array_equal(loaded.keys[layer], comp.keys[layer])
+        assert np.array_equal(loaded.values[layer], comp.values[layer])
+        assert np.array_equal(loaded.kept_positions[layer], comp.kept_positions[layer])
+
+
+def test_rotary_off_cache_writes_no_rotated_payload(tmp_path):
+    model, comp = make_compressed(rotary=False)
+    assert comp.rotated is None
+    path = tmp_path / "plain.kvcc"
+    save_cache(comp, path)
+    raw = path.read_bytes()
+    assert raw[HEADER_V1] == 0
+    assert len(raw) == HEADER_V1 + 1 + 2 * comp.n_kept * (4 + 2 * 4 * 32)
+    loaded = load_cache(path, model)
+    assert loaded.rotated is None
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.keys, comp.keys))
+
+
+def write_v1(comp, path):
+    """`comp` in the version 1 layout: no rotated flag and no rotated rows."""
+    m = comp.meta
+    parts = [b"KVCC", struct.pack("<I", 1), m.model_fingerprint, m.guidance_fingerprint,
+             m.corpus_fingerprint,
+             struct.pack("<QIIBIQI", m.n_context, m.k, m.s, SCHEDULE_CODES.index(m.schedule),
+                         len(comp.keys), comp.n_kept, comp.keys[0].shape[1])]
+    for pos, k, v in zip(comp.kept_positions, comp.keys, comp.values):
+        parts += [pos.astype("<u4").tobytes(), k.astype("<f4").tobytes(), v.astype("<f4").tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
+def test_v1_file_loads_and_answers_like_its_v2_twin(tmp_path):
+    model, comp = make_compressed()
+    write_v1(comp, tmp_path / "v1.kvcc")
+    save_cache(comp, tmp_path / "v2.kvcc")
+    v1, v2 = (load_cache(tmp_path / f"{v}.kvcc", model) for v in ("v1", "v2"))
+    assert v1.rotated is None and v2.rotated is not None
+    assert v1.meta == v2.meta
+    for a, b in zip((*v1.keys, *v1.values, *v1.kept_positions), (*v2.keys, *v2.values, *v2.kept_positions)):
+        assert np.array_equal(a, b)
+    caches = [c.to_kv_cache() for c in (v1, v2)]
+    ids = tokenize("the red fox sat near the barn", VOCAB).ids
+    for cache in caches:
+        prefill(model, cache, ids[:-1])
+    for tok in (ids[-1], 5, 9):
+        logits = [decode_step(model, cache, tok)[0] for cache in caches]
+        assert np.array_equal(logits[0], logits[1])
+
+    raw = bytearray((tmp_path / "v1.kvcc").read_bytes())
+    raw[4:8] = struct.pack("<I", 9)
+    (tmp_path / "v9.kvcc").write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"unsupported KVCC version 9 \(expected 1 or 2\)"):
+        load_cache(tmp_path / "v9.kvcc")
+
+
+def test_unknown_rotated_flag(saved, tmp_path):
+    _, _, path = saved
+    bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(HEADER_V1, 2))
+    with pytest.raises(FormatError, match="rotated flag is 2"):
+        load_cache(bad)
 
 
 def test_save_is_deterministic(tmp_path):

@@ -612,6 +612,35 @@ def test_plain_prefill_leaves_every_shadow_complete(tiny_model, monkeypatch):
     assert sum(rows) == 0
 
 
+@pytest.mark.parametrize("from_disk", [False, True])
+def test_a_question_on_a_compressed_cache_rotates_only_its_rows(small_bundle, small_model, tmp_path,
+                                                                monkeypatch, from_disk):
+    """A rotary model's compressed cache carries its survivors' rotated keys,
+    in memory and through a KVCC file, so a cache built from it has a
+    complete shadow and a question prefilled on it rotates only the
+    question's rows, from position n_kept on."""
+    compressed = compress_iterative(small_model, small_bundle.corpus_tokens(), make_guidance("zs", []),
+                                    small_bundle.vocab, CompressionBudget(320), s=2)
+    if from_disk:
+        save_cache(compressed, tmp_path / "c.kvcc")
+        compressed = load_cache(tmp_path / "c.kvcc", small_model)
+    calls = []
+
+    def counted(mat, start, cfg):
+        if mat.shape[0]:
+            calls.append((start, mat.shape[0]))
+        return rotate(mat, start, cfg)
+
+    monkeypatch.setattr(modelcore, "rotate", counted)
+    cache = compressed.to_kv_cache()
+    assert_shadow_exact(small_model, cache)
+    assert calls == []
+    n = compressed.n_kept
+    prefill(small_model, cache, random_ids(np.random.default_rng(14), small_model.config.vocab_size, 9))
+    assert calls and all(call == (n, 9) for call in calls)
+    assert_shadow_exact(small_model, cache)
+
+
 def test_gathered_caches_decode_like_a_fresh_prefill(tiny_model):
     rng = np.random.default_rng(8)
     ids = np.array(random_ids(rng, 64, 700))
