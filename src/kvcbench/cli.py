@@ -30,13 +30,7 @@ import numpy as np
 
 from ._binio import json_record, read_artifact, writing
 from .cachefile import load_cache, save_cache
-from .compress import (
-    BUDGET_SCHEDULES,
-    GUIDANCE_KINDS,
-    CompressionBudget,
-    answer_with_cache,
-    compress_iterative,
-)
+from .compress import BUDGET_SCHEDULES, CompressionBudget, answer_with_cache
 from .corpusgen import (
     MAX_CONNECTIVITY,
     NAME_STYLES,
@@ -55,6 +49,7 @@ from .errors import (
     UsageError,
 )
 from .evalharness import (
+    COMPRESSED_METHODS,
     METHODS,
     GenerationParams,
     answer_with_context,
@@ -160,16 +155,16 @@ def cmd_corpusgen(args) -> int:
 def cmd_compress(args) -> int:
     bundle = load_bundle(_resolve(args.bundle))
     model = _model(args.weights, args.model_seed, default_eval_config(len(bundle.vocab)))
-    examples = [] if args.mode == "zs" else select_fewshot(bundle, args.examples)
-    if args.mode == "fsq" and not (args.query and args.query.strip()):
-        raise UsageError("--mode fsq requires --query")
-    guidance = make_guidance(args.mode, examples, query=args.query)
-    corpus = bundle.corpus_tokens()
+    kind, build = COMPRESSED_METHODS[args.method]
+    if kind == "fsq" and not (args.query and args.query.strip()):
+        raise UsageError("--method kvc_fsq requires --query")
+    guidance = None
+    if kind:
+        examples = [] if kind == "zs" else select_fewshot(bundle, args.examples)
+        guidance = make_guidance(kind, examples, query=args.query)
     t0 = time.perf_counter()
-    compressed = compress_iterative(
-        model, corpus, guidance, bundle.vocab,
-        CompressionBudget(args.budget, args.schedule), s=args.segments,
-    )
+    compressed = build(model, bundle.corpus_tokens(), guidance, bundle.vocab,
+                       CompressionBudget(args.budget, args.schedule), args.segments, lambda: None)
     dt = time.perf_counter() - t0
     out = _resolve(args.out)
     with writing(out.parent):
@@ -177,7 +172,7 @@ def cmd_compress(args) -> int:
     save_cache(compressed, out)
     n = compressed.meta.n_context
     print(f"compressed {n} -> {compressed.n_kept} rows/layer "
-          f"({n / compressed.n_kept:.1f}x) in {dt:.2f}s ({args.mode}, s={args.segments})")
+          f"({n / compressed.n_kept:.1f}x) in {dt:.2f}s ({args.method}, s={compressed.meta.s})")
     print(f"cache: {out}")
     return 0
 
@@ -432,15 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compress", help="compress a bundle's corpus into a reusable cache")
     p.add_argument("--bundle", required=True, help="bundle directory from corpusgen")
     p.add_argument("--budget", type=int, required=True, help="kept rows per layer (k)")
-    p.add_argument("--mode", choices=GUIDANCE_KINDS, default="fs",
-                   help="guidance strength (default %(default)s)")
+    p.add_argument("--method", choices=COMPRESSED_METHODS, default="kvc_fs",
+                   help="compression method (default %(default)s)")
     p.add_argument("--examples", type=int, default=3,
-                   help="few-shot examples for fs/fsq; ignored by zs (default %(default)s)")
-    p.add_argument("--query", default=None, help="live query text (fsq mode only)")
+                   help="few-shot examples for kvc_fs, kvc_fsq and oracle (default %(default)s)")
+    p.add_argument("--query", default=None, help="live query text (kvc_fsq only)")
     p.add_argument("--segments", type=int, default=2,
-                   help="iterative segment count s (default %(default)s)")
+                   help="iterative segment count s, kvc methods only (default %(default)s)")
     p.add_argument("--schedule", choices=BUDGET_SCHEDULES, default=CompressionBudget.schedule,
-                   help="budget ramp across segments (default %(default)s)")
+                   help="budget ramp across segments, kvc methods only (default %(default)s)")
     p.add_argument("--out", required=True, help="cache file to write (KVCC)")
     _add_model_args(p)
     p.set_defaults(func=cmd_compress)

@@ -281,7 +281,8 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
         kept = [np.concatenate([kept[l], segment])[keeps[l]] for l in range(n_layers)]
         keys = [cache.keys[l][keeps[l]] for l in range(n_layers)]
         values = [cache.values[l][keeps[l]] for l in range(n_layers)]
-        cache = KvCache(keys, values)
+        if end < n:  # the next segment prefills onto the survivors
+            cache = KvCache(keys, values)
 
     meta = CacheMeta(
         model_fingerprint=model.fingerprint,

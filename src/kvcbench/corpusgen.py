@@ -29,7 +29,7 @@ import dataclasses
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ._binio import atomic_write, json_record, read_artifact, writing
@@ -211,9 +211,6 @@ class CorpusBundle:
     chunks: list[ChunkDoc]
     questions: list[Question]
     vocab: Vocabulary
-    people: list[PersonRecord] = field(default_factory=list, repr=False)
-    projects: list[ProjectRecord] = field(default_factory=list, repr=False)
-    memberships: list[MembershipRecord] = field(default_factory=list, repr=False)
 
     def corpus_text(self) -> str:
         return " ".join(doc.text for doc in self.chunks)
@@ -320,11 +317,8 @@ def generate_corpus(spec: CorpusSpec) -> CorpusBundle:
         chunks=chunks,
         questions=[],
         vocab=Vocabulary(),
-        people=people,
-        projects=projects,
-        memberships=memberships,
     )
-    bundle.questions = _generate_questions(rng, bundle)
+    bundle.questions = _generate_questions(rng, bundle, projects, memberships)
 
     corpus_words = bundle.corpus_text().split()
     question_words = [w for q in bundle.questions for w in q.text.split()]
@@ -348,9 +342,11 @@ def _dedupe(values) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _generate_questions(rng: random.Random, bundle: CorpusBundle) -> list[Question]:
+def _generate_questions(
+    rng: random.Random, bundle: CorpusBundle, projects: list[ProjectRecord], memberships: list[MembershipRecord],
+) -> list[Question]:
     spec = bundle.spec
-    by_title = {pr.title: pr for pr in bundle.projects}
+    by_title = {pr.title: pr for pr in projects}
     questions: list[Question] = []
 
     def finish(qid, kind, template_id, text, answers, evidence, entities) -> Question:
@@ -369,7 +365,7 @@ def _generate_questions(rng: random.Random, bundle: CorpusBundle) -> list[Questi
 
     direct_people = rng.sample(range(spec.n_people), spec.questions_per_kind)
     for i, pi in enumerate(direct_people):
-        m = bundle.memberships[pi]
+        m = memberships[pi]
         name = m.person
         evidence = [_chunk_of_kind(bundle, "membership", name)]
         t = i % len(DIRECT_TEMPLATES)
@@ -391,7 +387,7 @@ def _generate_questions(rng: random.Random, bundle: CorpusBundle) -> list[Questi
 
     join_people = rng.sample(range(spec.n_people), spec.questions_per_kind)
     for i, pi in enumerate(join_people):
-        m = bundle.memberships[pi]
+        m = memberships[pi]
         name = m.person
         linked = [by_title[title] for title, _, _ in m.links]
         evidence = [_chunk_of_kind(bundle, "membership", name)]

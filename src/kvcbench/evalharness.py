@@ -7,7 +7,8 @@ JSON line per completed cell so an interrupted run resumes where it
 stopped, and keeps every compressed cache in an in-process registry keyed
 by (method, model, corpus, guidance, budget, segments) so a cache is built
 once and reused across questions. One table names each compressed method's
-guidance kind and offline build.
+guidance kind and offline build, and every compressed cache is built
+through it: the suite's, ``kvc compress``'s and the TTFT sweep's.
 
 The registry also holds one plain prefill of the corpus per (model,
 corpus), the shared prefix. ``full`` cells answer on a fork of it, and
@@ -146,20 +147,22 @@ def make_guidance(kind: str, examples: list[Question], query: str | None = None)
 
 
 def _kvc(model, corpus, guidance, vocab, budget, s, shared):
-    return compress_iterative(model, corpus, guidance, vocab, CompressionBudget(budget), s=s, prefix=shared())
+    return compress_iterative(model, corpus, guidance, vocab, budget, s=s, prefix=shared())
 
 
-# compressed method -> (guidance kind or None, offline build taking
-# (model, corpus, guidance, vocab, budget, s, shared)); shared() returns the
-# suite's one ContextPrefill of the corpus, which the oracle never asks for
+# The only builder of compressed caches: method -> (guidance kind or None,
+# offline build taking (model, corpus, guidance, vocab, budget, s, shared)).
+# budget is a CompressionBudget; the one-segment baselines and the oracle
+# read its k. shared() returns a ContextPrefill of the corpus (the suite's
+# one, or None), which the oracle never asks for.
 COMPRESSED_METHODS = {
     "kvc_zs": ("zs", _kvc),
     "kvc_fs": ("fs", _kvc),
     "kvc_fsq": ("fsq", _kvc),
-    "streaming": (None, lambda m, c, g, v, k, s, p: compress_streaming_llm(m, c, k, prefix=p())),
-    "snapkv": (None, lambda m, c, g, v, k, s, p: compress_snapkv_agnostic(m, c, k, prefix=p())),
-    "expattn": (None, lambda m, c, g, v, k, s, p: compress_expected_attention(m, c, k, prefix=p())),
-    "oracle": ("fs", lambda m, c, g, v, k, s, p: compress_oracle(m, c, g, v, k)),
+    "streaming": (None, lambda m, c, g, v, b, s, p: compress_streaming_llm(m, c, b.k, prefix=p())),
+    "snapkv": (None, lambda m, c, g, v, b, s, p: compress_snapkv_agnostic(m, c, b.k, prefix=p())),
+    "expattn": (None, lambda m, c, g, v, b, s, p: compress_expected_attention(m, c, b.k, prefix=p())),
+    "oracle": ("fs", lambda m, c, g, v, b, s, p: compress_oracle(m, c, g, v, b.k)),
 }
 METHODS = ("full", "rag", *COMPRESSED_METHODS)
 
@@ -380,7 +383,7 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
             gfp = guidance_fingerprint(guidance, vocab).hex() if kind else None
             compressed, compress_s = _claim(
                 registry, (method, model.fingerprint, corpus_fp, gfp, budget, s),
-                lambda: build(model, corpus, guidance, vocab, budget, s, lambda: shared()[0]),
+                lambda: build(model, corpus, guidance, vocab, CompressionBudget(budget), s, lambda: shared()[0]),
             )
             ret = retention(compressed, q.gold_positions) if q.gold_positions else None
             answer, prefill_s, first_s = _timed_answer(model, compressed.to_kv_cache(), prompt, params)
@@ -436,9 +439,9 @@ def measure_ttft(model: Model, bundle: CorpusBundle, question, budget: int, reps
 
     Offline work stays outside the timed region and comes first: the chunk
     index, one assembly of the rag context to count its rows, and the kvc
-    cache, a zero-shot two-segment compress_iterative to `budget` rows whose
-    seconds are logged. Each scenario discards one warm-up repetition and
-    keeps the median and min of `reps` timed ones. Context rows plus
+    cache, the ``kvc_zs`` method with two segments and `budget` rows, whose
+    build seconds are logged. Each scenario discards one warm-up repetition
+    and keeps the median and min of `reps` timed ones. Context rows plus
     question tokens beyond the model's positions yield feasible=False with
     NaN times, not an error.
     """
@@ -455,9 +458,8 @@ def measure_ttft(model: Model, bundle: CorpusBundle, question, budget: int, reps
 
     rag_rows = len(rag_context().ids)
     t0 = time.perf_counter()
-    compressed = compress_iterative(
-        model, corpus, make_guidance("zs", []), bundle.vocab, CompressionBudget(budget), s=2
-    )
+    _, build = COMPRESSED_METHODS["kvc_zs"]
+    compressed = build(model, corpus, make_guidance("zs", []), bundle.vocab, CompressionBudget(budget), 2, lambda: None)
     log.info("budget=%d offline compression excluded from timing: %.3fs", budget, time.perf_counter() - t0)
 
     first_token = GenerationParams(max_new_tokens=1)

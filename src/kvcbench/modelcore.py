@@ -156,10 +156,6 @@ class KvCache:
         )
 
     @property
-    def n_layers(self) -> int:
-        return len(self._keys)
-
-    @property
     def length(self) -> int:
         return self._rows[0]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._binio import atomic_write, read_artifact
+from ._binio import atomic_write
 from .errors import MalformedSequenceError
 
 PAD, BOS, SEP, UNK = 0, 1, 2, 3
@@ -73,10 +73,6 @@ class Vocabulary:
         with atomic_write(path, "wb") as f:
             f.write(data)
         return data
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        return cls.parse(read_artifact(path, "vocabulary file"), path)
 
     @classmethod
     def parse(cls, data: bytes, path) -> "Vocabulary":

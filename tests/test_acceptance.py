@@ -390,7 +390,7 @@ def test_criterion_10_serialization_round_trips(tmp_path, monkeypatch):
                  "--filler", "0", "--chunk-tokens", "80",
                  "--questions-per-kind", "2"]) == 0
     assert main(["compress", "--bundle", "b", "--budget", "32",
-                 "--mode", "zs", "--out", "c.kvcc"]) == 0
+                 "--method", "kvc_zs", "--out", "c.kvcc"]) == 0
     assert main(["ask", "--cache", "c.kvcc", "--bundle", "b",
                  "--question", "anything", "--max-new", "2"]) == 0
     assert main(["ask", "--cache", "gone.kvcc", "--bundle", "b",

@@ -99,7 +99,7 @@ COMMANDS = {
         [*BUNDLE_FILES, "chunks.kvci", *MODEL_FILES],
     ),
     "compress": (
-        lambda d: ["compress", "--bundle", str(d / "bundle"), "--budget", "32", "--mode", "zs",
+        lambda d: ["compress", "--bundle", str(d / "bundle"), "--budget", "32", "--method", "kvc_zs",
                    "--out", str(d / "out.kvcc"), "--weights", str(d / "model.kvcw")],
         [*BUNDLE_FILES, *MODEL_FILES],
     ),

@@ -7,12 +7,13 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kvcbench.evalharness as evalharness
 from kvcbench.cachefile import load_cache
 from kvcbench.cli import TTFT_DEFAULT_SIZES, _exit_code, main
-from kvcbench.corpusgen import BUNDLE_DATA_FILES
+from kvcbench.corpusgen import BUNDLE_DATA_FILES, load_bundle
 from kvcbench.errors import (
     FormatError,
     KvcError,
@@ -22,7 +23,15 @@ from kvcbench.errors import (
     StaleCacheError,
     UsageError,
 )
-from kvcbench.evalharness import RunRecord, default_eval_config, load_records
+from kvcbench.evalharness import (
+    COMPRESSED_METHODS,
+    GenerationParams,
+    RunRecord,
+    default_eval_config,
+    load_records,
+    run_suite,
+    select_fewshot,
+)
 from kvcbench.modelcore import init_random_model
 from kvcbench.retrieval import load_index, save_index
 from kvcbench.weights import save_weights
@@ -78,7 +87,7 @@ def test_corpusgen_rejects_bad_spec(workdir, capsys):
 
 def test_compress_and_ask_round_trip(bundle_dir, workdir, capsys):
     assert main(["compress", "--bundle", "bundle", "--budget", "64",
-                 "--mode", "zs", "--out", "ctx.kvcc"]) == 0
+                 "--method", "kvc_zs", "--out", "ctx.kvcc"]) == 0
     out = capsys.readouterr().out
     assert "compressed 1600 -> 64 rows/layer (25.0x)" in out
     assert (workdir / "ctx.kvcc").exists()
@@ -93,10 +102,51 @@ def test_compress_and_ask_round_trip(bundle_dir, workdir, capsys):
 
 def test_compress_fsq_needs_query(bundle_dir, capsys):
     args = ["compress", "--bundle", "bundle", "--budget", "32",
-            "--mode", "fsq", "--out", "q.kvcc"]
+            "--method", "kvc_fsq", "--out", "q.kvcc"]
     assert main(args) == 2
     assert "requires --query" in capsys.readouterr().err
     assert main(args + ["--query", "who works where"]) == 0
+
+
+@pytest.fixture(scope="module")
+def suite_builds(tmp_path_factory):
+    """The bundle directory, the question asked and every compressed
+    method's cache as run_suite builds it at budget 160, s=2, 3 examples."""
+    root = tmp_path_factory.mktemp("methods")
+    args = list(BUNDLE_ARGS)
+    args[args.index("bundle")] = str(root / "bundle")
+    assert main(args) == 0
+    bundle = load_bundle(root / "bundle")
+    model = init_random_model(default_eval_config(len(bundle.vocab)), seed=0)
+    examples = select_fewshot(bundle, 3)
+    question = next(q for q in bundle.questions if q not in examples)
+    registry = {}
+    records = run_suite(model, bundle, tuple(COMPRESSED_METHODS), (160,), root / "runs.jsonl",
+                        questions=[question], params=GenerationParams(max_new_tokens=2), registry=registry)
+    assert [r.error for r in records] == [""] * len(COMPRESSED_METHODS)
+    built = {key[0]: entry["value"] for key, entry in registry.items() if key[0] in COMPRESSED_METHODS}
+    return root / "bundle", question.text, built
+
+
+@pytest.mark.parametrize("method", list(COMPRESSED_METHODS))
+def test_compress_method_writes_the_suites_cache(suite_builds, tmp_path, capsys, method):
+    bundle, question, built = suite_builds
+    out = tmp_path / f"{method}.kvcc"
+    assert main(["compress", "--bundle", str(bundle), "--budget", "160", "--method", method,
+                 "--query", question, "--out", str(out)]) == 0
+    loaded, expected = load_cache(out), built[method]
+    assert loaded.meta == expected.meta
+    if COMPRESSED_METHODS[method][0] is None:
+        assert loaded.meta.schedule == method
+    for field in ("keys", "values", "kept_positions", "rotated"):
+        got, want = getattr(loaded, field), getattr(expected, field)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    capsys.readouterr()
+    assert main(["ask", "--cache", str(out), "--bundle", str(bundle),
+                 "--question", question, "--max-new", "2"]) == 0
+    assert "answer:" in capsys.readouterr().out
 
 
 def test_ask_error_paths(bundle_dir, workdir, capsys):
@@ -106,7 +156,7 @@ def test_ask_error_paths(bundle_dir, workdir, capsys):
                  "--question", "anything"]) == 3
 
     assert main(["compress", "--bundle", "bundle", "--budget", "32",
-                 "--mode", "zs", "--out", "ok.kvcc"]) == 0
+                 "--method", "kvc_zs", "--out", "ok.kvcc"]) == 0
     # truncated container is structural damage, not a missing artifact
     cache = workdir / "ok.kvcc"
     cache.write_bytes(cache.read_bytes()[:-9])
@@ -117,7 +167,7 @@ def test_ask_error_paths(bundle_dir, workdir, capsys):
 
 def test_ask_refuses_cache_from_other_model(bundle_dir, workdir, capsys):
     assert main(["compress", "--bundle", "bundle", "--budget", "32",
-                 "--mode", "zs", "--model-seed", "0", "--out", "m0.kvcc"]) == 0
+                 "--method", "kvc_zs", "--model-seed", "0", "--out", "m0.kvcc"]) == 0
     assert main(["ask", "--cache", "m0.kvcc", "--bundle", "bundle",
                  "--question", "anything", "--model-seed", "1"]) == 4
     assert "different model" in capsys.readouterr().err
@@ -132,7 +182,7 @@ def test_weights_sidecar_flow(bundle_dir, workdir, capsys):
     # a hand-written sidecar may spell the float rotary_base as an int
     (workdir / "m.kvcw.json").write_text(json.dumps({**good, "rotary_base": 10000}))
 
-    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
+    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
                  "--weights", "m.kvcw", "--out", "w.kvcc"]) == 0
     load_cache(workdir / "w.kvcc", model=model)  # same fingerprint as the model in process
     assert main(["ask", "--cache", "w.kvcc", "--bundle", "bundle",
@@ -142,12 +192,12 @@ def test_weights_sidecar_flow(bundle_dir, workdir, capsys):
                  "--question", "anything"]) == 4
 
     (workdir / "m.kvcw.json").unlink()
-    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
+    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
                  "--weights", "m.kvcw", "--out", "x.kvcc"]) == 3
     damaged = [{**good, "n_layers": 2.0}, {**good, "rotary_enabled": "no"}, {**good, "hidden_size": 30}]
     for sidecar in (json.dumps({"bogus": 1}), "{not json", "[1, 2]", *map(json.dumps, damaged)):
         (workdir / "m.kvcw.json").write_text(sidecar)
-        assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
+        assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
                      "--weights", "m.kvcw", "--out", "x.kvcc"]) == 4
         assert "bad model config" in capsys.readouterr().err
 
@@ -237,7 +287,7 @@ def first_row_with(**changes):
 def test_damaged_bundle_exits_4(bundle_dir, capsys, part, damage):
     path = bundle_dir / part
     path.write_bytes(damage(path.read_bytes()))
-    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
+    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
                  "--out", "x.kvcc"]) == 4
     assert part in capsys.readouterr().err
 
@@ -347,7 +397,7 @@ def test_unwritable_outputs_exit_2(bundle_dir, workdir, capsys):
     assert "afile" in capsys.readouterr().err
 
     (workdir / "adir").mkdir()
-    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--mode", "zs",
+    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
                  "--out", "adir"]) == 2
     assert "adir" in capsys.readouterr().err
     assert not list(workdir.glob(".adir.*"))  # no temporary file left behind

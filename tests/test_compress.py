@@ -267,6 +267,23 @@ def test_flat_schedule_holds_k_rows_after_first_segment():
     assert all(c <= 6 for c in first_half_prop)
 
 
+def test_walk_builds_no_cache_after_its_last_segment(small_bundle, small_model, monkeypatch):
+    """The survivors of a segment become a cache only when a segment
+    follows; the last survivors go straight into the compressed cache."""
+    rows = []
+    init = KvCache.__init__
+
+    def counted(self, keys, values, rotated=None):
+        rows.append(keys[0].shape[0])
+        init(self, keys, values, rotated)
+
+    monkeypatch.setattr(KvCache, "__init__", counted)
+    compressed = compress_iterative(small_model, small_bundle.corpus_tokens(), fs(), small_bundle.vocab,
+                                    CompressionBudget(320), s=2)
+    assert compressed.n_kept == 320
+    assert rows == [0, 160]
+
+
 def test_compress_input_validation():
     model = make_model()
     with pytest.raises(UsageError):

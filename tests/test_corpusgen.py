@@ -133,9 +133,10 @@ def test_similar_variant_is_token_renaming(small_bundle):
     similar = generate_corpus(dataclasses.replace(SMALL_SPEC, name_style="similar"))
     assert similar.spec.name_style == "similar"
 
-    mapping = {
-        d.name: s.name for d, s in zip(small_bundle.people, similar.people)
-    }
+    def names(bundle):
+        return [doc.text.split()[0] for doc in bundle.chunks if doc.kind == "person"]
+
+    mapping = dict(zip(names(small_bundle), names(similar)))
     assert sorted(mapping.values()) == [f"person_{i + 1:02d}" for i in range(6)]
 
     def rename(text):

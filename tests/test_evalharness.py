@@ -12,7 +12,7 @@ import pytest
 
 import kvcbench.compress as compress_mod
 import kvcbench.evalharness as evalharness
-from kvcbench.compress import guidance_fingerprint, plan_chunks
+from kvcbench.compress import CompressionBudget, guidance_fingerprint, plan_chunks
 from kvcbench.errors import FormatError, UsageError
 from kvcbench.evalharness import (
     COMPRESSED_METHODS,
@@ -214,7 +214,7 @@ def test_suite_prefills_the_corpus_once_for_every_build(small_bundle, small_mode
     for (method, _, _, gfp, budget, s), compressed in built:
         build = COMPRESSED_METHODS[method][1]
         alone = build(small_model, small_bundle.corpus_tokens(), guidance.get(gfp),
-                      small_bundle.vocab, budget, s, lambda: None)
+                      small_bundle.vocab, CompressionBudget(budget), s, lambda: None)
         for layer in range(small_model.config.n_layers):
             assert np.array_equal(compressed.kept_positions[layer], alone.kept_positions[layer])
             assert np.array_equal(compressed.keys[layer], alone.keys[layer])

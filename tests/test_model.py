@@ -649,7 +649,7 @@ def test_gathered_caches_decode_like_a_fresh_prefill(tiny_model):
     prefill(tiny_model, fresh, ids[350:])
     # a keep-all rule: the walk gathers every row after the first segment
     walked = _walk(tiny_model, ids, CompressionBudget(700), 2,
-                   lambda capture, cache, n, r: [np.arange(n)] * cache.n_layers, b"", "walk")
+                   lambda capture, cache, n, r: [np.arange(n)] * len(cache.keys), b"", "walk")
     loaded = CompressedCache(fresh.keys, fresh.values, walked.kept_positions, walked.meta)
     caches = [walked.to_kv_cache(), loaded.to_kv_cache(), fresh]
     for tok in (5, 9, 13):

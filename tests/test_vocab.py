@@ -66,7 +66,7 @@ def test_save_load_round_trip(tmp_path):
     vocab = build_vocabulary(["alpha beta gamma", "beta delta"])
     path = tmp_path / "vocab.txt"
     vocab.save(path)
-    loaded = Vocabulary.load(path)
+    loaded = Vocabulary.parse(path.read_bytes(), path)
     assert loaded.id_to_token == vocab.id_to_token
     assert loaded.token_to_id == vocab.token_to_id
 
@@ -75,7 +75,7 @@ def test_load_requires_special_token_prefix(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("alpha\nbeta\n")
     with pytest.raises(MalformedSequenceError):
-        Vocabulary.load(path)
+        Vocabulary.parse(path.read_bytes(), path)
 
 
 def test_fingerprint_is_content_addressed():
