@@ -1,17 +1,22 @@
-"""The one place artifact files are opened. ``read_artifact`` reads every
-artifact whole and turns any OS failure (missing file, a directory, no
-permission) into MissingArtifactError, CLI exit 3; ``writing`` turns one on
-the write side (an output directory that is a file, an output file that is
-a directory, no permission) into UsageError, CLI exit 2. The binary containers
-(KVCC, KVCI, KVCW) share one frame, a 4-byte magic then a u32 version,
-which ``read_container`` checks and ``write_container`` writes. Also here: a
-little-endian reader for container bodies, a typed record reader for the
-JSON formats, and the atomic writer every whole-file save goes through."""
+"""The one place artifact files are opened. ``read_artifact`` reads an
+artifact whole and ``map_artifact`` maps one copy-on-write; both turn any OS
+failure (missing file, a directory, no permission) into
+MissingArtifactError, CLI exit 3. ``writing`` turns one on the write side
+(an output directory that is a file, an output file that is a directory, no
+permission) into UsageError, CLI exit 2. The binary containers (KVCC, KVCI,
+KVCW) share one frame, a 4-byte magic then a u32 version, which
+``read_container`` checks over the mapped file and ``write_container``
+writes. Also here: a little-endian reader for container bodies, a typed
+record reader for the JSON formats, and the atomic writer every whole-file
+save goes through. Saves rename a new file over the old one, so a save
+never changes a mapping of the old file; truncating a mapped file in place
+is unsupported (touching a page past its new end raises SIGBUS)."""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -21,15 +26,34 @@ import numpy as np
 from .errors import FormatError, MissingArtifactError, UsageError
 
 
-def read_artifact(path, what: str) -> bytes:
-    """The whole of artifact file `path`, `what` naming it in errors. A path
-    the OS cannot read, or cannot even name (a NUL byte), raises
+@contextlib.contextmanager
+def _reading(path, what: str):
+    """Run a block that opens artifact `path`, `what` naming it in errors: a
+    path the OS cannot read, or cannot even name (a NUL byte), raises
     MissingArtifactError; its cause is the original exception."""
     try:
-        return Path(path).read_bytes()
+        yield
     except (OSError, ValueError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise MissingArtifactError(f"cannot read {what} {path}: {reason}") from exc
+
+
+def read_artifact(path, what: str) -> bytes:
+    """The whole of artifact file `path`."""
+    with _reading(path, what):
+        return Path(path).read_bytes()
+
+
+def map_artifact(path, what: str):
+    """Artifact file `path` mapped copy-on-write (``mmap.ACCESS_COPY``): a
+    page is read when first touched, and a write lands in a private copy of
+    its page, never in the file. An empty file, which mmap refuses, comes
+    back as empty bytes. No ``MAP_POPULATE``: on a private writable mapping
+    it copies every page up front."""
+    with _reading(path, what), open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
 
 
 @contextlib.contextmanager
@@ -45,10 +69,11 @@ def writing(path):
 
 
 class Reader:
-    """Sequential reader that turns truncation into a FormatError naming the
-    file and offset instead of a silent short read."""
+    """Sequential reader over a container's bytes or mapping that turns
+    truncation into a FormatError naming the file and offset instead of a
+    silent short read."""
 
-    def __init__(self, data: bytes, path):
+    def __init__(self, data, path):
         self.data = data
         self.off = 0
         self.path = path
@@ -73,9 +98,14 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def align(self, n: int) -> None:
+        """Skip to the next multiple of `n` bytes from the start of the file."""
+        self._advance(-self.off % n)
+
     def view(self, dtype, count: int) -> np.ndarray:
-        """The next `count` items as a read-only, possibly unaligned view of
-        the file's bytes, which it keeps alive."""
+        """The next `count` items as a view of the file's bytes, which it
+        keeps alive: writable (copy-on-write) over a mapping, and aligned
+        only where the format aligns them."""
         dt = np.dtype(dtype)
         return np.frombuffer(self.data, dt, count, self._advance(dt.itemsize * count))
 
@@ -91,26 +121,30 @@ class Reader:
 
 
 def read_container(path, magic: bytes, versions) -> tuple[Reader, int]:
-    """A Reader over container `path`, positioned after its checked frame,
-    and the version it found, one of `versions`."""
+    """A Reader over container `path`, mapped, positioned after its checked
+    frame, and the version it found, one of `versions`."""
     name = magic.decode()
-    r = Reader(read_artifact(path, f"{name} container"), path)
+    r = Reader(map_artifact(path, f"{name} container"), path)
     if r.take(4) != magic:
         raise FormatError(f"{path}: not a {name} container")
     found = r.u32()
     if found not in versions:
-        expected = " or ".join(map(str, sorted(versions)))
+        *rest, last = map(str, sorted(versions))
+        expected = f"{', '.join(rest)} or {last}" if rest else last
         raise FormatError(f"{path}: unsupported {name} version {found} (expected {expected})")
     return r, found
 
 
-def write_container(path, magic: bytes, version: int, parts) -> None:
+def write_container(path, magic: bytes, version: int, parts, align: int = 1) -> None:
     """Atomically write the frame of `magic` and `version`, then each of
     `parts` (bytes, or C-contiguous arrays written through the buffer
-    protocol) in turn, so no joined copy of the file is ever made."""
+    protocol) in turn, so no joined copy of the file is ever made. Zero
+    bytes pad the file so that each array starts at a multiple of `align`."""
     with atomic_write(path, "wb") as fh:
         fh.write(magic + struct.pack("<I", version))
         for part in parts:
+            if isinstance(part, np.ndarray):
+                fh.write(bytes(-fh.tell() % align))
             fh.write(part)
 
 

@@ -1,17 +1,30 @@
-"""Binary container for compressed caches.
+"""Binary container for compressed caches, laid out so a cache can run
+from the mapped file.
 
-Layout of version 2 (little-endian): magic ``KVCC``, version u32, then the
+Layout of version 3 (little-endian): magic ``KVCC``, version u32, then the
 three 32-byte fingerprints (model, guidance, corpus), n_context u64, k u32,
-s u32, schedule code u8, n_layers u32, n_kept u64, hidden u32, a rotated
-flag u8, and per layer the kept original positions as u32 followed by the
-K and V rows as row-major f32 and, when the flag is 1, the K rows rotated
-to positions 0..n_kept-1 (``CompressedCache.rotated``, which a rotary
-model's compression carries, so its file is half as large again) as
-row-major f32. Version 1 lacks the flag and the rotated rows, and still
-loads, with ``rotated`` None. Loading validates structure always and
-fingerprint compatibility when a model is supplied, so a cache can never
-be silently replayed against the wrong model. A loaded cache's float rows
-are read-only views of the file's bytes, which ``to_kv_cache`` copies once.
+s u32, schedule code u8, n_layers u32, n_kept u64, hidden u32 and a rotated
+flag u8. Then per layer the kept original positions as u32, the K rows and
+the V rows as row-major f32 and, when the flag is 1, the K rows rotated to
+positions 0..n_kept-1 (``CompressedCache.rotated``, which a rotary model's
+compression carries) as row-major f32. Every array starts at a multiple of
+``ALIGN`` bytes from the start of the file, after zero padding, and each
+float array is followed by n_kept // 8 zero rows, the headroom ``KvCache``
+gives a cache it builds. Version 2 has neither padding nor headroom, and
+version 1 also lacks the flag and the rotated rows; both still load, a v1
+file with ``rotated`` None.
+
+Loading validates structure always and fingerprint compatibility when a
+model is supplied, so a cache can never be silently replayed against the
+wrong model. The file is mapped copy-on-write, never read whole: a loaded
+cache's float rows are read-only views of its first n_kept rows of each
+array. The first ``to_kv_cache`` of a loaded v3 cache takes over the mapped
+arrays, headroom included, so a question's rows and decoded tokens land in
+private copies of the pages they touch and no cached row is copied; later
+calls, and v1 and v2 files, copy the rows. A save renames a new file over
+the path, so it never changes a cache loaded from the old one. Truncating a
+KVCC file in place while a process answers from it is unsupported: touching
+a page past the new end raises SIGBUS.
 """
 
 from __future__ import annotations
@@ -27,9 +40,11 @@ from .errors import FormatError, StaleCacheError
 from .modelcore import Model
 
 MAGIC = b"KVCC"
-VERSION = 2
+VERSION = 3
 # the versions load_cache reads
-VERSIONS = (1, 2)
+VERSIONS = (1, 2, 3)
+# version 3 starts every array at a multiple of this many bytes
+ALIGN = 64
 
 # a schedule's code byte is its index here: append new schedules, never reorder
 SCHEDULE_CODES = (*BUDGET_SCHEDULES, "oracle", "streaming", "snapkv", "expattn")
@@ -59,17 +74,16 @@ def save_cache(compressed: CompressedCache, path) -> None:
             rotated is not None,
         ),
     ]
+    room = bytes(n_kept // 8 * hidden * 4)
     for layer in range(n_layers):
         parts.append(np.ascontiguousarray(compressed.kept_positions[layer], dtype="<u4"))
-        parts.append(np.ascontiguousarray(compressed.keys[layer], dtype="<f4"))
-        parts.append(np.ascontiguousarray(compressed.values[layer], dtype="<f4"))
-        if rotated is not None:
-            parts.append(np.ascontiguousarray(rotated[layer], dtype="<f4"))
-    write_container(path, MAGIC, VERSION, parts)
+        for rows in (compressed.keys, compressed.values, rotated)[: 2 + (rotated is not None)]:
+            parts += [np.ascontiguousarray(rows[layer], dtype="<f4"), room]
+    write_container(path, MAGIC, VERSION, parts, ALIGN)
 
 
 def load_cache(path, model: Model | None = None) -> CompressedCache:
-    """Read a KVCC container of either version. When `model` is given, a
+    """Map a KVCC container of any version. When `model` is given, a
     fingerprint mismatch raises StaleCacheError; structural damage raises
     FormatError."""
     p = Path(path)
@@ -92,14 +106,22 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
     if flag > 1:
         raise FormatError(f"{p}: rotated flag is {flag}, expected 0 or 1")
 
+    # v3: each array aligned, each float array with its headroom rows
+    align, room = (ALIGN, n_kept // 8) if version >= 3 else (1, 0)
     keys, values, kept, rotated = [], [], [], []
+    buffers = ([], [], [])
     for _ in range(n_layers):
-        pos = r.array("<u4", n_kept).astype(np.int64)
+        r.align(align)
+        pos = r.view("<u4", n_kept).astype(np.int64)
         if n_kept and (np.any(np.diff(pos) <= 0) or pos[-1] >= n_context):
             raise FormatError(f"{p}: kept positions not strictly increasing within context")
         kept.append(pos)
-        for rows in (keys, values, rotated)[: 2 + flag]:
-            rows.append(r.view("<f4", n_kept * hidden).reshape(n_kept, hidden))
+        for rows, bufs in zip((keys, values, rotated)[: 2 + flag], buffers):
+            r.align(align)
+            buf = r.view("<f4", (n_kept + room) * hidden).reshape(n_kept + room, hidden)
+            rows.append(buf[:n_kept])
+            rows[-1].flags.writeable = False
+            bufs.append(buf)
     r.expect_end()
 
     meta = CacheMeta(
@@ -112,6 +134,8 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
         schedule=SCHEDULE_CODES[code],
     )
     loaded = CompressedCache(keys, values, kept, meta, rotated if flag else None)
+    if version >= 3:
+        loaded._mapped = (buffers[0], buffers[1], buffers[2] if flag else None)
     if model is not None and model.fingerprint != model_fp:
         raise StaleCacheError(f"{p}: cache was built by a different model than the one supplied")
     return loaded

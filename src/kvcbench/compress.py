@@ -39,7 +39,7 @@ prefix, so the result is bitwise the same.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,12 +182,21 @@ class CompressedCache:
     kept_positions: list[np.ndarray]
     meta: CacheMeta
     rotated: list[np.ndarray] | None = None
+    # a loaded KVCC v3 file's (keys, values, rotated) arrays, headroom rows
+    # included, for the first to_kv_cache to take over; never copied by
+    # dataclasses.replace
+    _mapped: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_kept(self) -> int:
         return self.keys[0].shape[0]
 
     def to_kv_cache(self) -> KvCache:
+        """A cache of these rows to answer on. The first call on a loaded
+        KVCC v3 cache runs on the mapped file's arrays; any other copies."""
+        mapped, self._mapped = self._mapped, None
+        if mapped is not None:
+            return KvCache.adopt(self.n_kept, *mapped)
         return KvCache(self.keys, self.values, self.rotated)
 
 

@@ -17,7 +17,8 @@ Three properties of the design matter to everything downstream:
   positions, so ``rotate`` takes the first position and reads one slice of
   a float32 cos/sin table with a column per (head, pair), cached per
   (n_heads, head_dim, rotary_base). Every cache buffer carries an eighth
-  of headroom from construction on.
+  of headroom from construction on, and a cache answering from a mapped
+  KVCC file runs on the file's arrays, which carry that headroom too.
 * One layer loop, ``_forward``, serves prefill, capture and decode, and
   numbers new rows itself after the cache's last position. Each layer
   attends over one range of rows. ``prefill`` never produces logits (the
@@ -122,16 +123,21 @@ class KvCache:
     serves them rotated from a per-layer shadow that rotates only the rows
     added since it was last read. The constructor takes each layer's keys
     rotated to positions 0..r-1 as ``rotated`` when it has them, so the
-    shadow starts at r rows (compressed caches and KVCC v2 files carry all
-    of them, a fork its source's); every forward pass reads the shadow, so
-    only a cache built without them (the segment walk's survivors, a KVCC
-    v1 file) fills it on first read. With rotary off the keys are their
-    own shadow. Every buffer carries headroom: the constructor copies its
-    n rows into buffers of n + n // 8 rows, shadow included, and outgrowing
-    one reallocates it to ``need + need // 8`` rows, so neither an appended
-    token nor a short question copies the cache. ``keys``, ``values`` and
-    ``positions`` are exact-length views. A cache is owned by exactly one
-    in-flight inference; callers that must not disturb a cache fork it.
+    shadow starts at r rows (compressed caches and KVCC files from v2 on
+    carry all of them, a fork its source's); every forward pass reads the
+    shadow, so only a cache built without them (the segment walk's
+    survivors, a KVCC v1 file) fills it on first read. With rotary off the
+    keys are their own shadow. Every buffer carries headroom: the
+    constructor copies its n rows into buffers of n + n // 8 rows, shadow
+    included, and outgrowing one reallocates it to ``need + need // 8``
+    rows, so neither an appended token nor a short question copies the
+    cache. ``adopt`` instead takes
+    over buffers that already have their headroom, a mapped KVCC v3 file's.
+    A cache writes no row below the rows it was built with: appends and
+    shadow writes start after them, so adopted rows never change.
+    ``keys``, ``values`` and ``positions`` are exact-length views. A cache
+    is owned by exactly one in-flight inference; callers that must not
+    disturb a cache fork it.
     """
 
     __slots__ = ("_keys", "_values", "_rows", "_rot", "_done")
@@ -146,6 +152,19 @@ class KvCache:
             kb[:n], vb[:n] = k, v
         for r, rb in zip(rotated or (), self._rot):
             rb[: r.shape[0]] = r
+
+    @classmethod
+    def adopt(cls, n: int, keys, values, rotated=None) -> "KvCache":
+        """A cache of the first `n` rows of each layer's `keys` and `values`
+        buffers, and of `rotated`, the keys rotated to positions 0..n-1 (None
+        to rotate them on first read), that takes the buffers over instead
+        of copying them; their rows past `n` are its headroom."""
+        cache = cls.__new__(cls)
+        cache._rows = [n] * len(keys)
+        cache._keys, cache._values = list(keys), list(values)
+        cache._rot = [np.empty_like(b) for b in keys] if rotated is None else list(rotated)
+        cache._done = [0 if rotated is None else n] * len(keys)
+        return cache
 
     @classmethod
     def empty(cls, config: ModelConfig) -> "KvCache":
@@ -417,9 +436,11 @@ def init_diagnostic_model(config: ModelConfig, vocab: Vocabulary) -> Model:
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """``x * inv * gain`` with ``inv`` the reciprocal root mean square of each
     row; the squares' buffer becomes the result, so one (rows, d) array is
-    allocated."""
+    allocated. The mean is a sum divided by d, bitwise what ``np.mean``
+    gives for float32 rows, without its overhead."""
     out = np.square(x)
-    inv = 1.0 / np.sqrt(np.mean(out, axis=-1, keepdims=True) + F32(1e-6))
+    mean = np.add.reduce(out, axis=-1, keepdims=True) / x.shape[-1]
+    inv = 1.0 / np.sqrt(mean + F32(1e-6))
     np.multiply(x, inv, out=out)
     out *= gain
     return out
@@ -577,7 +598,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         if q_hi > q_lo:
             query_rows.append(q[q_lo - a : q_hi - a].copy())
         q *= scale
-        v_all = cache.values[layer]
+        v_all = cache._values[layer]  # tiles read its rows [0, end)
         out = np.empty((S, d), F32) if need_out else None
 
         for r0 in range(lo, hi, ATTENTION_BLOCK):
@@ -589,7 +610,8 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             for h in range(H):
                 cols = slice(h * dk, (h + 1) * dk)
                 scores = q[r0 - a : r1 - a, cols] @ k_rot[:end, cols].T
-                scores[:, base + r0 :][future] = -np.inf
+                if r1 > r0 + 1:  # a one-row tile has no future column
+                    scores[:, base + r0 :][future] = -np.inf
                 if shift:
                     scores -= scores.max(axis=1, keepdims=True)
                 np.exp2(scores, out=scores)

@@ -68,12 +68,23 @@ def test_round_trip_bit_identical(saved):
 HEADER_V1 = 137
 
 
-def test_v2_round_trip_keeps_rotated_keys_bitwise(saved):
+def v3_size(n, d, arrays, layers=2):
+    """The size of a v3 file: after the header, per layer the positions and
+    `arrays` float arrays of n + n // 8 rows, each at a multiple of 64."""
+    size = HEADER_V1 + 1
+    for _ in range(layers):
+        size = -(-size // 64) * 64 + 4 * n
+        for _ in range(arrays):
+            size = -(-size // 64) * 64 + (n + n // 8) * 4 * d
+    return size
+
+
+def test_v3_round_trip_keeps_rotated_keys_bitwise(saved):
     model, comp, path = saved
     raw = path.read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (2,) and raw[HEADER_V1] == 1
+    assert struct.unpack("<I", raw[4:8]) == (3,) and raw[HEADER_V1] == 1
     n, d = comp.n_kept, 32
-    assert len(raw) == HEADER_V1 + 1 + 2 * n * (4 + 3 * 4 * d)
+    assert len(raw) == v3_size(n, d, 3)
     loaded = load_cache(path, model)
     for layer in range(2):
         assert np.array_equal(comp.rotated[layer], rotate(comp.keys[layer], 0, model.config))
@@ -90,28 +101,76 @@ def test_rotary_off_cache_writes_no_rotated_payload(tmp_path):
     save_cache(comp, path)
     raw = path.read_bytes()
     assert raw[HEADER_V1] == 0
-    assert len(raw) == HEADER_V1 + 1 + 2 * comp.n_kept * (4 + 2 * 4 * 32)
+    assert len(raw) == v3_size(comp.n_kept, 32, 2)
     loaded = load_cache(path, model)
     assert loaded.rotated is None
     assert all(np.array_equal(a, b) for a, b in zip(loaded.keys, comp.keys))
+    assert_answers_alike(model, [comp.to_kv_cache(), loaded.to_kv_cache()])
 
 
-def write_v1(comp, path):
-    """`comp` in the version 1 layout: no rotated flag and no rotated rows."""
+def test_v3_layout_aligns_every_array_and_adds_headroom_rows(tmp_path):
+    """16 kept rows of width 32: the header ends at byte 138 and each layer
+    holds 64 bytes of positions and three arrays of 16 + 2 rows of 128
+    bytes, each starting at a multiple of 64 bytes, with the last two rows
+    zero."""
+    model, comp = make_compressed(k=16)
+    assert comp.n_kept == 16
+    path = tmp_path / "c.kvcc"
+    save_cache(comp, path)
+    raw = path.read_bytes()
+    assert len(raw) == v3_size(16, 32, 3) == 192 + 2 * (64 + 3 * 18 * 128)
+    for layer in range(2):
+        start = 192 + layer * (64 + 3 * 18 * 128)
+        assert np.array_equal(np.frombuffer(raw, "<u4", 16, start), comp.kept_positions[layer])
+        for i, rows in enumerate((comp.keys, comp.values, comp.rotated)):
+            at = start + 64 + i * 18 * 128
+            assert np.array_equal(np.frombuffer(raw, "<f4", 16 * 32, at), rows[layer].ravel())
+            assert not any(raw[at + 16 * 128 : at + 18 * 128])
+    loaded = load_cache(path, model)
+    assert all(a.ctypes.data % 64 == 0 for a in (*loaded.keys, *loaded.values, *loaded.rotated))
+
+
+def test_empty_file_is_damage(tmp_path):
+    (tmp_path / "empty.kvcc").write_bytes(b"")
+    with pytest.raises(FormatError, match="unexpected end of container at byte 0"):
+        load_cache(tmp_path / "empty.kvcc")
+
+
+def assert_answers_alike(model, caches, steps=20):
+    """Prefill one question on each cache, then decode `steps` tokens on
+    them in turn, feeding each step's argmax of the first cache to all;
+    every logit vector must be bitwise the first cache's."""
+    ids = tokenize("the red fox sat near the barn", VOCAB).ids
+    for cache in caches:
+        prefill(model, cache, ids[:-1])
+    tok = ids[-1]
+    for _ in range(steps):
+        logits = [decode_step(model, cache, tok)[0] for cache in caches]
+        assert all(np.array_equal(got, logits[0]) for got in logits[1:])
+        tok = int(np.argmax(logits[0]))
+
+def write_old(comp, path, version):
+    """`comp` in the version 1 or 2 layout: packed arrays with no headroom
+    rows, and in version 1 no rotated flag and no rotated rows."""
     m = comp.meta
-    parts = [b"KVCC", struct.pack("<I", 1), m.model_fingerprint, m.guidance_fingerprint,
+    geometry = [m.n_context, m.k, m.s, SCHEDULE_CODES.index(m.schedule),
+                len(comp.keys), comp.n_kept, comp.keys[0].shape[1]]
+    parts = [b"KVCC", struct.pack("<I", version), m.model_fingerprint, m.guidance_fingerprint,
              m.corpus_fingerprint,
-             struct.pack("<QIIBIQI", m.n_context, m.k, m.s, SCHEDULE_CODES.index(m.schedule),
-                         len(comp.keys), comp.n_kept, comp.keys[0].shape[1])]
-    for pos, k, v in zip(comp.kept_positions, comp.keys, comp.values):
+             struct.pack("<QIIBIQI", *geometry) if version == 1 else
+             struct.pack("<QIIBIQIB", *geometry, comp.rotated is not None)]
+    rotated = comp.rotated if version == 2 and comp.rotated is not None else [None] * len(comp.keys)
+    for pos, k, v, rot in zip(comp.kept_positions, comp.keys, comp.values, rotated):
         parts += [pos.astype("<u4").tobytes(), k.astype("<f4").tobytes(), v.astype("<f4").tobytes()]
+        if rot is not None:
+            parts.append(rot.astype("<f4").tobytes())
     path.write_bytes(b"".join(parts))
 
 
 def test_v1_file_loads_and_answers_like_its_v2_twin(tmp_path):
     model, comp = make_compressed()
-    write_v1(comp, tmp_path / "v1.kvcc")
-    save_cache(comp, tmp_path / "v2.kvcc")
+    for v in (1, 2):
+        write_old(comp, tmp_path / f"v{v}.kvcc", v)
     v1, v2 = (load_cache(tmp_path / f"{v}.kvcc", model) for v in ("v1", "v2"))
     assert v1.rotated is None and v2.rotated is not None
     assert v1.meta == v2.meta
@@ -128,8 +187,58 @@ def test_v1_file_loads_and_answers_like_its_v2_twin(tmp_path):
     raw = bytearray((tmp_path / "v1.kvcc").read_bytes())
     raw[4:8] = struct.pack("<I", 9)
     (tmp_path / "v9.kvcc").write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"unsupported KVCC version 9 \(expected 1 or 2\)"):
+    with pytest.raises(FormatError, match=r"unsupported KVCC version 9 \(expected 1, 2 or 3\)"):
         load_cache(tmp_path / "v9.kvcc")
+
+
+@pytest.mark.parametrize("rotary", [True, False])
+def test_v2_file_loads_and_answers_like_its_v3_twin(tmp_path, rotary):
+    model, comp = make_compressed(k=16, rotary=rotary)
+    write_old(comp, tmp_path / "v2.kvcc", 2)
+    save_cache(comp, tmp_path / "v3.kvcc")
+    v2, v3 = (load_cache(tmp_path / f"{v}.kvcc", model) for v in ("v2", "v3"))
+    assert v2.meta == v3.meta and (v2.rotated is None) == (v3.rotated is None) == (not rotary)
+    for a, b in zip((*v2.keys, *v2.values, *v2.kept_positions, *(v2.rotated or ())),
+                    (*v3.keys, *v3.values, *v3.kept_positions, *(v3.rotated or ()))):
+        assert np.array_equal(a, b)
+    assert_answers_alike(model, [comp.to_kv_cache(), v2.to_kv_cache(), v3.to_kv_cache()])
+
+
+def test_first_kv_cache_of_a_loaded_cache_runs_on_the_mapping(tmp_path):
+    """The first to_kv_cache of a loaded v3 cache shares the loaded arrays'
+    memory, a second one does not, and both answer bitwise like the cache
+    the compressor returned while the loaded rows stay as they were."""
+    model, comp = make_compressed(k=16)
+    path = tmp_path / "c.kvcc"
+    save_cache(comp, path)
+    loaded = load_cache(path, model)
+    first, second = loaded.to_kv_cache(), loaded.to_kv_cache()
+    cfg = model.config
+    for layer in range(2):
+        for rows, mapped, copied in (
+            (loaded.keys[layer], first.keys[layer], second.keys[layer]),
+            (loaded.values[layer], first.values[layer], second.values[layer]),
+            (loaded.rotated[layer], first.rotated_keys(layer, cfg), second.rotated_keys(layer, cfg)),
+        ):
+            assert not rows.flags.writeable
+            assert np.shares_memory(rows, mapped) and not np.shares_memory(rows, copied)
+    assert_answers_alike(model, [comp.to_kv_cache(), first, second])
+    for got, want in zip((*loaded.keys, *loaded.values, *loaded.rotated),
+                         (*comp.keys, *comp.values, *comp.rotated)):
+        assert np.array_equal(got, want)
+    assert all(np.shares_memory(a, b) for a, b in zip(replace(loaded).keys, loaded.keys))
+    assert replace(loaded)._mapped is None
+
+
+def test_saving_over_a_loaded_path_leaves_its_answer_alone(tmp_path):
+    model, comp = make_compressed(k=16)
+    _, other = make_compressed(seed=3, k=16)
+    path = tmp_path / "c.kvcc"
+    save_cache(comp, path)
+    loaded = load_cache(path, model)
+    save_cache(other, path)
+    assert_answers_alike(model, [comp.to_kv_cache(), loaded.to_kv_cache()])
+    assert not np.array_equal(load_cache(path).keys[0], comp.keys[0])
 
 
 def test_unknown_rotated_flag(saved, tmp_path):

@@ -165,6 +165,14 @@ def test_ask_error_paths(bundle_dir, workdir, capsys):
     capsys.readouterr()
 
 
+def test_ask_on_an_empty_cache_exits_4(bundle_dir, workdir, capsys):
+    """mmap refuses an empty file; an empty KVCC is damage, not unreadable."""
+    (workdir / "empty.kvcc").write_bytes(b"")
+    assert main(["ask", "--cache", "empty.kvcc", "--bundle", "bundle",
+                 "--question", "anything"]) == 4
+    assert "unexpected end of container at byte 0" in capsys.readouterr().err
+
+
 def test_ask_refuses_cache_from_other_model(bundle_dir, workdir, capsys):
     assert main(["compress", "--bundle", "bundle", "--budget", "32",
                  "--method", "kvc_zs", "--model-seed", "0", "--out", "m0.kvcc"]) == 0

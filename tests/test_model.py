@@ -376,6 +376,17 @@ def gelu_expression(x):
     return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))
 
 
+@pytest.mark.parametrize("rows", [1, 5, 4096])
+@pytest.mark.parametrize("width", [3, 32, 48, 256, 1000])
+def test_rmsnorm_mean_equals_np_mean_bitwise(rows, width):
+    """_rmsnorm's mean, a sum divided by the width, is bitwise np.mean."""
+    rng = np.random.default_rng(rows * width)
+    x = (rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-3, 4, (rows, 1))).astype(np.float32)
+    gain = rng.uniform(0.5, 2.0, width).astype(np.float32)
+    got = modelcore._rmsnorm(x, gain)
+    assert np.array_equal(got.view(np.uint32), rmsnorm_expression(x, gain).view(np.uint32))
+
+
 @pytest.mark.parametrize("rows", [1, 3, 257])
 def test_in_place_rmsnorm_and_gelu_equal_the_expression_forms_bitwise(rows):
     # magnitudes from 1e-3 to 1e15, so that x**3 and the squares overflow
@@ -412,17 +423,22 @@ def test_prefill_holds_few_full_width_arrays():
     S, d = 1024, 512
     rng = np.random.default_rng(9)
     unit = S * d * 4
-    for layers, bound in ((1, 4.0), (2, 13.0)):
+    for layers, rotary, bound in ((1, False, 4.0), (2, False, 13.0), (1, True, 5.5)):
         config = ModelConfig(n_layers=layers, n_heads=4, hidden_size=d, head_dim=d // 4,
-                             vocab_size=64, max_position=2 * S, rotary_enabled=False)
+                             vocab_size=64, max_position=2 * S, rotary_enabled=rotary)
         model = init_random_model(config, seed=layers)
         ids = random_ids(rng, 64, S)
         cache = KvCache.empty(config)
+        if rotary:
+            # the long-lived cos/sin table (1.125 U here) is not the pass's
+            modelcore._rotary_table(config, S)
         peak = traced_peak(lambda: prefill(model, cache, ids, observer_span=(900, 1000), query_span=(1000, S)))
         # two layers: the first one's MLP holds the cache (2.25 U), the hidden
         # states (U), the (S, 4d) fc1 output and one GELU temporary of that
-        # size (8 U); a second GELU temporary would take the peak to 15.25 U
-        assert peak < bound * unit, (layers, peak / unit)
+        # size (8 U); a second GELU temporary would take the peak to 15.25 U.
+        # Rotary on adds the rotated-key shadow (1.125 U) and the fresh rows
+        # `rotate` returns before they are copied into it (U): 5.38 U.
+        assert peak < bound * unit, (layers, rotary, peak / unit)
         assert cache.length == S
 
 
@@ -568,9 +584,11 @@ def test_fork_leaves_headroom_for_its_first_appends(tiny_model, grown_calls):
 def test_loaded_cache_answers_without_regrowth(small_bundle, small_model, tmp_path, grown_calls):
     """The kvc answer path, load_cache then to_kv_cache then a question
     prefill of an eighth of the kept rows, reallocates no buffer, the
-    rotated-key shadow included. The compressed caches that compression
-    and loading return hold arrays of exactly n_kept rows, not views into
-    a cache's headroom."""
+    rotated-key shadow included. The compressed cache that compression
+    returns holds arrays of exactly n_kept rows, not views into a cache's
+    headroom; the loaded one's are read-only views of the mapped file that
+    the question, written into that file's headroom rows, leaves as they
+    were."""
     path = tmp_path / "c.kvcc"
     compressed = compress_iterative(small_model, small_bundle.corpus_tokens(), make_guidance("zs", []),
                                     small_bundle.vocab, CompressionBudget(320), s=2)
@@ -583,12 +601,14 @@ def test_loaded_cache_answers_without_regrowth(small_bundle, small_model, tmp_pa
     assert cache.length == n + n // 8
     assert_shadow_exact(small_model, cache)
     assert grown_calls == []
-    for c in (compressed, loaded):
-        for a in (*c.keys, *c.values):
-            root = a
-            while isinstance(root.base, np.ndarray):
-                root = root.base
-            assert a.shape[0] == c.n_kept and root.nbytes == a.nbytes
+    for a in (*compressed.keys, *compressed.values):
+        root = a
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        assert a.shape[0] == compressed.n_kept and root.nbytes == a.nbytes
+    for got, want in zip((*loaded.keys, *loaded.values, *loaded.rotated),
+                         (*compressed.keys, *compressed.values, *compressed.rotated)):
+        assert not got.flags.writeable and np.array_equal(got, want)
 
 
 def test_plain_prefill_leaves_every_shadow_complete(tiny_model, monkeypatch):

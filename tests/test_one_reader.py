@@ -1,7 +1,7 @@
 """Artifact files are read in one place. No module of the package except
-``_binio`` reads a file itself, so what an unreadable artifact means
-(MissingArtifactError, exit 3) and how a container frame is checked are
-decided once."""
+``_binio`` reads or maps a file itself, so what an unreadable artifact
+means (MissingArtifactError, exit 3) and how a container frame is checked
+are decided once."""
 
 import ast
 from pathlib import Path
@@ -14,8 +14,8 @@ SRC = Path(kvcbench.__file__).parent
 OWNER = "_binio"
 
 # calls that read a file whatever their receiver: pathlib's whole-file
-# readers, ConfigParser.read / read_file and a file handle's read
-READ_CALLS = {"read_bytes", "read_text", "read", "read_file", "readline", "readlines"}
+# readers, ConfigParser.read / read_file, a file handle's read and mmap
+READ_CALLS = {"read_bytes", "read_text", "read", "read_file", "readline", "readlines", "mmap"}
 
 # the open() calls allowed outside the owner, each a write:
 # (module, enclosing function) -> its literal mode
@@ -66,7 +66,7 @@ def modules():
 def test_only_binio_reads_artifact_files():
     found = [read for module, source in modules().items() if module != OWNER
              for read in file_reads(module, source)]
-    assert not found, f"read artifact files through {OWNER}.read_artifact: {found}"
+    assert not found, f"read artifact files through {OWNER}: {found}"
 
 
 def test_every_allowed_write_handle_still_exists():
@@ -87,7 +87,9 @@ def test_every_allowed_write_handle_still_exists():
     "def run_suite(p, m):\n    return open(p, m)\n",
     "def run_suite(p):\n    return open(p, 'a+')\n",
     "def load(p):\n    return open(p, 'w')\n",
+    "def f(fd):\n    return mmap.mmap(fd, 0, access=mmap.ACCESS_COPY)\n",
+    "def f(fd):\n    return mmap(fd, 0)\n",
 ], ids=["read_bytes", "read_text", "configparser_read", "open", "open_rb", "path_open_r+",
-        "open_unknown_mode", "append_handle_a+", "unlisted_write"])
+        "open_unknown_mode", "append_handle_a+", "unlisted_write", "mmap", "bare_mmap"])
 def test_the_walk_sees_a_file_read(snippet):
     assert file_reads("evalharness", snippet)
