@@ -98,6 +98,10 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """The next ``layout.size`` bytes unpacked by `layout`."""
+        return layout.unpack(self.take(layout.size))
+
     def align(self, n: int) -> None:
         """Skip to the next multiple of `n` bytes from the start of the file."""
         self._advance(-self.off % n)
@@ -181,13 +185,15 @@ def json_record(cls, row, rename=None):
 
 @contextlib.contextmanager
 def atomic_write(path, mode="w", **open_kwargs):
-    """Open a temporary file beside `path` for writing; it replaces `path`
-    when the block completes and is removed if the block raises anything,
-    so readers see either the old file or the whole new one. OS errors
-    raise UsageError, as in ``writing``."""
+    """Open a temporary file beside `path` for writing, creating its
+    directory first; it replaces `path` when the block completes and is
+    removed if the block raises anything, so readers see either the old
+    file or the whole new one. OS errors raise UsageError, as in
+    ``writing``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     with writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, mode, **open_kwargs) as fh:
                 yield fh

@@ -45,6 +45,9 @@ VERSION = 3
 VERSIONS = (1, 2, 3)
 # version 3 starts every array at a multiple of this many bytes
 ALIGN = 64
+# after the frame, every version: the model, guidance and corpus
+# fingerprints, n_context, k, s, schedule code, n_layers, n_kept, hidden
+HEADER = struct.Struct("<32s32s32sQIIBIQI")
 
 # a schedule's code byte is its index here: append new schedules, never reorder
 SCHEDULE_CODES = (*BUDGET_SCHEDULES, "oracle", "streaming", "snapkv", "expattn")
@@ -58,22 +61,11 @@ def save_cache(compressed: CompressedCache, path) -> None:
     n_kept = compressed.n_kept
     hidden = compressed.keys[0].shape[1]
     rotated = compressed.rotated
-    parts = [
-        meta.model_fingerprint,
-        meta.guidance_fingerprint,
-        meta.corpus_fingerprint,
-        struct.pack(
-            "<QIIBIQIB",
-            meta.n_context,
-            meta.k,
-            meta.s,
-            SCHEDULE_CODES.index(meta.schedule),
-            n_layers,
-            n_kept,
-            hidden,
-            rotated is not None,
-        ),
-    ]
+    header = HEADER.pack(
+        meta.model_fingerprint, meta.guidance_fingerprint, meta.corpus_fingerprint, meta.n_context,
+        meta.k, meta.s, SCHEDULE_CODES.index(meta.schedule), n_layers, n_kept, hidden,
+    )
+    parts = [header, bytes([rotated is not None])]
     room = bytes(n_kept // 8 * hidden * 4)
     for layer in range(n_layers):
         parts.append(np.ascontiguousarray(compressed.kept_positions[layer], dtype="<u4"))
@@ -88,18 +80,9 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
     FormatError."""
     p = Path(path)
     r, version = read_container(p, MAGIC, VERSIONS)
-    model_fp = r.take(32)
-    guidance_fp = r.take(32)
-    corpus_fp = r.take(32)
-    n_context = r.u64()
-    k = r.u32()
-    s = r.u32()
-    code = r.u8()
+    *fingerprints, n_context, k, s, code, n_layers, n_kept, hidden = r.unpack(HEADER)
     if code >= len(SCHEDULE_CODES):
         raise FormatError(f"{p}: unknown schedule code {code}")
-    n_layers = r.u32()
-    n_kept = r.u64()
-    hidden = r.u32()
     if n_layers < 1 or hidden < 1:
         raise FormatError(f"{p}: implausible geometry ({n_layers} layers, hidden {hidden})")
     flag = r.u8() if version >= 2 else 0
@@ -124,18 +107,10 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
             bufs.append(buf)
     r.expect_end()
 
-    meta = CacheMeta(
-        model_fingerprint=model_fp,
-        guidance_fingerprint=guidance_fp,
-        corpus_fingerprint=corpus_fp,
-        n_context=n_context,
-        k=k,
-        s=s,
-        schedule=SCHEDULE_CODES[code],
-    )
+    meta = CacheMeta(*fingerprints, n_context, k, s, SCHEDULE_CODES[code])
     loaded = CompressedCache(keys, values, kept, meta, rotated if flag else None)
     if version >= 3:
         loaded._mapped = (buffers[0], buffers[1], buffers[2] if flag else None)
-    if model is not None and model.fingerprint != model_fp:
+    if model is not None and model.fingerprint != meta.model_fingerprint:
         raise StaleCacheError(f"{p}: cache was built by a different model than the one supplied")
     return loaded

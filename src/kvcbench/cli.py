@@ -167,8 +167,6 @@ def cmd_compress(args) -> int:
                        CompressionBudget(args.budget, args.schedule), args.segments, lambda: None)
     dt = time.perf_counter() - t0
     out = _resolve(args.out)
-    with writing(out.parent):
-        out.parent.mkdir(parents=True, exist_ok=True)
     save_cache(compressed, out)
     n = compressed.meta.n_context
     print(f"compressed {n} -> {compressed.n_kept} rows/layer "
@@ -368,6 +366,8 @@ def _ttft_bundle(n_tokens: int, seed: int):
 
 def cmd_ttft(args) -> int:
     sizes = _csv_ints(args.sizes, "--sizes")
+    if args.question_tokens < 1:
+        raise UsageError(f"--question-tokens must be >= 1, got {args.question_tokens}")
     records = []
     for size in sizes:
         bundle = _ttft_bundle(size, args.seed)
@@ -380,8 +380,6 @@ def cmd_ttft(args) -> int:
             status = f"{rec.median_s:.4f}s median" if rec.feasible else "infeasible"
             print(f"corpus {size:7d}  {rec.scenario:4s}  {status}")
     out = _resolve(args.out)
-    with writing(out.parent):
-        out.parent.mkdir(parents=True, exist_ok=True)
     write_ttft_csv(records, out)
     print(f"ttft table: {out}")
     return 0
@@ -394,8 +392,6 @@ def cmd_report(args) -> int:
     for path in args.runs:
         records.extend(load_records(_resolve(path)))
     out = _resolve(args.out)
-    with writing(out.parent):
-        out.parent.mkdir(parents=True, exist_ok=True)
     rows = emit_report(records, out, chunk_tokens=args.chunk_tokens)
     print(f"{len(rows)} report rows from {len(records)} records -> {out}")
     return 0

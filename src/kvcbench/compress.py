@@ -20,10 +20,10 @@ approximate. A segment's survivors enter the next segment's cache with an
 empty rotated-key shadow, which its prefill fills; the final survivors are
 rotated once, to positions 0..r-1, and the compressed cache keeps those
 rotated keys (``CompressedCache.rotated``, None with rotary off), so a
-cache built from it, and a KVCC v2 file, rotate only the rows a question
-adds. The task-agnostic baselines run the same segment walk with
+cache built from it, and a KVCC file from v2 on, rotate only the rows a
+question adds. The task-agnostic baselines run the same segment walk with
 their own keep rules; only ``compress_oracle`` stays a separate one-shot
-reference.
+reference, and ``_survivors`` builds the result of both.
 
 The first segment may start from a ``ContextPrefill``, one plain prefill of
 the whole context shared by many compressions (the eval grid keeps one per
@@ -200,10 +200,11 @@ class CompressedCache:
         return KvCache(self.keys, self.values, self.rotated)
 
 
-def _survivors(config, keys, values, kept, meta: CacheMeta) -> CompressedCache:
-    """The compressed cache of gathered survivor rows, with their keys
-    rotated to positions 0..r-1 when the model rotates keys."""
-    rotated = [rotate(k, 0, config) for k in keys] if config.rotary_enabled else None
+def _survivors(model, ctx, keys, values, kept, guidance_fp, k, s, schedule) -> CompressedCache:
+    """The compressed cache of survivor rows gathered from context `ctx`,
+    their keys rotated to positions 0..r-1 when the model rotates keys."""
+    meta = CacheMeta(model.fingerprint, guidance_fp, fingerprint_ids(ctx), int(ctx.shape[0]), k, s, schedule)
+    rotated = [rotate(rows, 0, model.config) for rows in keys] if model.config.rotary_enabled else None
     return CompressedCache(keys, values, kept, meta, rotated)
 
 
@@ -292,17 +293,7 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
         values = [cache.values[l][keeps[l]] for l in range(n_layers)]
         if end < n:  # the next segment prefills onto the survivors
             cache = KvCache(keys, values)
-
-    meta = CacheMeta(
-        model_fingerprint=model.fingerprint,
-        guidance_fingerprint=guidance_fp,
-        corpus_fingerprint=fingerprint_ids(ctx),
-        n_context=n,
-        k=budget.k,
-        s=s,
-        schedule=schedule,
-    )
-    return _survivors(model.config, keys, values, kept, meta)
+    return _survivors(model, ctx, keys, values, kept, guidance_fp, budget.k, s, schedule)
 
 
 def compress_iterative(
@@ -353,17 +344,7 @@ def compress_oracle(
         keys.append(cache.keys[layer][keep])
         values.append(cache.values[layer][keep])
         kept.append(keep.astype(np.int64))
-
-    meta = CacheMeta(
-        model_fingerprint=model.fingerprint,
-        guidance_fingerprint=guidance_fingerprint(guidance, vocab),
-        corpus_fingerprint=fingerprint_ids(ctx),
-        n_context=n,
-        k=k,
-        s=1,
-        schedule="oracle",
-    )
-    return _survivors(model.config, keys, values, kept, meta)
+    return _survivors(model, ctx, keys, values, kept, guidance_fingerprint(guidance, vocab), k, 1, "oracle")
 
 
 def answer_with_cache(

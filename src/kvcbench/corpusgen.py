@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._binio import atomic_write, json_record, read_artifact, writing
+from ._binio import atomic_write, json_record, read_artifact
 from .errors import FormatError, MalformedSequenceError, UsageError
 from .vocab import TokenSequence, Vocabulary, build_vocabulary, fingerprint_ids
 
@@ -462,8 +462,6 @@ def _bundle_sha256(spec: CorpusSpec, files: dict[str, bytes]) -> str:
 
 def save_bundle(bundle: CorpusBundle, out_dir: Path | str) -> Path:
     out = Path(out_dir)
-    with writing(out):
-        out.mkdir(parents=True, exist_ok=True)
     chunks = map(dataclasses.asdict, bundle.chunks)
     # the inverse of load_bundle's rename of "id" to "qid"
     questions = [{"id": row.pop("qid"), **row} for row in map(dataclasses.asdict, bundle.questions)]

@@ -70,7 +70,6 @@ from .modelcore import (
     KvCache,
     Model,
     ModelConfig,
-    decode_step,
     generate_greedy,
     prefill,
 )
@@ -126,6 +125,8 @@ def question_prompt(text: str, vocab: Vocabulary) -> TokenSequence:
 
 def select_fewshot(bundle: CorpusBundle, n: int) -> list[Question]:
     """Deterministically reserve n questions as guidance examples."""
+    if n < 0:
+        raise UsageError(f"few-shot example count must be >= 0, got {n}")
     if n == 0:
         return []
     if n >= len(bundle.questions):
@@ -311,28 +312,21 @@ def _prefilled(model, ids) -> KvCache:
 def _timed_answer(model, cache, prompt, params) -> tuple[TokenSequence, float, float]:
     """Greedy answer with (prefill seconds, first-token seconds) split out.
 
-    Runs the same decode trace as generate_greedy: prompt body prefilled,
-    first token decoded and timed, remaining tokens decoded greedily.
+    Prefills the prompt body, then decodes through generate_greedy: its
+    first token, timed (the decode step and the argmax that picks the
+    token), then the rest.
     """
     ids = list(getattr(prompt, "ids", prompt))
-    if not ids:
-        raise UsageError("prompt must be nonempty")
+    first = dataclasses.replace(params, max_new_tokens=1)
     t0 = time.perf_counter()
     if len(ids) > 1:
         prefill(model, cache, ids[:-1])
     t1 = time.perf_counter()
-    logits, _ = decode_step(model, cache, ids[-1])
+    out = generate_greedy(model, cache, ids[-1:], first).ids
     first_s = time.perf_counter() - t1
-    tok0 = int(np.argmax(logits))
-    if tok0 in params.stop_tokens:
-        return TokenSequence(ids=[]), t1 - t0, first_s
-    out = [tok0]
-    if params.max_new_tokens > 1:
-        rest = generate_greedy(
-            model, cache, [tok0],
-            dataclasses.replace(params, max_new_tokens=params.max_new_tokens - 1),
-        )
-        out.extend(rest.ids)
+    if out and params.max_new_tokens > 1:
+        rest = dataclasses.replace(params, max_new_tokens=params.max_new_tokens - 1)
+        out += generate_greedy(model, cache, out, rest).ids
     return TokenSequence(ids=out), t1 - t0, first_s
 
 
@@ -513,6 +507,8 @@ def emit_report(records, out_path, chunk_tokens: int = 256) -> list[dict]:
     from different corpora are refused. Failed cells count toward n but
     score zero overlap, so partial runs stay visible.
     """
+    if chunk_tokens < 1:
+        raise UsageError(f"chunk_tokens must be >= 1, got {chunk_tokens}")
     records = list(records)
     if not records:
         raise UsageError("no records to report on")

@@ -65,3 +65,18 @@ def test_killed_save_keeps_the_previous_file(tmp_path, monkeypatch, small_bundle
     with pytest.raises(Killed):
         save(tmp_path, small_bundle, small_model, 1)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_atomic_write_creates_a_missing_directory(tmp_path):
+    path = tmp_path / "new" / "sub" / "f.txt"
+    with binio.atomic_write(path) as fh:
+        fh.write("x")
+    assert path.read_text() == "x"
+    assert [p.name for p in path.parent.iterdir()] == ["f.txt"]  # no temporary file left behind
+
+
+@pytest.mark.parametrize("name", list(SAVERS))
+def test_every_save_creates_its_directory(tmp_path, small_bundle, small_model, name):
+    target = tmp_path / "new" / "sub"
+    SAVERS[name](target, small_bundle, small_model, 0)
+    assert list(target.iterdir())

@@ -391,6 +391,7 @@ def test_eval_resume_after_a_kill(workdir, monkeypatch, capsys):
     (lambda t: t.replace("seed = 0", "seed = 0\udcff"), 2),  # a byte that is not UTF-8
     (lambda t: t.replace("seed = 0", "seed = 0\nweights = m\x00.kvcw"), 3),  # no such path
     (lambda t: t.replace("[corpus]\nseeds = 3", "[corpus]seeds=3"), 2),  # text after a header
+    (lambda t: t.replace("fewshot = 1", "fewshot = -2"), 2),
 ])
 def test_eval_config_validation(workdir, capsys, mutate, code):
     (workdir / "bad.ini").write_text(mutate(EVAL_INI), errors="surrogateescape")
@@ -409,6 +410,33 @@ def test_unwritable_outputs_exit_2(bundle_dir, workdir, capsys):
                  "--out", "adir"]) == 2
     assert "adir" in capsys.readouterr().err
     assert not list(workdir.glob(".adir.*"))  # no temporary file left behind
+
+
+def test_compress_creates_its_output_directory(bundle_dir, workdir, capsys):
+    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
+                 "--out", "new/sub/c.kvcc"]) == 0
+    assert load_cache(workdir / "new/sub/c.kvcc").n_kept == 32
+    capsys.readouterr()
+
+
+RECORD = RunRecord(
+    qid="q0", kind="join", method="rag", budget=160, connectivity=2, corpus_fp="aa",
+    answer="x", overlap=1.0, retention=None, evidence_recall=0.5, compress_s=0.0,
+    retrieve_s=0.0, prefill_s=0.0, first_token_s=0.0, elapsed_s=0.0,
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_fs",
+     "--examples", "-1", "--out", "c.kvcc"],
+    ["ttft", "--sizes", "2048", "--reps", "1", "--question-tokens", "-3", "--budget", "256"],
+    ["ttft", "--sizes", "2048", "--reps", "1", "--question-tokens", "0", "--budget", "256"],
+    ["report", "--runs", "runs.jsonl", "--out", "r.csv", "--chunk-tokens", "0"],
+], ids=["compress_examples", "ttft_question_tokens", "ttft_no_question_tokens", "report_chunk_tokens"])
+def test_bad_counts_exit_2(bundle_dir, workdir, capsys, argv):
+    (workdir / "runs.jsonl").write_text(json.dumps(dataclasses.asdict(RECORD)) + "\n")
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_eval_missing_config(workdir, capsys):
