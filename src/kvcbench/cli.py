@@ -200,6 +200,9 @@ def cmd_rag(args) -> int:
     if not args.question.strip():
         raise UsageError("question must be nonempty")
     bundle = load_bundle(_resolve(args.bundle))
+    width = bundle.spec.chunk_tokens
+    if args.answer and args.budget < width:  # assemble_context's check, before the ranking prints
+        raise UsageError(f"budget {args.budget} below chunk width {width}")
     if args.index:
         index_path = _resolve(args.index)
         if index_path.exists():
@@ -216,7 +219,6 @@ def cmd_rag(args) -> int:
     result = retrieve(index, query, top_b=len(bundle.chunks))
     if result.no_known_terms:
         print("note: query shares no terms with the corpus; ranking is chunk-id order")
-    width = bundle.spec.chunk_tokens
     n_fit = min(args.budget // width, len(result.ranking))
     for rank, cid in enumerate(result.ranking[: max(args.top, n_fit)]):
         marker = "*" if rank < n_fit else " "

@@ -240,6 +240,10 @@ def run_suite(
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r} (choose from {METHODS})")
+    if s < 1:
+        raise UsageError("need at least one segment")
+    if any(b < 1 for b in budgets):
+        raise UsageError("budget k must be >= 1")
     if registry is None:
         registry = {}
     vocab = bundle.vocab

@@ -42,7 +42,17 @@ Three properties of the design matter to everything downstream:
   ``score_bound``), and kept otherwise. Softmax normalisation is deferred
   to the output: ``exp2(s) @ V`` is divided by the row sums, one GEMV
   against a vector of ones, touching (rows, d_k) values instead of
-  (rows, columns).
+  (rows, columns). A range of more than one tile transposes its rotated
+  keys once, in blocks of ``PANEL_COPY_ROWS`` rows, so each head reads a
+  contiguous (d_k, columns) key panel, and scores every multi-row tile into
+  one ``ATTENTION_BLOCK`` x columns buffer kept for the pass: no tile
+  allocates its score matrix or repacks strided keys. Both are freed
+  before the MLP. Heads wider than 32 need more than d_k / 32 tiles, as
+  BLAS repacks their strided keys cheaply and the copy would not pay. A
+  one-row tile keeps the plain product (numpy sends it to gemv, whose sums
+  a panel would round differently), and so does a one-tile range (a decode
+  step, a question over a compressed cache), which reads each key once.
+  Every multi-row product from a panel is bitwise the plain product.
 
 A prefill can capture how a designated observer span (guidance tokens)
 attends: per layer, one vector over columns holding the mean over heads and
@@ -70,6 +80,8 @@ ATTENTION_BLOCK = 64
 _FUTURE = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
 # models whose score_bound is at most this attend without the row-max shift
 SHIFT_FREE_BOUND = 64.0
+# key rows per block when a pass transposes its keys into panels
+PANEL_COPY_ROWS = 256
 
 # init_diagnostic_model needs room for one sink channel plus near-orthogonal
 # random codes; below this width the code construction cannot separate tokens.
@@ -547,7 +559,10 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     columns a tile's last row sees, the causal mask on the diagonal tile
     only, the row-max shift only when the model's score bound exceeds
     SHIFT_FREE_BOUND, exp2, row sums as one GEMV, and the softmax divide
-    applied to the (rows, d_k) output. Captured
+    applied to the (rows, d_k) output. A range of more than max(1, d_k // 32)
+    tiles scores its multi-row tiles from per-head (d_k, columns) key panels,
+    transposed once, into one score buffer for the pass; one-row tiles and
+    other ranges use the plain product. Captured
     observer rows add their probabilities, each divided by H * n_obs, into
     the layer's capture vector with one GEMV per tile and head."""
     cfg = model.config
@@ -600,6 +615,17 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         q *= scale
         v_all = cache._values[layer]  # tiles read its rows [0, end)
         out = np.empty((S, d), F32) if need_out else None
+        # a range of several tiles reads each key once per tile: transpose the
+        # keys once into per-head (d_k, columns) panels, head h's in rows cols,
+        # and score multi-row tiles into one buffer whose rows lie an odd number
+        # of 64-byte lines apart (a power of two apart, they share cache sets)
+        panels = buf = None
+        if hi - lo > ATTENTION_BLOCK * max(1, dk // 32):
+            n_cols = base + hi
+            panels = np.empty((d, n_cols), F32)
+            for j in range(0, n_cols, PANEL_COPY_ROWS):  # blocks of keys stay in cache while transposed
+                panels[:, j : j + PANEL_COPY_ROWS] = k_rot[j : min(j + PANEL_COPY_ROWS, n_cols)].T
+            buf = np.empty((ATTENTION_BLOCK, ((n_cols + 15) // 16 | 1) * 16), F32)
 
         for r0 in range(lo, hi, ATTENTION_BLOCK):
             r1 = min(r0 + ATTENTION_BLOCK, hi)
@@ -609,7 +635,10 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             c0, c1 = max(r0, obs_lo), min(r1, obs_hi)
             for h in range(H):
                 cols = slice(h * dk, (h + 1) * dk)
-                scores = q[r0 - a : r1 - a, cols] @ k_rot[:end, cols].T
+                if panels is not None and r1 > r0 + 1:
+                    scores = np.matmul(q[r0 - a : r1 - a, cols], panels[cols, :end], out=buf[: r1 - r0, :end])
+                else:  # numpy sends one row to gemv, which a panel would round differently
+                    scores = q[r0 - a : r1 - a, cols] @ k_rot[:end, cols].T
                 if r1 > r0 + 1:  # a one-row tile has no future column
                     scores[:, base + r0 :][future] = -np.inf
                 if shift:
@@ -625,7 +654,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         if need_out:
             x += out @ w[f"layers.{layer}.o_proj"]
             # free what this layer no longer reads before the MLP's (S, 4d) arrays
-            del q, out
+            del q, out, panels, buf
             up = _rmsnorm(x, w[f"layers.{layer}.mlp_norm"]) @ w[f"layers.{layer}.mlp_fc1"]
             x += _gelu(up) @ w[f"layers.{layer}.mlp_fc2"]
             del up

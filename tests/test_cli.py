@@ -224,6 +224,14 @@ def test_rag_ranking_markers_and_answer(bundle_dir, capsys):
     assert "answer:" in capsys.readouterr().out
 
 
+def test_rag_answer_below_one_chunk_exits_2_before_ranking(bundle_dir, capsys):
+    assert main(["rag", "--bundle", "bundle", "--question", read_question(bundle_dir),
+                 "--budget", "-5", "--answer"]) == 2
+    out, err = capsys.readouterr()
+    assert "rank" not in out
+    assert "budget -5 below chunk width 80" in err
+
+
 def test_rag_index_reuse_and_staleness(bundle_dir, workdir, capsys):
     question = read_question(bundle_dir)
     base = ["rag", "--bundle", "bundle", "--question", question,
@@ -392,6 +400,9 @@ def test_eval_resume_after_a_kill(workdir, monkeypatch, capsys):
     (lambda t: t.replace("seed = 0", "seed = 0\nweights = m\x00.kvcw"), 3),  # no such path
     (lambda t: t.replace("[corpus]\nseeds = 3", "[corpus]seeds=3"), 2),  # text after a header
     (lambda t: t.replace("fewshot = 1", "fewshot = -2"), 2),
+    (lambda t: t.replace("fewshot = 1", "fewshot = 1\nsegments = 0"), 2),
+    (lambda t: t.replace("budgets = 48", "budgets = 0"), 2),
+    (lambda t: t.replace("budgets = 48", "budgets = 48,-5"), 2),
 ])
 def test_eval_config_validation(workdir, capsys, mutate, code):
     (workdir / "bad.ini").write_text(mutate(EVAL_INI), errors="surrogateescape")

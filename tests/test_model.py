@@ -146,6 +146,90 @@ def test_chunked_prefill_equals_one_shot(split):
     assert np.array_equal(one.positions[0], two.positions[0])
 
 
+@pytest.mark.parametrize("n_heads, head_dim, past_bound",
+                         [(2, 16, False), (1, 32, False), (1, 64, False), (2, 16, True)])
+def test_a_multi_tile_range_equals_one_tile_calls_bitwise(n_heads, head_dim, past_bound):
+    # One call of 4 tiles and a row scores its 64-row tiles from the key
+    # panels into the pass's score buffer, and its one-row tail tile from the
+    # plain product. Calls of one tile each score every tile from the plain
+    # product. The tail call projects its one row through gemv, which can
+    # round differently from the one call's gemm, so that row alone is
+    # compared within a tolerance.
+    config = ModelConfig(n_layers=2, n_heads=n_heads, hidden_size=n_heads * head_dim, head_dim=head_dim,
+                         vocab_size=64, max_position=2048)
+    model = init_random_model(config, seed=3)
+    if past_bound:
+        model = Model(config, {name: w * np.float32(12) if name.endswith(("q_proj", "k_proj")) else w
+                               for name, w in model.weights.items()})
+    assert (model.score_bound > SHIFT_FREE_BOUND) == past_bound
+    n = 4 * ATTENTION_BLOCK
+    ids = random_ids(np.random.default_rng(5), config.vocab_size, n + 2)
+    one, tiles = KvCache.empty(config), KvCache.empty(config)
+    prefill(model, one, ids[: n + 1])
+    for r0 in range(0, n + 1, ATTENTION_BLOCK):
+        prefill(model, tiles, ids[r0 : min(r0 + ATTENTION_BLOCK, n + 1)])
+
+    def bits(a):
+        return a.view(np.uint32)
+
+    for layer in range(config.n_layers):
+        for a, b in ((one.keys[layer], tiles.keys[layer]), (one.values[layer], tiles.values[layer]),
+                     (one.rotated_keys(layer, config), tiles.rotated_keys(layer, config))):
+            assert np.array_equal(bits(a[:n]), bits(b[:n])), layer
+            assert np.allclose(a, b, atol=1e-5)
+    next_logits = [decode_step(model, cache.fork(n), ids[n])[0] for cache in (one, tiles)]
+    assert np.array_equal(bits(next_logits[0]), bits(next_logits[1]))
+    logits = [decode_step(model, cache, ids[n + 1])[0] for cache in (one, tiles)]
+    assert np.max(np.abs(logits[0] - logits[1])) < 1e-4
+
+
+def test_panels_only_for_ranges_of_several_tiles(monkeypatch):
+    # a pass transposes its keys into one (hidden, columns) panel per layer
+    # whose range has more than max(1, d_k // 32) tiles, and scores only its
+    # multi-row tiles from it; decode steps and one-tile ranges take none,
+    # and neither do two tiles at d_k = 64
+    panels, products = [], []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, *args, **kwargs):
+            if len(shape) == 2 and shape[0] == hidden and shape[1] > ATTENTION_BLOCK:
+                panels.append(shape[1])
+            return np.empty(shape, *args, **kwargs)
+
+        @staticmethod
+        def matmul(a, b, *args, **kwargs):
+            if b.shape[0] == head_dim:  # a panel's rows, not a projection's
+                products.append(a.shape[0])
+            return np.matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(modelcore, "np", Spy())
+    ids = random_ids(np.random.default_rng(5), 64, 400)
+    for n_heads, head_dim, rows, want in ((2, 16, 64, []), (2, 16, 65, [65]), (3, 64, 128, []), (3, 64, 129, [129])):
+        hidden = n_heads * head_dim
+        config = ModelConfig(n_layers=2, n_heads=n_heads, hidden_size=hidden, head_dim=head_dim,
+                             vocab_size=64, max_position=2048)
+        model = init_random_model(config, seed=3)
+        cache = KvCache.empty(config)
+        panels.clear()
+        products.clear()
+        prefill(model, cache, ids[:rows])  # the last layer attends over no rows
+        assert panels == want, (head_dim, rows)
+        # every full tile from the panel, the one-row tail tile not
+        assert products == [ATTENTION_BLOCK] * (n_heads * (rows // ATTENTION_BLOCK) if want else 0)
+        prefill(model, cache, ids[rows : rows + 40])
+        decode_step(model, cache, int(ids[rows + 40]))
+        assert panels == want
+    prefill(model, KvCache.empty(config), ids[:128], observer_span=(0, 128))
+    assert panels == want
+    prefill(model, KvCache.empty(config), ids[:300], observer_span=(0, 300))
+    assert panels == want + [300, 300]
+    assert 1 not in products
+
+
 def test_empty_prefill_is_a_no_op(tiny_model):
     cache = KvCache.empty(tiny_model.config)
     assert prefill(tiny_model, cache, []) is None
