@@ -200,9 +200,6 @@ def cmd_rag(args) -> int:
     if not args.question.strip():
         raise UsageError("question must be nonempty")
     bundle = load_bundle(_resolve(args.bundle))
-    width = bundle.spec.chunk_tokens
-    if args.answer and args.budget < width:  # assemble_context's check, before the ranking prints
-        raise UsageError(f"budget {args.budget} below chunk width {width}")
     if args.index:
         index_path = _resolve(args.index)
         if index_path.exists():
@@ -217,15 +214,17 @@ def cmd_rag(args) -> int:
 
     query = tokenize(args.question, bundle.vocab)
     result = retrieve(index, query, top_b=len(bundle.chunks))
+    # assemble before printing, so a budget below one chunk fails before the ranking
+    context = assemble_context(bundle, result, args.budget) if args.answer else None
     if result.no_known_terms:
         print("note: query shares no terms with the corpus; ranking is chunk-id order")
+    width = bundle.spec.chunk_tokens
     n_fit = min(args.budget // width, len(result.ranking))
     for rank, cid in enumerate(result.ranking[: max(args.top, n_fit)]):
         marker = "*" if rank < n_fit else " "
         print(f"{marker} rank {rank:2d}  chunk {cid:4d}  score {result.scores[rank]:.4f}  {bundle.chunks[cid].kind}")
     if args.answer:
         model = _model(args.weights, args.model_seed, default_eval_config(len(bundle.vocab)))
-        context = assemble_context(bundle, result, args.budget)
         answer = answer_with_context(
             model, context, question_prompt(args.question, bundle.vocab),
             GenerationParams(max_new_tokens=args.max_new),

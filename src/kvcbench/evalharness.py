@@ -60,6 +60,7 @@ from .compress import (
     compress_iterative,
     compress_oracle,
     guidance_fingerprint,
+    plan_chunks,
     prefill_context,
     retention,
 )
@@ -240,10 +241,10 @@ def run_suite(
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r} (choose from {METHODS})")
-    if s < 1:
-        raise UsageError("need at least one segment")
-    if any(b < 1 for b in budgets):
-        raise UsageError("budget k must be >= 1")
+    # the compressors' own checks, before the runs file is opened
+    plan_chunks(1, s)
+    for b in budgets:
+        CompressionBudget(b)
     if registry is None:
         registry = {}
     vocab = bundle.vocab

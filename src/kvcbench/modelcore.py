@@ -47,12 +47,11 @@ Three properties of the design matter to everything downstream:
   contiguous (d_k, columns) key panel, and scores every multi-row tile into
   one ``ATTENTION_BLOCK`` x columns buffer kept for the pass: no tile
   allocates its score matrix or repacks strided keys. Both are freed
-  before the MLP. Heads wider than 32 need more than d_k / 32 tiles, as
-  BLAS repacks their strided keys cheaply and the copy would not pay. A
-  one-row tile keeps the plain product (numpy sends it to gemv, whose sums
-  a panel would round differently), and so does a one-tile range (a decode
-  step, a question over a compressed cache), which reads each key once.
-  Every multi-row product from a panel is bitwise the plain product.
+  before the MLP. A one-row tile keeps the plain product (numpy sends it
+  to gemv, whose sums a panel would round differently), and so does a
+  one-tile range (a decode step, a question over a compressed cache),
+  which reads each key once. Every multi-row product from a panel is
+  bitwise the plain product.
 
 A prefill can capture how a designated observer span (guidance tokens)
 attends: per layer, one vector over columns holding the mean over heads and
@@ -559,12 +558,12 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     columns a tile's last row sees, the causal mask on the diagonal tile
     only, the row-max shift only when the model's score bound exceeds
     SHIFT_FREE_BOUND, exp2, row sums as one GEMV, and the softmax divide
-    applied to the (rows, d_k) output. A range of more than max(1, d_k // 32)
-    tiles scores its multi-row tiles from per-head (d_k, columns) key panels,
-    transposed once, into one score buffer for the pass; one-row tiles and
-    other ranges use the plain product. Captured
-    observer rows add their probabilities, each divided by H * n_obs, into
-    the layer's capture vector with one GEMV per tile and head."""
+    applied to the (rows, d_k) output. A range of more than one tile scores
+    its multi-row tiles from per-head (d_k, columns) key panels, transposed
+    once, into one score buffer for the pass; one-row tiles and one-tile
+    ranges use the plain product. Captured observer rows add their
+    probabilities, each divided by H * n_obs, into the layer's capture vector
+    with one GEMV per tile and head."""
     cfg = model.config
     S = token_ids.shape[0]
     base = cache.length
@@ -620,7 +619,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         # and score multi-row tiles into one buffer whose rows lie an odd number
         # of 64-byte lines apart (a power of two apart, they share cache sets)
         panels = buf = None
-        if hi - lo > ATTENTION_BLOCK * max(1, dk // 32):
+        if hi - lo > ATTENTION_BLOCK:
             n_cols = base + hi
             panels = np.empty((d, n_cols), F32)
             for j in range(0, n_cols, PANEL_COPY_ROWS):  # blocks of keys stay in cache while transposed

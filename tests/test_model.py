@@ -185,9 +185,8 @@ def test_a_multi_tile_range_equals_one_tile_calls_bitwise(n_heads, head_dim, pas
 
 def test_panels_only_for_ranges_of_several_tiles(monkeypatch):
     # a pass transposes its keys into one (hidden, columns) panel per layer
-    # whose range has more than max(1, d_k // 32) tiles, and scores only its
-    # multi-row tiles from it; decode steps and one-tile ranges take none,
-    # and neither do two tiles at d_k = 64
+    # whose range has more than one tile, and scores only its multi-row
+    # tiles from it; decode steps and one-tile ranges take none
     panels, products = [], []
 
     class Spy:
@@ -208,25 +207,26 @@ def test_panels_only_for_ranges_of_several_tiles(monkeypatch):
 
     monkeypatch.setattr(modelcore, "np", Spy())
     ids = random_ids(np.random.default_rng(5), 64, 400)
-    for n_heads, head_dim, rows, want in ((2, 16, 64, []), (2, 16, 65, [65]), (3, 64, 128, []), (3, 64, 129, [129])):
-        hidden = n_heads * head_dim
-        config = ModelConfig(n_layers=2, n_heads=n_heads, hidden_size=hidden, head_dim=head_dim,
-                             vocab_size=64, max_position=2048)
-        model = init_random_model(config, seed=3)
+    n_heads, head_dim = 2, 16
+    hidden = n_heads * head_dim
+    config = ModelConfig(n_layers=2, n_heads=n_heads, hidden_size=hidden, head_dim=head_dim,
+                         vocab_size=64, max_position=2048)
+    model = init_random_model(config, seed=3)
+    for rows, want in ((64, []), (65, [65])):
         cache = KvCache.empty(config)
         panels.clear()
         products.clear()
         prefill(model, cache, ids[:rows])  # the last layer attends over no rows
-        assert panels == want, (head_dim, rows)
+        assert panels == want, rows
         # every full tile from the panel, the one-row tail tile not
         assert products == [ATTENTION_BLOCK] * (n_heads * (rows // ATTENTION_BLOCK) if want else 0)
         prefill(model, cache, ids[rows : rows + 40])
         decode_step(model, cache, int(ids[rows + 40]))
         assert panels == want
-    prefill(model, KvCache.empty(config), ids[:128], observer_span=(0, 128))
-    assert panels == want
+    prefill(model, KvCache.empty(config), ids[:300], observer_span=(100, 164))
+    assert panels == want + [300]  # the last layer's observed range is one tile
     prefill(model, KvCache.empty(config), ids[:300], observer_span=(0, 300))
-    assert panels == want + [300, 300]
+    assert panels == want + [300, 300, 300]
     assert 1 not in products
 
 
