@@ -65,7 +65,7 @@ from .compress import (
     retention,
 )
 from .corpusgen import DEFAULT_TASK_DESCRIPTION, CorpusBundle, Question
-from .errors import FormatError, MissingArtifactError, UsageError
+from .errors import FormatError, MissingArtifactError, StaleCacheError, UsageError
 from .modelcore import (
     GenerationParams,
     KvCache,
@@ -236,8 +236,9 @@ def run_suite(
     """Evaluate every (method, budget, question) cell, appending finished
     cells to `out_path` as JSON lines. Existing cells are skipped, so
     rerunning after an interruption (or on a warm registry) does no
-    compression work twice. A cell that raises is recorded with its error
-    and the suite continues."""
+    compression work twice. A runs file holding a record of another corpus
+    or connectivity raises StaleCacheError before any cell runs. A cell that
+    raises is recorded with its error and the suite continues."""
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r} (choose from {METHODS})")
@@ -268,7 +269,10 @@ def run_suite(
         if not isinstance(exc.__cause__, FileNotFoundError):
             raise
         data = b""  # no runs file yet: a new suite
-    done = {_record_key(r): r for r in _records(data, out)}
+    existing = _records(data, out)
+    if any((r.corpus_fp, r.connectivity) != (corpus_fp, conn) for r in existing):
+        raise StaleCacheError(f"{out}: runs file holds records of another corpus; start a new runs file")
+    done = {_record_key(r): r for r in existing}
     records: list[RunRecord] = []
     with writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -81,6 +81,8 @@ _FUTURE = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
 SHIFT_FREE_BOUND = 64.0
 # key rows per block when a pass transposes its keys into panels
 PANEL_COPY_ROWS = 256
+# a layer's MLP runs over max(1, S // MLP_BLOCK) row blocks of equal size
+MLP_BLOCK = 1024
 
 # init_diagnostic_model needs room for one sink channel plus near-orthogonal
 # random codes; below this width the code construction cannot separate tokens.
@@ -244,6 +246,11 @@ class KvCache:
         self._rot[layer][done:n] = fresh
         self._done[layer] = n
         return self._rot[layer][:n]
+
+
+def _padded(cols: int) -> int:
+    """`cols` rounded up to an odd multiple of 16 float32s, 64 bytes each."""
+    return ((cols + 15) // 16 | 1) * 16
 
 
 def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -616,15 +623,14 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         out = np.empty((S, d), F32) if need_out else None
         # a range of several tiles reads each key once per tile: transpose the
         # keys once into per-head (d_k, columns) panels, head h's in rows cols,
-        # and score multi-row tiles into one buffer whose rows lie an odd number
-        # of 64-byte lines apart (a power of two apart, they share cache sets)
+        # and give the pass one score buffer for its multi-row tiles
         panels = buf = None
         if hi - lo > ATTENTION_BLOCK:
             n_cols = base + hi
             panels = np.empty((d, n_cols), F32)
             for j in range(0, n_cols, PANEL_COPY_ROWS):  # blocks of keys stay in cache while transposed
                 panels[:, j : j + PANEL_COPY_ROWS] = k_rot[j : min(j + PANEL_COPY_ROWS, n_cols)].T
-            buf = np.empty((ATTENTION_BLOCK, ((n_cols + 15) // 16 | 1) * 16), F32)
+            buf = np.empty((ATTENTION_BLOCK * _padded(n_cols),), F32)
 
         for r0 in range(lo, hi, ATTENTION_BLOCK):
             r1 = min(r0 + ATTENTION_BLOCK, hi)
@@ -632,17 +638,26 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             # row r sees columns [0, base + r]: only the diagonal tile is masked
             future = _FUTURE[: r1 - r0, : r1 - r0]
             c0, c1 = max(r0, obs_lo), min(r1, obs_hi)
+            block = None
+            if panels is not None and r1 > r0 + 1:
+                # one contiguous (rows, wt) block of the buffer, wt = end padded
+                # to an odd number of 64-byte lines (rows a power of two apart
+                # share cache sets); its padding columns hold -inf
+                wt = _padded(end)
+                block = buf[: (r1 - r0) * wt].reshape(r1 - r0, wt)
             for h in range(H):
                 cols = slice(h * dk, (h + 1) * dk)
-                if panels is not None and r1 > r0 + 1:
-                    scores = np.matmul(q[r0 - a : r1 - a, cols], panels[cols, :end], out=buf[: r1 - r0, :end])
+                if block is not None:
+                    block[:, end:] = -np.inf
+                    scores = np.matmul(q[r0 - a : r1 - a, cols], panels[cols, :end], out=block[:, :end])
+                    tile = block
                 else:  # numpy sends one row to gemv, which a panel would round differently
-                    scores = q[r0 - a : r1 - a, cols] @ k_rot[:end, cols].T
+                    scores = tile = q[r0 - a : r1 - a, cols] @ k_rot[:end, cols].T
                 if r1 > r0 + 1:  # a one-row tile has no future column
                     scores[:, base + r0 :][future] = -np.inf
                 if shift:
-                    scores -= scores.max(axis=1, keepdims=True)
-                np.exp2(scores, out=scores)
+                    tile -= tile.max(axis=1, keepdims=True)
+                np.exp2(tile, out=tile)
                 rowsum = (scores @ ones[:end])[:, None]
                 if need_out:
                     out[r0:r1, cols] = (scores @ v_all[:end, cols]) / rowsum
@@ -652,11 +667,17 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
 
         if need_out:
             x += out @ w[f"layers.{layer}.o_proj"]
-            # free what this layer no longer reads before the MLP's (S, 4d) arrays
-            del q, out, panels, buf
-            up = _rmsnorm(x, w[f"layers.{layer}.mlp_norm"]) @ w[f"layers.{layer}.mlp_fc1"]
-            x += _gelu(up) @ w[f"layers.{layer}.mlp_fc2"]
-            del up
+            # free what this layer no longer reads before the MLP; the tile
+            # names hold views of the score buffer
+            del q, out, panels, buf, block, scores, tile
+            # the MLP in blocks of at least MLP_BLOCK rows: its (rows, 4d)
+            # temporaries stay cache-sized, and no product becomes a gemv
+            n = max(1, S // MLP_BLOCK)
+            for i in range(n):
+                xb = x[i * S // n : (i + 1) * S // n]
+                up = _rmsnorm(xb, w[f"layers.{layer}.mlp_norm"]) @ w[f"layers.{layer}.mlp_fc1"]
+                xb += _gelu(up) @ w[f"layers.{layer}.mlp_fc2"]
+                del up
 
     out_logits = _rmsnorm(x, w["final_norm"]) @ w["lm_head"] if logits else None
     capture = AttentionCapture(captures, query_rows if q_hi > q_lo else None)

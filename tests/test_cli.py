@@ -352,6 +352,19 @@ def test_eval_grid_and_resume(workdir, capsys):
     capsys.readouterr()
 
 
+def test_eval_resume_refuses_runs_of_another_corpus(workdir, monkeypatch, capsys):
+    (workdir / "eval.ini").write_text(EVAL_INI)
+    assert main(["eval", "--config", "eval.ini"]) == 0
+    runs = workdir / "results" / "runs" / "s3c1.jsonl"
+    before = runs.read_bytes()
+    # one more filler chunk: another corpus under the same runs file name
+    (workdir / "eval.ini").write_text(EVAL_INI.replace("filler = 1", "filler = 2"))
+    monkeypatch.setattr(evalharness, "_run_cell", lambda *args: pytest.fail("a cell ran"))
+    assert main(["eval", "--config", "eval.ini", "--resume"]) == 4
+    assert "another corpus" in capsys.readouterr().err
+    assert runs.read_bytes() == before
+
+
 class Killed(BaseException):
     """Stands in for a kill: no per-cell ``except Exception`` catches it."""
 

@@ -13,7 +13,8 @@ import pytest
 import kvcbench.compress as compress_mod
 import kvcbench.evalharness as evalharness
 from kvcbench.compress import CompressionBudget, guidance_fingerprint, plan_chunks
-from kvcbench.errors import FormatError, UsageError
+from kvcbench.corpusgen import generate_corpus
+from kvcbench.errors import FormatError, StaleCacheError, UsageError
 from kvcbench.evalharness import (
     COMPRESSED_METHODS,
     METHODS,
@@ -275,6 +276,27 @@ def test_suite_resume_reruns_only_a_torn_last_cell(suite, small_bundle, small_mo
     lines = torn.read_bytes().splitlines(keepends=True)
     assert lines[:-1] == whole[:-1] and len(lines) == len(whole)
     assert load_records(torn) == again
+
+
+@pytest.mark.parametrize("other", ["corpus", "connectivity"])
+def test_suite_refuses_a_runs_file_of_another_corpus(suite, small_bundle, small_model, tmp_path, other):
+    records, out, _ = suite
+    runs = tmp_path / "runs.jsonl"
+    if other == "corpus":  # the same spec with two more filler chunks
+        bundle = generate_corpus(dataclasses.replace(small_bundle.spec, n_filler=small_bundle.spec.n_filler + 2))
+        assert bundle.corpus_fingerprint() != small_bundle.corpus_fingerprint()
+        runs.write_bytes(out.read_bytes())
+    else:
+        bundle = small_bundle
+        lines = out.read_text().splitlines(keepends=True)
+        stale = dataclasses.replace(records[0], connectivity=records[0].connectivity + 1)
+        runs.write_text(json.dumps(dataclasses.asdict(stale)) + "\n" + "".join(lines[1:]))
+    before, calls = runs.read_bytes(), compress_mod.COMPRESSION_CALLS
+    with pytest.raises(StaleCacheError, match="runs.jsonl"):
+        run_suite(small_model, bundle, methods=("full", "kvc_zs"), budgets=(64,), out_path=runs,
+                  params=GenerationParams(max_new_tokens=6))
+    assert runs.read_bytes() == before
+    assert compress_mod.COMPRESSION_CALLS == calls
 
 
 @pytest.mark.parametrize("damage", [

@@ -17,6 +17,7 @@ from kvcbench.evalharness import default_eval_config, make_guidance, ttft_refere
 from kvcbench.modelcore import (
     ATTENTION_BLOCK,
     DIAGNOSTIC_MIN_WIDTH,
+    MLP_BLOCK,
     SHIFT_FREE_BOUND,
     GenerationParams,
     KvCache,
@@ -524,6 +525,59 @@ def test_prefill_holds_few_full_width_arrays():
         # `rotate` returns before they are copied into it (U): 5.38 U.
         assert peak < bound * unit, (layers, rotary, peak / unit)
         assert cache.length == S
+
+
+@pytest.mark.parametrize("width", [32, 64])
+@pytest.mark.parametrize("S", [2 * MLP_BLOCK + 1, 3 * MLP_BLOCK + 63, 4 * MLP_BLOCK])
+def test_mlp_row_blocks_equal_the_whole_mlp_bitwise(S, width, monkeypatch):
+    # A prefill runs its first layer's MLP over S // MLP_BLOCK row blocks of
+    # at least MLP_BLOCK rows each; with MLP_BLOCK = S it runs one block, the
+    # whole MLP. 2 * MLP_BLOCK + 1 rows is where blocks cut at multiples of
+    # MLP_BLOCK would leave a one-row block, whose gemv rounds differently.
+    if width == 32:
+        config = default_eval_config(64)
+    else:
+        config = ModelConfig(n_layers=2, n_heads=2, hidden_size=64, head_dim=32,
+                             vocab_size=64, max_position=2 * S)
+    assert config.hidden_size == width and config.n_layers == 2
+    model = init_random_model(config, seed=4)
+    ids = random_ids(np.random.default_rng(S), config.vocab_size, S + 1)
+
+    def run():
+        cache = KvCache.empty(config)
+        capture = prefill(model, cache, ids[:S], observer_span=(S - 300, S - 100), query_span=(S - 100, S))
+        arrays = [capture.layers[0], capture.layers[1], *capture.queries]
+        for layer in range(config.n_layers):
+            arrays += [cache.keys[layer], cache.values[layer], cache.rotated_keys(layer, config)]
+        return arrays + [decode_step(model, cache, ids[S])[0]]
+
+    blocks = run()
+    monkeypatch.setattr(modelcore, "MLP_BLOCK", S)
+    whole = run()
+    for a, b in zip(blocks, whole, strict=True):
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def test_prefill_mlp_arrays_do_not_grow_with_the_sequence():
+    # U is one (S, d) float32 array, here 1 MiB. The peak is layer 0's
+    # attention: the cache's keys and values with headroom (2.25 U), the
+    # hidden states, queries, attention output, key panels and score buffer
+    # (ATTENTION_BLOCK x padded S, U at width 64), and the o_proj product
+    # (U each): 8.25 U. Its MLP then holds the cache, the hidden states and,
+    # per block of MLP_BLOCK rows, the normed rows (U / 4), the fc1 output and
+    # one GELU temporary (U each): 5.5 U. The second layer holds both
+    # layers' caches (4.5 U), its normed copy, the panels and the buffer:
+    # 7.5 U. An MLP over all S rows at once held 4 U per (S, 4d) array and
+    # peaked at 12.3 U.
+    S, d = 4 * MLP_BLOCK, 64
+    config = ModelConfig(n_layers=2, n_heads=2, hidden_size=d, head_dim=d // 2,
+                         vocab_size=64, max_position=2 * S, rotary_enabled=False)
+    model = init_random_model(config, seed=2)
+    ids = random_ids(np.random.default_rng(9), 64, S)
+    cache = KvCache.empty(config)
+    peak = traced_peak(lambda: prefill(model, cache, ids, observer_span=(900, 1000)))
+    assert peak < 9.5 * S * d * 4, peak / (S * d * 4)
+    assert cache.length == S
 
 
 def test_rotate_identity_cases(tiny_config):
