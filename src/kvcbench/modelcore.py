@@ -26,11 +26,13 @@ Three properties of the design matter to everything downstream:
   range is just the observer rows, which roughly halves prefill cost on a
   two-layer model. That layer projects queries only for the observer and
   query rows. Keys and values are written straight into the cache's
-  buffers, and RMSNorm and GELU work in place, so a pass holds few
-  (tokens, width) arrays at once: a 32,768-token prefill of a one-layer,
-  256-wide model with rotary off peaks at 3.26 such float32 arrays
-  (``tracemalloc``), the cache's keys and values with headroom plus one
-  normed copy.
+  buffers, RMSNorm and GELU work in place, and each layer's MLP runs over
+  ``max(1, S // MLP_BLOCK)`` equal row blocks of at least ``MLP_BLOCK``
+  rows (no block is small enough for a gemv), so its (rows, 4 x width)
+  temporaries stay cache-sized and a pass holds few (tokens, width) arrays
+  at once: a 32,768-token prefill of a one-layer, 256-wide model with
+  rotary off peaks at 3.26 such float32 arrays (``tracemalloc``), the
+  cache's keys and values with headroom plus one normed copy.
 * Attention is one blocked kernel. The range is cut into tiles of
   ``ATTENTION_BLOCK`` rows starting at its first row; a tile of rows
   [r0, r1) scores columns [0, base + r1) with queries pre-multiplied by
@@ -45,13 +47,17 @@ Three properties of the design matter to everything downstream:
   (rows, columns). A range of more than one tile transposes its rotated
   keys once, in blocks of ``PANEL_COPY_ROWS`` rows, so each head reads a
   contiguous (d_k, columns) key panel, and scores every multi-row tile into
-  one ``ATTENTION_BLOCK`` x columns buffer kept for the pass: no tile
-  allocates its score matrix or repacks strided keys. Both are freed
-  before the MLP. A one-row tile keeps the plain product (numpy sends it
-  to gemv, whose sums a panel would round differently), and so does a
-  one-tile range (a decode step, a question over a compressed cache),
-  which reads each key once. Every multi-row product from a panel is
-  bitwise the plain product.
+  one buffer kept for the pass: no tile allocates its score matrix or
+  repacks strided keys. A tile of ``end`` columns uses one contiguous
+  (rows, wt) block of it, wt being ``end`` rounded up to an odd multiple
+  of 16 floats. The product writes the block's first ``end`` columns, the
+  rest hold -inf, so the shift and ``exp2`` run over contiguous memory
+  while row sums, PV and the capture read the first ``end`` columns. Panels
+  and buffer are freed before the MLP. A one-row tile keeps the plain
+  product (numpy sends it to gemv, whose sums a panel would round
+  differently), and so does a one-tile range (a decode step, a question
+  over a compressed cache), which reads each key once. Every multi-row
+  product from a panel is bitwise the plain product.
 
 A prefill can capture how a designated observer span (guidance tokens)
 attends: per layer, one vector over columns holding the mean over heads and
@@ -246,11 +252,6 @@ class KvCache:
         self._rot[layer][done:n] = fresh
         self._done[layer] = n
         return self._rot[layer][:n]
-
-
-def _padded(cols: int) -> int:
-    """`cols` rounded up to an odd multiple of 16 float32s, 64 bytes each."""
-    return ((cols + 15) // 16 | 1) * 16
 
 
 def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -567,10 +568,11 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     SHIFT_FREE_BOUND, exp2, row sums as one GEMV, and the softmax divide
     applied to the (rows, d_k) output. A range of more than one tile scores
     its multi-row tiles from per-head (d_k, columns) key panels, transposed
-    once, into one score buffer for the pass; one-row tiles and one-tile
-    ranges use the plain product. Captured observer rows add their
-    probabilities, each divided by H * n_obs, into the layer's capture vector
-    with one GEMV per tile and head."""
+    once, into one contiguous -inf-padded block per tile of a score buffer
+    for the pass; one-row tiles and one-tile ranges use the plain product.
+    Captured observer rows add their probabilities, each divided by
+    H * n_obs, into the layer's capture vector with one GEMV per tile and
+    head. The MLP runs over max(1, S // MLP_BLOCK) equal row blocks."""
     cfg = model.config
     S = token_ids.shape[0]
     base = cache.length
@@ -630,7 +632,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             panels = np.empty((d, n_cols), F32)
             for j in range(0, n_cols, PANEL_COPY_ROWS):  # blocks of keys stay in cache while transposed
                 panels[:, j : j + PANEL_COPY_ROWS] = k_rot[j : min(j + PANEL_COPY_ROWS, n_cols)].T
-            buf = np.empty((ATTENTION_BLOCK * _padded(n_cols),), F32)
+            buf = np.empty((ATTENTION_BLOCK * (n_cols + 32),), F32)  # room for any tile's padded block
 
         for r0 in range(lo, hi, ATTENTION_BLOCK):
             r1 = min(r0 + ATTENTION_BLOCK, hi)
@@ -641,9 +643,9 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             block = None
             if panels is not None and r1 > r0 + 1:
                 # one contiguous (rows, wt) block of the buffer, wt = end padded
-                # to an odd number of 64-byte lines (rows a power of two apart
-                # share cache sets); its padding columns hold -inf
-                wt = _padded(end)
+                # to an odd number of 16-float (64-byte) lines, as rows a power
+                # of two apart share cache sets; its padding columns hold -inf
+                wt = ((end + 15) // 16 | 1) * 16
                 block = buf[: (r1 - r0) * wt].reshape(r1 - r0, wt)
             for h in range(H):
                 cols = slice(h * dk, (h + 1) * dk)
