@@ -559,16 +559,15 @@ def test_mlp_row_blocks_equal_the_whole_mlp_bitwise(S, width, monkeypatch):
 
 
 def test_prefill_mlp_arrays_do_not_grow_with_the_sequence():
-    # U is one (S, d) float32 array, here 1 MiB. The peak is layer 0's
-    # attention: the cache's keys and values with headroom (2.25 U), the
-    # hidden states, queries, attention output, key panels and score buffer
-    # (ATTENTION_BLOCK x padded S, U at width 64), and the o_proj product
-    # (U each): 8.25 U. Its MLP then holds the cache, the hidden states and,
-    # per block of MLP_BLOCK rows, the normed rows (U / 4), the fc1 output and
-    # one GELU temporary (U each): 5.5 U. The second layer holds both
-    # layers' caches (4.5 U), its normed copy, the panels and the buffer:
-    # 7.5 U. An MLP over all S rows at once held 4 U per (S, 4d) array and
-    # peaked at 12.3 U.
+    # U is one (S, d) float32 array, here 1 MiB. The peak, 8.3 U, is layer
+    # 0's attention: the cache's keys and values with headroom (2.25 U) and
+    # the hidden states, queries, attention output, key panels, score buffer
+    # (ATTENTION_BLOCK x about S floats, U at width 64) and o_proj product
+    # (U each). Its MLP holds the cache, the hidden states and one block's
+    # fc1 output and GELU temporary (U each, as MLP_BLOCK = S / 4): 5.3 U.
+    # The second layer holds both layers' caches (4.5 U) and its normed
+    # copy: 6.6 U. An MLP over all S rows at once held 4 U per (S, 4d)
+    # array and peaked at 12.3 U.
     S, d = 4 * MLP_BLOCK, 64
     config = ModelConfig(n_layers=2, n_heads=2, hidden_size=d, head_dim=d // 2,
                          vocab_size=64, max_position=2 * S, rotary_enabled=False)
