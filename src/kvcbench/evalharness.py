@@ -187,6 +187,12 @@ class RunRecord:
     first_token_s: float
     elapsed_s: float
     error: str = ""
+    # the rest of the settings a cell ran under; records written before
+    # they were carried read as "", 0, 0, 0, which no run has
+    model_fp: str = ""
+    segments: int = 0
+    fewshot: int = 0
+    max_new: int = 0
     schema_version: int = RUNS_SCHEMA_VERSION
 
 
@@ -236,9 +242,10 @@ def run_suite(
     """Evaluate every (method, budget, question) cell, appending finished
     cells to `out_path` as JSON lines. Existing cells are skipped, so
     rerunning after an interruption (or on a warm registry) does no
-    compression work twice. A runs file holding a record of another corpus
-    or connectivity raises StaleCacheError before any cell runs. A cell that
-    raises is recorded with its error and the suite continues."""
+    compression work twice. A runs file holding a record of another corpus,
+    connectivity, model, segment count, few-shot count or ``max_new`` raises
+    StaleCacheError before any cell runs. A cell that raises is recorded
+    with its error and the suite continues."""
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r} (choose from {METHODS})")
@@ -251,7 +258,8 @@ def run_suite(
     vocab = bundle.vocab
     corpus = bundle.corpus_tokens()
     corpus_fp = bundle.corpus_fingerprint().hex()
-    conn = bundle.spec.connectivity
+    settings = dict(corpus_fp=corpus_fp, connectivity=bundle.spec.connectivity, model_fp=model.fingerprint.hex(),
+                    segments=s, fewshot=n_fewshot, max_new=params.max_new_tokens)
 
     examples = select_fewshot(bundle, n_fewshot)
     reserved = {q.qid for q in examples}
@@ -270,8 +278,11 @@ def run_suite(
             raise
         data = b""  # no runs file yet: a new suite
     existing = _records(data, out)
-    if any((r.corpus_fp, r.connectivity) != (corpus_fp, conn) for r in existing):
-        raise StaleCacheError(f"{out}: runs file holds records of another corpus; start a new runs file")
+    for r in existing:
+        for name, want in settings.items():
+            if getattr(r, name) != want:
+                raise StaleCacheError(f"{out}: runs file holds records of another corpus or setting "
+                                      f"({name} {getattr(r, name)!r}, not {want!r}); start a new runs file")
     done = {_record_key(r): r for r in existing}
     records: list[RunRecord] = []
     with writing(out):
@@ -287,7 +298,7 @@ def run_suite(
                         records.append(done[key])
                         continue
                     rec = _run_cell(
-                        model, bundle, corpus, corpus_fp, conn, method, budget,
+                        model, bundle, corpus, corpus_fp, settings, method, budget,
                         q, examples, s, params, registry, vocab,
                     )
                     if rec.error:
@@ -347,7 +358,7 @@ def _rag_retention(q: Question, selected_ids, chunk_tokens: int) -> float:
     return inside / len(q.gold_positions)
 
 
-def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, examples, s, params, registry, vocab):
+def _run_cell(model, bundle, corpus, corpus_fp, settings, method, budget, q, examples, s, params, registry, vocab):
     prompt = question_prompt(q.text, vocab)
     recall = None
     ret = None
@@ -397,12 +408,11 @@ def _run_cell(model, bundle, corpus, corpus_fp, conn, method, budget, q, example
         error = f"{type(exc).__name__}: {exc}"
 
     return RunRecord(
+        **settings,
         qid=q.qid,
         kind=q.kind,
         method=method,
         budget=budget,
-        connectivity=conn,
-        corpus_fp=corpus_fp,
         answer=text,
         overlap=overlap,
         retention=ret,

@@ -47,17 +47,27 @@ Three properties of the design matter to everything downstream:
   (rows, columns). A range of more than one tile transposes its rotated
   keys once, in blocks of ``PANEL_COPY_ROWS`` rows, so each head reads a
   contiguous (d_k, columns) key panel, and scores every multi-row tile into
-  one buffer kept for the pass: no tile allocates its score matrix or
+  a buffer kept for the pass: no tile allocates its score matrix or
   repacks strided keys. A tile of ``end`` columns uses one contiguous
   (rows, wt) block of it, wt being ``end`` rounded up to an odd multiple
   of 16 floats. The product writes the block's first ``end`` columns, the
   rest hold -inf, so the shift and ``exp2`` run over contiguous memory
   while row sums, PV and the capture read the first ``end`` columns. Panels
-  and buffer are freed before the MLP. A one-row tile keeps the plain
+  and buffers are freed before the MLP. A one-row tile keeps the plain
   product (numpy sends it to gemv, whose sums a panel would round
   differently), and so does a one-tile range (a decode step, a question
   over a compressed cache), which reads each key once. Every multi-row
   product from a panel is bitwise the plain product.
+* A tile reads only the keys and values and writes only its own rows, so
+  a range of several tiles that scores at least ``SPLIT_MIN_SCORES``
+  elements runs them round-robin on ``TILE_WORKERS`` threads, the calling
+  thread among them: the cores that BLAS leaves idle (``_tile_workers``,
+  fixed at import; 1 with BLAS at its default of a thread per core). The
+  caller builds the panels and one score buffer per worker before the
+  threads start, and adds the capture contributions, kept per (tile,
+  head), in tile-then-head order after the join. Each tile makes the same
+  BLAS calls on any thread, so no output depends on the worker count; some
+  do depend on the BLAS thread count.
 
 A prefill can capture how a designated observer span (guidance tokens)
 attends: per layer, one vector over columns holding the mean over heads and
@@ -70,8 +80,12 @@ probability matrix is ever stored.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
+import os
+import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -89,6 +103,33 @@ SHIFT_FREE_BOUND = 64.0
 PANEL_COPY_ROWS = 256
 # a layer's MLP runs over max(1, S // MLP_BLOCK) row blocks of equal size
 MLP_BLOCK = 1024
+# a range splits its tiles over threads only when it scores at least this
+# many elements (heads x rows x columns): a thread's start costs about
+# 0.1-0.2 ms, and a 512-row eval-model prefill ran slower on two workers
+SPLIT_MIN_SCORES = 1 << 22
+
+
+def _tile_workers(environ, cores: int) -> int:
+    """Threads that attend the tiles of a range: ``cores // blas``, at least
+    1, with ``blas`` the BLAS thread count. That is the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that reads as
+    an int >= 1, the order OpenBLAS reads them in, else ``cores``, as BLAS
+    then runs a thread per core. Tiles only take the cores BLAS leaves idle:
+    on top of BLAS's own threads they slowed a prefill down."""
+    blas = cores
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            count = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if count >= 1:
+            blas = count
+            break
+    return max(1, cores // blas)
+
+
+TILE_WORKERS = _tile_workers(
+    os.environ, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # init_diagnostic_model needs room for one sink channel plus near-orthogonal
 # random codes; below this width the code construction cannot separate tokens.
@@ -570,9 +611,13 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     its multi-row tiles from per-head (d_k, columns) key panels, transposed
     once, into one contiguous -inf-padded block per tile of a score buffer
     for the pass; one-row tiles and one-tile ranges use the plain product.
-    Captured observer rows add their probabilities, each divided by
-    H * n_obs, into the layer's capture vector with one GEMV per tile and
-    head. The MLP runs over max(1, S // MLP_BLOCK) equal row blocks."""
+    Such a range of at least SPLIT_MIN_SCORES scores splits its tiles over
+    up to TILE_WORKERS threads, each with its own score buffer (``_attend``
+    runs one share). Captured
+    observer rows add their probabilities, each divided by H * n_obs, into
+    the layer's capture vector with one GEMV per tile and head, in tile
+    then head order. The MLP runs over max(1, S // MLP_BLOCK) equal row
+    blocks."""
     cfg = model.config
     S = token_ids.shape[0]
     base = cache.length
@@ -623,55 +668,39 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         q *= scale
         v_all = cache._values[layer]  # tiles read its rows [0, end)
         out = np.empty((S, d), F32) if need_out else None
+        tiles = range(lo, hi, ATTENTION_BLOCK)
         # a range of several tiles reads each key once per tile: transpose the
         # keys once into per-head (d_k, columns) panels, head h's in rows cols,
-        # and give the pass one score buffer for its multi-row tiles
-        panels = buf = None
-        if hi - lo > ATTENTION_BLOCK:
+        # and split its tiles over workers, each with one score buffer for its
+        # multi-row tiles
+        panels, bufs, workers = None, [None], 1
+        if len(tiles) > 1:
             n_cols = base + hi
             panels = np.empty((d, n_cols), F32)
             for j in range(0, n_cols, PANEL_COPY_ROWS):  # blocks of keys stay in cache while transposed
                 panels[:, j : j + PANEL_COPY_ROWS] = k_rot[j : min(j + PANEL_COPY_ROWS, n_cols)].T
-            buf = np.empty((ATTENTION_BLOCK * (n_cols + 32),), F32)  # room for any tile's padded block
-
-        for r0 in range(lo, hi, ATTENTION_BLOCK):
-            r1 = min(r0 + ATTENTION_BLOCK, hi)
-            end = base + r1
-            # row r sees columns [0, base + r]: only the diagonal tile is masked
-            future = _FUTURE[: r1 - r0, : r1 - r0]
-            c0, c1 = max(r0, obs_lo), min(r1, obs_hi)
-            block = None
-            if panels is not None and r1 > r0 + 1:
-                # one contiguous (rows, wt) block of the buffer, wt = end padded
-                # to an odd number of 16-float (64-byte) lines, as rows a power
-                # of two apart share cache sets; its padding columns hold -inf
-                wt = ((end + 15) // 16 | 1) * 16
-                block = buf[: (r1 - r0) * wt].reshape(r1 - r0, wt)
-            for h in range(H):
-                cols = slice(h * dk, (h + 1) * dk)
-                if block is not None:
-                    block[:, end:] = -np.inf
-                    scores = np.matmul(q[r0 - a : r1 - a, cols], panels[cols, :end], out=block[:, :end])
-                    tile = block
-                else:  # numpy sends one row to gemv, which a panel would round differently
-                    scores = tile = q[r0 - a : r1 - a, cols] @ k_rot[:end, cols].T
-                if r1 > r0 + 1:  # a one-row tile has no future column
-                    scores[:, base + r0 :][future] = -np.inf
-                if shift:
-                    tile -= tile.max(axis=1, keepdims=True)
-                np.exp2(tile, out=tile)
-                rowsum = (scores @ ones[:end])[:, None]
-                if need_out:
-                    out[r0:r1, cols] = (scores @ v_all[:end, cols]) / rowsum
-                if c0 < c1:
-                    obs = slice(c0 - r0, c1 - r0)
-                    captures[layer][:end] += (F32(1 / (H * n_obs)) / rowsum[obs, 0]) @ scores[obs]
+            if H * (hi - lo) * (base + hi) >= SPLIT_MIN_SCORES:
+                workers = min(TILE_WORKERS, len(tiles))
+            # room for any tile's padded block; allocated on this thread, as a
+            # worker's own heap arena would keep its pages past the pass
+            bufs = [np.empty((ATTENTION_BLOCK * (n_cols + 32),), F32) for _ in range(workers)]
+        kernel = (hi, base, q, a, k_rot, panels, v_all, ones, out, shift, (obs_lo, obs_hi), H)
+        if workers == 1:
+            _attend(tiles, bufs[0], captures[layer] if n_obs else None, None, *kernel)
+        else:
+            parts: dict[tuple[int, int], np.ndarray] = {}
+            # the caller takes the last tile and every workers-th before it,
+            # the costliest share, so it seldom sleeps in the join: a thread
+            # that sleeps can wake on the other core, away from its cached data
+            _run_shares([partial(_attend, tiles[::-1][i::workers], bufs[i], None, parts, *kernel)
+                         for i in range(workers)])
+            for key in sorted(parts):  # tile, then head: the order of one thread's adds
+                part = parts.pop(key)
+                captures[layer][: part.shape[0]] += part
 
         if need_out:
             x += out @ w[f"layers.{layer}.o_proj"]
-            # free what this layer no longer reads before the MLP; the tile
-            # names hold views of the score buffer
-            del q, out, panels, buf, block, scores, tile
+            del q, out, panels, bufs, kernel  # freed before the MLP
             # the MLP in blocks of at least MLP_BLOCK rows: its (rows, 4d)
             # temporaries stay cache-sized, and no product becomes a gemv
             n = max(1, S // MLP_BLOCK)
@@ -684,6 +713,80 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     out_logits = _rmsnorm(x, w["final_norm"]) @ w["lm_head"] if logits else None
     capture = AttentionCapture(captures, query_rows if q_hi > q_lo else None)
     return out_logits, (capture if n_obs or q_hi > q_lo else None)
+
+
+def _attend(share, buf, capture, parts, hi, base, q, a, k_rot, panels, v_all, ones, out, shift, obs, H):
+    """Attend the tiles of a range ending at row `hi` that start at the rows
+    in `share`: each tile's rows of `out` (when not None) and, for its
+    observer rows (`obs`, a local (start, end)), one contribution per head to
+    the capture vector, added into `capture`, or kept as ``parts[r0, h]``
+    when `parts` is a dict. `q` holds the scaled queries of rows from `a` on;
+    with `panels`, multi-row tiles score into a block of `buf`. Tiles read
+    only the keys and values and write only their own rows, so ranges can
+    split their tiles over threads."""
+    dk = q.shape[1] // H
+    obs_lo, obs_hi = obs
+    for r0 in share:
+        r1 = min(r0 + ATTENTION_BLOCK, hi)
+        end = base + r1
+        # row r sees columns [0, base + r]: only the diagonal tile is masked
+        future = _FUTURE[: r1 - r0, : r1 - r0]
+        c0, c1 = max(r0, obs_lo), min(r1, obs_hi)
+        block = None
+        if panels is not None and r1 > r0 + 1:
+            # one contiguous (rows, wt) block of the buffer, wt = end padded
+            # to an odd number of 16-float (64-byte) lines, as rows a power
+            # of two apart share cache sets; its padding columns hold -inf
+            wt = ((end + 15) // 16 | 1) * 16
+            block = buf[: (r1 - r0) * wt].reshape(r1 - r0, wt)
+        for h in range(H):
+            cols = slice(h * dk, (h + 1) * dk)
+            if block is not None:
+                block[:, end:] = -np.inf
+                scores = np.matmul(q[r0 - a : r1 - a, cols], panels[cols, :end], out=block[:, :end])
+                tile = block
+            else:  # numpy sends one row to gemv, which a panel would round differently
+                scores = tile = q[r0 - a : r1 - a, cols] @ k_rot[:end, cols].T
+            if r1 > r0 + 1:  # a one-row tile has no future column
+                scores[:, base + r0 :][future] = -np.inf
+            if shift:
+                tile -= tile.max(axis=1, keepdims=True)
+            np.exp2(tile, out=tile)
+            rowsum = (scores @ ones[:end])[:, None]
+            if out is not None:
+                out[r0:r1, cols] = (scores @ v_all[:end, cols]) / rowsum
+            if c0 < c1:
+                rows = slice(c0 - r0, c1 - r0)
+                part = (F32(1 / (H * (obs_hi - obs_lo))) / rowsum[rows, 0]) @ scores[rows]
+                if parts is None:
+                    capture[:end] += part
+                else:
+                    parts[r0, h] = part
+
+
+def _run_shares(calls) -> None:
+    """Call each of `calls`, the first on this thread and every other on a
+    thread of its own, started before it, in a copy of this thread's context
+    (numpy 2 keeps ``np.errstate`` there). Once all have returned, re-raise
+    this thread's exception, else the first one a thread raised."""
+    errors: list[BaseException] = []
+
+    def run(call):
+        try:
+            call()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, c)) for c in calls[1:]]
+    for t in threads:
+        t.start()
+    try:
+        calls[0]()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def decode_step(model, cache: KvCache, token_id: int):

@@ -365,6 +365,32 @@ def test_eval_resume_refuses_runs_of_another_corpus(workdir, monkeypatch, capsys
     assert runs.read_bytes() == before
 
 
+@pytest.mark.parametrize("edit", [
+    ("seed = 0", "seed = 1"),  # another model
+    ("[eval]\n", "[eval]\nsegments = 1\n"),
+    ("fewshot = 1", "fewshot = 2"),
+    ("max_new = 4", "max_new = 5"),
+    None,  # the same settings over records written before records carried them
+], ids=["model", "segments", "fewshot", "max_new", "old_schema"])
+def test_eval_resume_refuses_runs_of_other_settings(workdir, monkeypatch, capsys, edit):
+    (workdir / "eval.ini").write_text(EVAL_INI)
+    assert main(["eval", "--config", "eval.ini"]) == 0
+    runs = workdir / "results" / "runs" / "s3c1.jsonl"
+    if edit is None:
+        rows = [json.loads(line) for line in runs.read_text().splitlines()]
+        runs.write_text("".join(json.dumps({k: v for k, v in row.items()
+                                            if k not in ("model_fp", "segments", "fewshot", "max_new")}) + "\n"
+                                for row in rows))
+    else:
+        assert edit[0] in EVAL_INI
+        (workdir / "eval.ini").write_text(EVAL_INI.replace(*edit))
+    before = runs.read_bytes()
+    monkeypatch.setattr(evalharness, "_run_cell", lambda *args: pytest.fail("a cell ran"))
+    assert main(["eval", "--config", "eval.ini", "--resume"]) == 4
+    assert "another corpus or setting" in capsys.readouterr().err
+    assert runs.read_bytes() == before
+
+
 class Killed(BaseException):
     """Stands in for a kill: no per-cell ``except Exception`` catches it."""
 

@@ -299,6 +299,43 @@ def test_suite_refuses_a_runs_file_of_another_corpus(suite, small_bundle, small_
     assert compress_mod.COMPRESSION_CALLS == calls
 
 
+SETTINGS = ("model_fp", "segments", "fewshot", "max_new")
+
+
+def test_records_carry_the_settings_they_ran_under(suite, small_model):
+    records, _, _ = suite
+    assert {tuple(getattr(r, name) for name in SETTINGS) for r in records} == {
+        (small_model.fingerprint.hex(), 2, 3, 6)}
+
+
+@pytest.mark.parametrize("other", ["model", "segments", "fewshot", "max_new", "old_schema"])
+def test_suite_refuses_a_runs_file_of_other_settings(suite, small_bundle, small_model, tmp_path, other):
+    # old_schema: records written before they carried their settings
+    _, out, _ = suite
+    runs = tmp_path / "runs.jsonl"
+    if other == "old_schema":
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        runs.write_text("".join(json.dumps({k: v for k, v in row.items() if k not in SETTINGS}) + "\n"
+                                for row in rows))
+        assert {r.model_fp for r in load_records(runs)} == {""}
+    else:
+        runs.write_bytes(out.read_bytes())
+    kwargs = dict(model=small_model, s=2, n_fewshot=3, params=GenerationParams(max_new_tokens=6))
+    if other == "model":
+        kwargs["model"] = init_random_model(small_model.config, seed=1)
+    elif other == "segments":
+        kwargs["s"] = 1
+    elif other == "fewshot":
+        kwargs["n_fewshot"] = 2
+    elif other == "max_new":
+        kwargs["params"] = GenerationParams(max_new_tokens=7)
+    before, calls = runs.read_bytes(), compress_mod.COMPRESSION_CALLS
+    with pytest.raises(StaleCacheError, match="runs.jsonl"):
+        run_suite(bundle=small_bundle, methods=("full", "kvc_zs"), budgets=(64,), out_path=runs, **kwargs)
+    assert runs.read_bytes() == before
+    assert compress_mod.COMPRESSION_CALLS == calls
+
+
 @pytest.mark.parametrize("damage", [
     lambda good: [b"{not json", good],
     lambda good: [good.replace(b'"qid"', b'"quid"'), good],

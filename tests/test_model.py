@@ -2,7 +2,13 @@
 position discipline and layout, capture semantics, and the diagnostic
 construction."""
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +235,224 @@ def test_panels_only_for_ranges_of_several_tiles(monkeypatch):
     prefill(model, KvCache.empty(config), ids[:300], observer_span=(0, 300))
     assert panels == want + [300, 300, 300]
     assert 1 not in products
+
+
+@pytest.fixture
+def tile_workers(monkeypatch):
+    """Sets TILE_WORKERS; every range of several tiles splits, whatever its size."""
+    monkeypatch.setattr(modelcore, "SPLIT_MIN_SCORES", 0)
+    return lambda workers: monkeypatch.setattr(modelcore, "TILE_WORKERS", workers)
+
+
+def past_bound(model):
+    """`model` with q and k scaled by 12, which multiplies its score bound by 144."""
+    return Model(model.config, {name: w * np.float32(12) if name.endswith(("q_proj", "k_proj")) else w
+                                for name, w in model.weights.items()})
+
+
+def diagnostic_model():
+    vocab = build_vocabulary(["alpha beta gamma"])
+    return init_diagnostic_model(ModelConfig(n_layers=1, n_heads=1, hidden_size=256, head_dim=256,
+                                             vocab_size=len(vocab), max_position=4096, rotary_enabled=False),
+                                 vocab)
+
+
+WORKER_COUNT_MODELS = {
+    "eval": lambda: init_random_model(default_eval_config(64), 1),
+    "ttft": lambda: init_random_model(ttft_reference_config(64), 2),
+    "diagnostic": diagnostic_model,
+    "past_bound": lambda: past_bound(init_random_model(default_eval_config(64), 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKER_COUNT_MODELS))
+def test_outputs_do_not_depend_on_the_worker_count(name, tile_workers):
+    # A range of several tiles splits them round-robin over TILE_WORKERS
+    # threads; every tile writes its own rows, and the capture adds the
+    # tiles' contributions in one thread's order, so no bit moves. The sizes
+    # end in a one-row and a 63-row tail tile, after no cache and after one;
+    # the observer spans cover several tiles of the last layer's range.
+    model = WORKER_COUNT_MODELS[name]()
+    config = model.config
+    assert (model.score_bound > SHIFT_FREE_BOUND) == (name == "past_bound")
+    rng = np.random.default_rng(11)
+    cases = [(base, n, (n // 3, n - 20), (n - 20, n))
+             for base in (0, 100) for n in (3 * ATTENTION_BLOCK + 1, 4 * ATTENTION_BLOCK + 63)]
+    cases.append((0, 2 * ATTENTION_BLOCK + 5, None, None))
+    ids = [random_ids(rng, config.vocab_size, base + n + 1) for base, n, _, _ in cases]
+
+    def run():
+        arrays = []
+        for (base, n, obs, query), case_ids in zip(cases, ids):
+            cache = KvCache.empty(config)
+            prefill(model, cache, case_ids[:base])
+            capture = prefill(model, cache, case_ids[base : base + n], observer_span=obs, query_span=query)
+            if capture is not None:
+                arrays += [*capture.layers, *capture.queries]
+            for layer in range(config.n_layers):
+                arrays += [cache.keys[layer], cache.values[layer], cache.rotated_keys(layer, config)]
+            arrays.append(decode_step(model, cache, case_ids[-1])[0])
+        return arrays
+
+    runs = {}
+    for workers in (1, 2, 3):
+        tile_workers(workers)
+        runs[workers] = run()
+    for workers in (2, 3):
+        for a, b in zip(runs[1], runs[workers], strict=True):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), (name, workers)
+
+
+def test_more_workers_than_cores_with_fast_thread_switches_agree_bitwise(tile_workers):
+    # Five workers share the capture's parts dict and the output rows; a
+    # lost or reordered update would move a capture or an output bit.
+    model = init_random_model(default_eval_config(64), 6)
+    ids = random_ids(np.random.default_rng(6), 64, 12 * ATTENTION_BLOCK + 7)
+    n = len(ids) - 1
+
+    def run():
+        cache = KvCache.empty(model.config)
+        capture = prefill(model, cache, ids[:n], observer_span=(ATTENTION_BLOCK + 3, n))
+        return [*capture.layers, *cache.keys, *cache.values, decode_step(model, cache, ids[n])[0]]
+
+    serial = run()
+    tile_workers(5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [run() for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for arrays in threaded:
+        for a, b in zip(serial, arrays, strict=True):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def test_a_compressed_cache_file_does_not_depend_on_the_worker_count(small_bundle, small_model, tmp_path,
+                                                                     tile_workers):
+    files = []
+    for workers in (1, 2):
+        tile_workers(workers)
+        compressed = compress_iterative(small_model, small_bundle.corpus_tokens(), make_guidance("zs", []),
+                                        small_bundle.vocab, CompressionBudget(160))
+        save_cache(compressed, tmp_path / f"{workers}.kvcc")
+        files.append((tmp_path / f"{workers}.kvcc").read_bytes())
+    assert files[0] == files[1]
+
+
+def test_workers_run_under_the_callers_errstate(tiny_model, tile_workers):
+    # test_a_model_past_the_bound_keeps_the_shift's prefill without the
+    # shift overflows exp2 on purpose, under np.errstate. A worker thread
+    # that left the caller's errstate behind would warn, here an error that
+    # ends its share of the tiles.
+    model = past_bound(tiny_model)
+    model.score_bound = 0.0
+    n = 2 * ATTENTION_BLOCK + 9
+    ids = random_ids(np.random.default_rng(7), model.config.vocab_size, n)
+    captures = []
+    for workers in (1, 2):
+        tile_workers(workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                capture = prefill(model, KvCache.empty(model.config), ids, observer_span=(0, n))
+        captures.append(capture.layers)
+    assert not np.all(np.isfinite(captures[1][-1]))
+    for a, b in zip(*captures, strict=True):
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def test_an_exception_in_a_worker_surfaces_from_prefill(tiny_model, monkeypatch, tile_workers):
+    class Boom(Exception):
+        pass
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp2(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise Boom("worker")
+            return np.exp2(*args, **kwargs)
+
+    monkeypatch.setattr(modelcore, "np", Spy())
+    tile_workers(2)
+    ids = random_ids(np.random.default_rng(4), tiny_model.config.vocab_size, 3 * ATTENTION_BLOCK)
+    with pytest.raises(Boom, match="worker"):
+        prefill(tiny_model, KvCache.empty(tiny_model.config), ids)
+    # a one-tile range runs on the calling thread alone
+    prefill(tiny_model, KvCache.empty(tiny_model.config), ids[:ATTENTION_BLOCK])
+
+
+def test_only_ranges_of_enough_scores_split(tiny_model, monkeypatch):
+    # H x rows x columns of at least SPLIT_MIN_SCORES: the first layer's
+    # range of 1,024 rows over an empty cache scores 2 x 1,024 x 1,024
+    # elements, one of 1,536 rows 2 x 1,536 x 1,536
+    splits = []
+    run_shares = modelcore._run_shares
+    monkeypatch.setattr(modelcore, "_run_shares", lambda calls: splits.append(len(calls)) or run_shares(calls))
+    monkeypatch.setattr(modelcore, "TILE_WORKERS", 2)
+    monkeypatch.setattr(modelcore, "SPLIT_MIN_SCORES", 2 * 1024 * 1024 + 1)
+    ids = random_ids(np.random.default_rng(8), tiny_model.config.vocab_size, 1536)
+    prefill(tiny_model, KvCache.empty(tiny_model.config), ids[:1024])
+    assert splits == []
+    prefill(tiny_model, KvCache.empty(tiny_model.config), ids)
+    assert splits == [2]
+
+
+@pytest.mark.parametrize("cores, environ, workers", [
+    (2, {}, 1),  # BLAS runs a thread per core
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (2, {"GOTO_NUM_THREADS": "1"}, 2),
+    (2, {"OMP_NUM_THREADS": "1"}, 2),
+    (8, {"OMP_NUM_THREADS": "3"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    # the first variable set to a count wins, in OpenBLAS's order
+    (4, {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 2),
+    (4, {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+    # counts below 1 and words are skipped, as OpenBLAS skips them
+    (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "-1", "GOTO_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4),
+    (4, {"OPENBLAS_NUM_THREADS": "abc"}, 1),
+])
+def test_tile_workers_take_the_cores_blas_leaves(cores, environ, workers):
+    assert modelcore._tile_workers(environ, cores) == workers
+
+
+TILE_WORKERS_SCRIPT = """
+import hashlib, os
+import numpy as np
+from kvcbench import modelcore
+from kvcbench.evalharness import default_eval_config
+
+assert modelcore.TILE_WORKERS == len(os.sched_getaffinity(0)), modelcore.TILE_WORKERS
+model = modelcore.init_random_model(default_eval_config(64), 5)
+ids = np.random.default_rng(5).integers(4, 64, size=1500)
+modelcore.SPLIT_MIN_SCORES = 0  # split every range of several tiles
+digests = []
+for workers in (modelcore.TILE_WORKERS, 1):
+    modelcore.TILE_WORKERS = workers
+    cache = modelcore.KvCache.empty(model.config)
+    capture = modelcore.prefill(model, cache, ids[:1000], observer_span=(300, 1000))
+    capture = modelcore.prefill(model, cache, ids[1000:-1], observer_span=(100, 499), query_span=(0, 499))
+    h = hashlib.sha256()
+    for a in (*cache.keys, *cache.values, *capture.layers, *capture.queries,
+              modelcore.decode_step(model, cache, int(ids[-1]))[0]):
+        h.update(a.tobytes())
+    digests.append(h.hexdigest())
+assert digests[0] == digests[1], digests
+"""
+
+
+def test_one_blas_thread_gives_every_core_a_worker_and_the_same_bits():
+    # Tier-1 runs with BLAS unpinned, so TILE_WORKERS is 1 in this process;
+    # a process with one BLAS thread per the rule takes a worker per core.
+    src = str(Path(modelcore.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", TILE_WORKERS_SCRIPT], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_empty_prefill_is_a_no_op(tiny_model):
@@ -577,6 +801,24 @@ def test_prefill_mlp_arrays_do_not_grow_with_the_sequence():
     peak = traced_peak(lambda: prefill(model, cache, ids, observer_span=(900, 1000)))
     assert peak < 9.5 * S * d * 4, peak / (S * d * 4)
     assert cache.length == S
+
+
+def test_a_second_worker_holds_one_more_score_buffer(tile_workers):
+    # The caller allocates each worker's score buffer, ATTENTION_BLOCK x
+    # (columns + 32) floats, and frees them all before the MLP; the workers'
+    # other temporaries are a tile's size. A few hundred bytes of thread
+    # objects come on top.
+    S, d = 4 * MLP_BLOCK, 64
+    config = ModelConfig(n_layers=2, n_heads=2, hidden_size=d, head_dim=d // 2,
+                         vocab_size=64, max_position=2 * S, rotary_enabled=False)
+    model = init_random_model(config, seed=2)
+    ids = random_ids(np.random.default_rng(9), 64, S)
+    peaks = {}
+    for workers in (1, 2):
+        tile_workers(workers)
+        peaks[workers] = traced_peak(lambda: prefill(model, KvCache.empty(config), ids))
+    buffer = ATTENTION_BLOCK * (S + 32) * 4
+    assert peaks[2] - peaks[1] <= buffer + 1024, (peaks[2] - peaks[1]) / buffer
 
 
 def test_rotate_identity_cases(tiny_config):
