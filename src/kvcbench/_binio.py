@@ -124,19 +124,17 @@ class Reader:
             )
 
 
-def read_container(path, magic: bytes, versions) -> tuple[Reader, int]:
-    """A Reader over container `path`, mapped, positioned after its checked
-    frame, and the version it found, one of `versions`."""
+def read_container(path, magic: bytes, version: int) -> Reader:
+    """A Reader over container `path`, mapped and positioned after its
+    frame, which must carry `magic` and `version`."""
     name = magic.decode()
     r = Reader(map_artifact(path, f"{name} container"), path)
     if r.take(4) != magic:
         raise FormatError(f"{path}: not a {name} container")
     found = r.u32()
-    if found not in versions:
-        *rest, last = map(str, sorted(versions))
-        expected = f"{', '.join(rest)} or {last}" if rest else last
-        raise FormatError(f"{path}: unsupported {name} version {found} (expected {expected})")
-    return r, found
+    if found != version:
+        raise FormatError(f"{path}: unsupported {name} version {found} (expected {version})")
+    return r
 
 
 def write_container(path, magic: bytes, version: int, parts, align: int = 1) -> None:

@@ -1,30 +1,29 @@
 """Binary container for compressed caches, laid out so a cache can run
 from the mapped file.
 
-Layout of version 3 (little-endian): magic ``KVCC``, version u32, then the
-three 32-byte fingerprints (model, guidance, corpus), n_context u64, k u32,
-s u32, schedule code u8, n_layers u32, n_kept u64, hidden u32 and a rotated
-flag u8. Then per layer the kept original positions as u32, the K rows and
-the V rows as row-major f32 and, when the flag is 1, the K rows rotated to
-positions 0..n_kept-1 (``CompressedCache.rotated``, which a rotary model's
-compression carries) as row-major f32. Every array starts at a multiple of
-``ALIGN`` bytes from the start of the file, after zero padding, and each
-float array is followed by n_kept // 8 zero rows, the headroom ``KvCache``
-gives a cache it builds. Version 2 has neither padding nor headroom, and
-version 1 also lacks the flag and the rotated rows; both still load, a v1
-file with ``rotated`` None.
+Layout (little-endian): magic ``KVCC``, version u32 (3, the only version
+read; a cache of another version is rebuilt with ``kvc compress``), then
+the three 32-byte fingerprints (model, guidance, corpus), n_context u64,
+k u32, s u32, schedule code u8, n_layers u32, n_kept u64, hidden u32 and a
+rotated flag u8. Then per layer the kept original positions as u32, the K
+rows and the V rows as row-major f32 and, when the flag is 1, the K rows
+rotated to positions 0..n_kept-1 (``CompressedCache.rotated``, which a
+rotary model's compression carries) as row-major f32. Every array starts
+at a multiple of ``ALIGN`` bytes from the start of the file, after zero
+padding, and each float array is followed by n_kept // 8 zero rows, the
+headroom ``KvCache`` gives a cache it builds.
 
 Loading validates structure always and fingerprint compatibility when a
 model is supplied, so a cache can never be silently replayed against the
 wrong model. The file is mapped copy-on-write, never read whole: a loaded
 cache's float rows are read-only views of its first n_kept rows of each
-array. The first ``to_kv_cache`` of a loaded v3 cache takes over the mapped
+array. The first ``to_kv_cache`` of a loaded cache takes over the mapped
 arrays, headroom included, so a question's rows and decoded tokens land in
 private copies of the pages they touch and no cached row is copied; later
-calls, and v1 and v2 files, copy the rows. A save renames a new file over
-the path, so it never changes a cache loaded from the old one. Truncating a
-KVCC file in place while a process answers from it is unsupported: touching
-a page past the new end raises SIGBUS.
+calls copy the rows. A save renames a new file over the path, so it never
+changes a cache loaded from the old one. Truncating a KVCC file in place
+while a process answers from it is unsupported: touching a page past the
+new end raises SIGBUS.
 """
 
 from __future__ import annotations
@@ -41,12 +40,10 @@ from .modelcore import Model
 
 MAGIC = b"KVCC"
 VERSION = 3
-# the versions load_cache reads
-VERSIONS = (1, 2, 3)
-# version 3 starts every array at a multiple of this many bytes
+# every array starts at a multiple of this many bytes
 ALIGN = 64
-# after the frame, every version: the model, guidance and corpus
-# fingerprints, n_context, k, s, schedule code, n_layers, n_kept, hidden
+# after the frame: the model, guidance and corpus fingerprints, n_context,
+# k, s, schedule code, n_layers, n_kept, hidden
 HEADER = struct.Struct("<32s32s32sQIIBIQI")
 
 # a schedule's code byte is its index here: append new schedules, never reorder
@@ -75,32 +72,32 @@ def save_cache(compressed: CompressedCache, path) -> None:
 
 
 def load_cache(path, model: Model | None = None) -> CompressedCache:
-    """Map a KVCC container of any version. When `model` is given, a
-    fingerprint mismatch raises StaleCacheError; structural damage raises
-    FormatError."""
+    """Map a KVCC container. When `model` is given, a fingerprint mismatch
+    raises StaleCacheError; structural damage and any version but
+    ``VERSION`` raise FormatError."""
     p = Path(path)
-    r, version = read_container(p, MAGIC, VERSIONS)
+    r = read_container(p, MAGIC, VERSION)
     *fingerprints, n_context, k, s, code, n_layers, n_kept, hidden = r.unpack(HEADER)
     if code >= len(SCHEDULE_CODES):
         raise FormatError(f"{p}: unknown schedule code {code}")
-    if n_layers < 1 or hidden < 1:
-        raise FormatError(f"{p}: implausible geometry ({n_layers} layers, hidden {hidden})")
-    flag = r.u8() if version >= 2 else 0
+    # with a kept row every layer takes bytes, so truncation bounds n_layers
+    if n_layers < 1 or n_kept < 1 or hidden < 1:
+        raise FormatError(f"{p}: implausible geometry ({n_layers} layers, {n_kept} kept rows, hidden {hidden})")
+    flag = r.u8()
     if flag > 1:
         raise FormatError(f"{p}: rotated flag is {flag}, expected 0 or 1")
 
-    # v3: each array aligned, each float array with its headroom rows
-    align, room = (ALIGN, n_kept // 8) if version >= 3 else (1, 0)
+    room = n_kept // 8
     keys, values, kept, rotated = [], [], [], []
     buffers = ([], [], [])
     for _ in range(n_layers):
-        r.align(align)
+        r.align(ALIGN)
         pos = r.view("<u4", n_kept).astype(np.int64)
-        if n_kept and (np.any(np.diff(pos) <= 0) or pos[-1] >= n_context):
+        if np.any(np.diff(pos) <= 0) or pos[-1] >= n_context:
             raise FormatError(f"{p}: kept positions not strictly increasing within context")
         kept.append(pos)
         for rows, bufs in zip((keys, values, rotated)[: 2 + flag], buffers):
-            r.align(align)
+            r.align(ALIGN)
             buf = r.view("<f4", (n_kept + room) * hidden).reshape(n_kept + room, hidden)
             rows.append(buf[:n_kept])
             rows[-1].flags.writeable = False
@@ -109,8 +106,7 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
 
     meta = CacheMeta(*fingerprints, n_context, k, s, SCHEDULE_CODES[code])
     loaded = CompressedCache(keys, values, kept, meta, rotated if flag else None)
-    if version >= 3:
-        loaded._mapped = (buffers[0], buffers[1], buffers[2] if flag else None)
+    loaded._mapped = (buffers[0], buffers[1], buffers[2] if flag else None)
     if model is not None and model.fingerprint != meta.model_fingerprint:
         raise StaleCacheError(f"{p}: cache was built by a different model than the one supplied")
     return loaded

@@ -199,6 +199,8 @@ def cmd_ask(args) -> int:
 def cmd_rag(args) -> int:
     if not args.question.strip():
         raise UsageError("question must be nonempty")
+    if args.top < 0:
+        raise UsageError(f"--top must be >= 0, got {args.top}")
     bundle = load_bundle(_resolve(args.bundle))
     if args.index:
         index_path = _resolve(args.index)
@@ -216,6 +218,8 @@ def cmd_rag(args) -> int:
     result = retrieve(index, query, top_b=len(bundle.chunks))
     # assemble before printing, so a budget below one chunk fails before the ranking
     context = assemble_context(bundle, result, args.budget) if args.answer else None
+    if args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
     if result.no_known_terms:
         print("note: query shares no terms with the corpus; ranking is chunk-id order")
     width = bundle.spec.chunk_tokens
@@ -310,6 +314,8 @@ def parse_eval_config(path: Path) -> RunConfig:
 
 def cmd_eval(args) -> int:
     config = parse_eval_config(_resolve(args.config))
+    # a key lost to damage (say, commented out) shows here as its default
+    print(f"config: {config}")
     out_dir = _resolve(config.out_dir)
     runs_dir = out_dir / "runs"
     report_dir = out_dir / "report"

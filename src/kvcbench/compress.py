@@ -20,7 +20,7 @@ approximate. A segment's survivors enter the next segment's cache with an
 empty rotated-key shadow, which its prefill fills; the final survivors are
 rotated once, to positions 0..r-1, and the compressed cache keeps those
 rotated keys (``CompressedCache.rotated``, None with rotary off), so a
-cache built from it, and a KVCC file from v2 on, rotate only the rows a
+cache built from it, and a KVCC file saved from it, rotate only the rows a
 question adds. The task-agnostic baselines run the same segment walk with
 their own keep rules; only ``compress_oracle`` stays a separate one-shot
 reference, and ``_survivors`` builds the result of both.
@@ -173,16 +173,14 @@ class CompressedCache:
     """Survivor K/V rows per layer plus the original context position of
     every survivor. Keys are unrotated; assigned positions are the row
     indices 0..r-1. ``rotated`` holds each layer's keys rotated to those
-    positions, or None: with rotary off, or when they are not at hand (a
-    KVCC v1 file), and then a cache built from this one rotates them on
-    its first read."""
+    positions, or None with rotary off."""
 
     keys: list[np.ndarray]
     values: list[np.ndarray]
     kept_positions: list[np.ndarray]
     meta: CacheMeta
     rotated: list[np.ndarray] | None = None
-    # a loaded KVCC v3 file's (keys, values, rotated) arrays, headroom rows
+    # a loaded KVCC file's (keys, values, rotated) arrays, headroom rows
     # included, for the first to_kv_cache to take over; never copied by
     # dataclasses.replace
     _mapped: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -193,7 +191,7 @@ class CompressedCache:
 
     def to_kv_cache(self) -> KvCache:
         """A cache of these rows to answer on. The first call on a loaded
-        KVCC v3 cache runs on the mapped file's arrays; any other copies."""
+        KVCC cache runs on the mapped file's arrays; any other copies."""
         mapped, self._mapped = self._mapped, None
         if mapped is not None:
             return KvCache.adopt(self.n_kept, *mapped)

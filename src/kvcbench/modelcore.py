@@ -183,16 +183,15 @@ class KvCache:
     serves them rotated from a per-layer shadow that rotates only the rows
     added since it was last read. The constructor takes each layer's keys
     rotated to positions 0..r-1 as ``rotated`` when it has them, so the
-    shadow starts at r rows (compressed caches and KVCC files from v2 on
-    carry all of them, a fork its source's); every forward pass reads the
-    shadow, so only a cache built without them (the segment walk's
-    survivors, a KVCC v1 file) fills it on first read. With rotary off the
-    keys are their own shadow. Every buffer carries headroom: the
-    constructor copies its n rows into buffers of n + n // 8 rows, shadow
-    included, and outgrowing one reallocates it to ``need + need // 8``
-    rows, so neither an appended token nor a short question copies the
-    cache. ``adopt`` instead takes
-    over buffers that already have their headroom, a mapped KVCC v3 file's.
+    shadow starts at r rows (compressed caches and KVCC files carry all of
+    them, a fork its source's); every forward pass reads the shadow, so
+    only a cache built without them (the segment walk's survivors) fills
+    it on first read. With rotary off the keys are their own shadow. Every
+    buffer carries headroom: the constructor copies its n rows into
+    buffers of n + n // 8 rows, shadow included, and outgrowing one
+    reallocates it to ``need + need // 8`` rows, so neither an appended
+    token nor a short question copies the cache. ``adopt`` instead takes
+    over buffers that already have their headroom, a mapped KVCC file's.
     A cache writes no row below the rows it was built with: appends and
     shadow writes start after them, so adopted rows never change.
     ``keys``, ``values`` and ``positions`` are exact-length views. A cache

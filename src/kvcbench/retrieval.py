@@ -193,7 +193,7 @@ def save_index(index: ChunkIndex, path: Path | str) -> None:
 
 def load_index(path: Path | str) -> ChunkIndex:
     p = Path(path)
-    r, _ = read_container(p, INDEX_MAGIC, {INDEX_VERSION})
+    r = read_container(p, INDEX_MAGIC, INDEX_VERSION)
     vocab_sha = r.take(32)
     n_chunks = r.u32()
     vocab_size = r.u32()

@@ -39,7 +39,7 @@ def save_weights(model: Model, path) -> None:
 def load_weights(path, config: ModelConfig) -> Model:
     """Read a KVCW container and validate it against the expected tensor set."""
     p = Path(path)
-    r, _ = read_container(p, MAGIC, {VERSION})
+    r = read_container(p, MAGIC, VERSION)
     count = r.u32()
     weights: dict[str, np.ndarray] = {}
     for _ in range(count):

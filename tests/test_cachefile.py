@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kvcbench.cachefile import SCHEDULE_CODES, load_cache, save_cache
+from kvcbench.cachefile import HEADER, SCHEDULE_CODES, load_cache, save_cache
 from kvcbench.compress import (
     CacheMeta,
     CompressedCache,
@@ -64,14 +64,15 @@ def test_round_trip_bit_identical(saved):
     assert (m.n_context, m.k, m.s, m.schedule) == (24, 6, 2, "proportional")
 
 
-# the header: frame 8, fingerprints 96, geometry 33; v2 adds the rotated flag
-HEADER_V1 = 137
+# the offset of the rotated flag, after the frame (8 bytes), the
+# fingerprints (96) and the geometry (33)
+FLAG_OFFSET = 137
 
 
 def v3_size(n, d, arrays, layers=2):
     """The size of a v3 file: after the header, per layer the positions and
     `arrays` float arrays of n + n // 8 rows, each at a multiple of 64."""
-    size = HEADER_V1 + 1
+    size = FLAG_OFFSET + 1
     for _ in range(layers):
         size = -(-size // 64) * 64 + 4 * n
         for _ in range(arrays):
@@ -82,7 +83,7 @@ def v3_size(n, d, arrays, layers=2):
 def test_v3_round_trip_keeps_rotated_keys_bitwise(saved):
     model, comp, path = saved
     raw = path.read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (3,) and raw[HEADER_V1] == 1
+    assert struct.unpack("<I", raw[4:8]) == (3,) and raw[FLAG_OFFSET] == 1
     n, d = comp.n_kept, 32
     assert len(raw) == v3_size(n, d, 3)
     loaded = load_cache(path, model)
@@ -100,7 +101,7 @@ def test_rotary_off_cache_writes_no_rotated_payload(tmp_path):
     path = tmp_path / "plain.kvcc"
     save_cache(comp, path)
     raw = path.read_bytes()
-    assert raw[HEADER_V1] == 0
+    assert raw[FLAG_OFFSET] == 0
     assert len(raw) == v3_size(comp.n_kept, 32, 2)
     loaded = load_cache(path, model)
     assert loaded.rotated is None
@@ -149,63 +150,23 @@ def assert_answers_alike(model, caches, steps=20):
         assert all(np.array_equal(got, logits[0]) for got in logits[1:])
         tok = int(np.argmax(logits[0]))
 
-def write_old(comp, path, version):
-    """`comp` in the version 1 or 2 layout: packed arrays with no headroom
-    rows, and in version 1 no rotated flag and no rotated rows."""
-    m = comp.meta
-    geometry = [m.n_context, m.k, m.s, SCHEDULE_CODES.index(m.schedule),
-                len(comp.keys), comp.n_kept, comp.keys[0].shape[1]]
-    parts = [b"KVCC", struct.pack("<I", version), m.model_fingerprint, m.guidance_fingerprint,
-             m.corpus_fingerprint,
-             struct.pack("<QIIBIQI", *geometry) if version == 1 else
-             struct.pack("<QIIBIQIB", *geometry, comp.rotated is not None)]
-    rotated = comp.rotated if version == 2 and comp.rotated is not None else [None] * len(comp.keys)
-    for pos, k, v, rot in zip(comp.kept_positions, comp.keys, comp.values, rotated):
-        parts += [pos.astype("<u4").tobytes(), k.astype("<f4").tobytes(), v.astype("<f4").tobytes()]
-        if rot is not None:
-            parts.append(rot.astype("<f4").tobytes())
-    path.write_bytes(b"".join(parts))
 
-
-def test_v1_file_loads_and_answers_like_its_v2_twin(tmp_path):
-    model, comp = make_compressed()
-    for v in (1, 2):
-        write_old(comp, tmp_path / f"v{v}.kvcc", v)
-    v1, v2 = (load_cache(tmp_path / f"{v}.kvcc", model) for v in ("v1", "v2"))
-    assert v1.rotated is None and v2.rotated is not None
-    assert v1.meta == v2.meta
-    for a, b in zip((*v1.keys, *v1.values, *v1.kept_positions), (*v2.keys, *v2.values, *v2.kept_positions)):
-        assert np.array_equal(a, b)
-    caches = [c.to_kv_cache() for c in (v1, v2)]
-    ids = tokenize("the red fox sat near the barn", VOCAB).ids
-    for cache in caches:
-        prefill(model, cache, ids[:-1])
-    for tok in (ids[-1], 5, 9):
-        logits = [decode_step(model, cache, tok)[0] for cache in caches]
-        assert np.array_equal(logits[0], logits[1])
-
-    raw = bytearray((tmp_path / "v1.kvcc").read_bytes())
-    raw[4:8] = struct.pack("<I", 9)
-    (tmp_path / "v9.kvcc").write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"unsupported KVCC version 9 \(expected 1, 2 or 3\)"):
-        load_cache(tmp_path / "v9.kvcc")
-
-
-@pytest.mark.parametrize("rotary", [True, False])
-def test_v2_file_loads_and_answers_like_its_v3_twin(tmp_path, rotary):
-    model, comp = make_compressed(k=16, rotary=rotary)
-    write_old(comp, tmp_path / "v2.kvcc", 2)
-    save_cache(comp, tmp_path / "v3.kvcc")
-    v2, v3 = (load_cache(tmp_path / f"{v}.kvcc", model) for v in ("v2", "v3"))
-    assert v2.meta == v3.meta and (v2.rotated is None) == (v3.rotated is None) == (not rotary)
-    for a, b in zip((*v2.keys, *v2.values, *v2.kept_positions, *(v2.rotated or ())),
-                    (*v3.keys, *v3.values, *v3.kept_positions, *(v3.rotated or ()))):
-        assert np.array_equal(a, b)
-    assert_answers_alike(model, [comp.to_kv_cache(), v2.to_kv_cache(), v3.to_kv_cache()])
+def test_cache_without_rotated_keys_answers_like_one_with_them(tmp_path):
+    """A cache whose rotated keys are not at hand, built in memory or
+    adopted from a file with the rotated flag 0, rotates them on first read
+    and answers bitwise like one that carries them."""
+    model, comp = make_compressed(k=16)
+    path = tmp_path / "flag0.kvcc"
+    save_cache(replace(comp, rotated=None), path)
+    assert path.read_bytes()[FLAG_OFFSET] == 0
+    loaded = load_cache(path, model)
+    assert loaded.rotated is None
+    assert_answers_alike(model, [comp.to_kv_cache(), replace(comp, rotated=None).to_kv_cache(),
+                                 loaded.to_kv_cache()])
 
 
 def test_first_kv_cache_of_a_loaded_cache_runs_on_the_mapping(tmp_path):
-    """The first to_kv_cache of a loaded v3 cache shares the loaded arrays'
+    """The first to_kv_cache of a loaded cache shares the loaded arrays'
     memory, a second one does not, and both answer bitwise like the cache
     the compressor returned while the loaded rows stay as they were."""
     model, comp = make_compressed(k=16)
@@ -243,7 +204,7 @@ def test_saving_over_a_loaded_path_leaves_its_answer_alone(tmp_path):
 
 def test_unknown_rotated_flag(saved, tmp_path):
     _, _, path = saved
-    bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(HEADER_V1, 2))
+    bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(FLAG_OFFSET, 2))
     with pytest.raises(FormatError, match="rotated flag is 2"):
         load_cache(bad)
 
@@ -306,10 +267,13 @@ def test_bad_magic(saved, tmp_path):
         load_cache(bad)
 
 
-def test_bad_version(saved, tmp_path):
+@pytest.mark.parametrize("version", [1, 2, 4, 9])
+def test_bad_version(saved, tmp_path, version):
+    """Only the version save_cache writes loads: an older cache is rebuilt
+    with ``kvc compress``."""
     _, _, path = saved
-    bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(slice(4, 8), struct.pack("<I", 9)))
-    with pytest.raises(FormatError, match="unsupported KVCC version 9"):
+    bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(slice(4, 8), struct.pack("<I", version)))
+    with pytest.raises(FormatError, match=rf"unsupported KVCC version {version} \(expected 3\)"):
         load_cache(bad)
 
 
@@ -327,6 +291,18 @@ def test_zero_layers_rejected(saved, tmp_path):
                   lambda raw: raw.__setitem__(slice(121, 125), struct.pack("<I", 0)))
     with pytest.raises(FormatError, match="implausible geometry"):
         load_cache(bad)
+
+
+def test_zero_kept_rows_rejected_before_the_layers(tmp_path):
+    """With no kept row a layer takes no bytes, so nothing but the geometry
+    check bounds a claimed layer count: this 192-byte file claims 100,000."""
+    header = HEADER.pack(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, 10, 1, 1, 0, 100_000, 0, 8)
+    raw = b"KVCC" + struct.pack("<I", 3) + header + b"\x00"
+    path = tmp_path / "zero.kvcc"
+    path.write_bytes(raw + bytes(-len(raw) % 64))
+    assert path.stat().st_size == 192
+    with pytest.raises(FormatError, match=r"implausible geometry \(100000 layers, 0 kept rows"):
+        load_cache(path)
 
 
 def test_truncation(saved, tmp_path):

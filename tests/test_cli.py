@@ -5,6 +5,7 @@ golden --help output."""
 import csv
 import dataclasses
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,16 @@ def test_ask_error_paths(bundle_dir, workdir, capsys):
     cache.write_bytes(cache.read_bytes()[:-9])
     assert main(["ask", "--cache", "ok.kvcc", "--bundle", "bundle",
                  "--question", "anything"]) == 4
+    # a cache of a version load_cache no longer reads is refused, not parsed
+    assert main(["compress", "--bundle", "bundle", "--budget", "32",
+                 "--method", "kvc_zs", "--out", "v2.kvcc"]) == 0
+    raw = bytearray((workdir / "v2.kvcc").read_bytes())
+    raw[4:8] = struct.pack("<I", 2)
+    (workdir / "v2.kvcc").write_bytes(bytes(raw))
     capsys.readouterr()
+    assert main(["ask", "--cache", "v2.kvcc", "--bundle", "bundle",
+                 "--question", "anything"]) == 4
+    assert "unsupported KVCC version 2 (expected 3)" in capsys.readouterr().err
 
 
 def test_ask_on_an_empty_cache_exits_4(bundle_dir, workdir, capsys):
@@ -230,6 +240,27 @@ def test_rag_answer_below_one_chunk_exits_2_before_ranking(bundle_dir, capsys):
     out, err = capsys.readouterr()
     assert "rank" not in out
     assert "budget -5 below chunk width 80" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--top", "-3"], "--top must be >= 0, got -3"),
+    (["--budget", "0"], "--budget must be >= 1, got 0"),
+    (["--budget", "-5"], "--budget must be >= 1, got -5"),
+    (["--budget", "-5", "--top", "-3"], "--top must be >= 0, got -3"),
+])
+def test_rag_negative_counts_exit_2_before_ranking(bundle_dir, capsys, flags, message):
+    assert main(["rag", "--bundle", "bundle", "--question", read_question(bundle_dir), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert "rank" not in out
+    assert message in err
+
+
+@pytest.mark.parametrize("budget", ["1", "79"])
+def test_rag_budget_below_one_chunk_ranks_without_marks(bundle_dir, capsys, budget):
+    assert main(["rag", "--bundle", "bundle", "--question", read_question(bundle_dir),
+                 "--budget", budget, "--top", "3"]) == 0
+    ranks = [line for line in capsys.readouterr().out.splitlines() if "rank" in line]
+    assert len(ranks) == 3 and not any(line.startswith("*") for line in ranks)
 
 
 def test_rag_index_reuse_and_staleness(bundle_dir, workdir, capsys):
@@ -427,6 +458,21 @@ def test_eval_resume_after_a_kill(workdir, monkeypatch, capsys):
         (r.qid, r.method, r.budget, r.answer, r.overlap, r.retention) for r in uninterrupted
     ]
     capsys.readouterr()
+
+
+def test_eval_prints_its_resolved_config_before_the_first_cell(workdir, monkeypatch, capsys):
+    """A key lost to a comment runs at its default, and the config line
+    shows that default before any cell runs."""
+    (workdir / "eval.ini").write_text(EVAL_INI.replace("fewshot = 1", "# fewshot = 5"))
+    def cell(*args):
+        raise Killed
+
+    monkeypatch.setattr(evalharness, "_run_cell", cell)
+    with pytest.raises(Killed):
+        main(["eval", "--config", "eval.ini"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config: RunConfig(")
+    assert "fewshot=3" in lines[0] and "max_new=4" in lines[0]
 
 
 @pytest.mark.parametrize("mutate, code", [
