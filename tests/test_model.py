@@ -24,6 +24,7 @@ from kvcbench.modelcore import (
     ATTENTION_BLOCK,
     DIAGNOSTIC_MIN_WIDTH,
     MLP_BLOCK,
+    PANEL_MIN_TILES,
     SHIFT_FREE_BOUND,
     GenerationParams,
     KvCache,
@@ -156,10 +157,10 @@ def test_chunked_prefill_equals_one_shot(split):
 @pytest.mark.parametrize("n_heads, head_dim, past_bound",
                          [(2, 16, False), (1, 32, False), (1, 64, False), (2, 16, True)])
 def test_a_multi_tile_range_equals_one_tile_calls_bitwise(n_heads, head_dim, past_bound):
-    # One call of 4 tiles and a row scores its 64-row tiles from the key
-    # panels into the pass's score buffer, and its one-row tail tile from the
-    # plain product. Calls of one tile each score every tile from the plain
-    # product. The tail call projects its one row through gemv, which can
+    # One call of 4 tiles and a row scores its 64-row tiles from a view of
+    # the keys (fewer than PANEL_MIN_TILES tiles take no panel) into the
+    # pass's score buffer, and its one-row tail tile from the plain product.
+    # Calls of one tile each score every tile from the plain product. The tail call projects its one row through gemv, which can
     # round differently from the one call's gemm, so that row alone is
     # compared within a tolerance.
     config = ModelConfig(n_layers=2, n_heads=n_heads, hidden_size=n_heads * head_dim, head_dim=head_dim,
@@ -190,10 +191,19 @@ def test_a_multi_tile_range_equals_one_tile_calls_bitwise(n_heads, head_dim, pas
     assert np.max(np.abs(logits[0] - logits[1])) < 1e-4
 
 
+@pytest.mark.parametrize("n_heads, head_dim, past_bound", [(2, 16, False), (1, 64, False), (2, 16, True)])
+def test_a_range_scored_from_key_panels_equals_one_tile_calls_bitwise(n_heads, head_dim, past_bound, monkeypatch):
+    # the check above with every range of several tiles scored from panels
+    monkeypatch.setattr(modelcore, "PANEL_MIN_TILES", 2)
+    test_a_multi_tile_range_equals_one_tile_calls_bitwise(n_heads, head_dim, past_bound)
+
+
 def test_panels_only_for_ranges_of_several_tiles(monkeypatch):
     # a pass transposes its keys into one (hidden, columns) panel per layer
-    # whose range has more than one tile, and scores only its multi-row
-    # tiles from it; decode steps and one-tile ranges take none
+    # whose range has at least PANEL_MIN_TILES tiles. Every range of more
+    # than one tile scores its multi-row tiles into the pass's score buffer,
+    # from the panel when there is one, else from the rotated keys' view;
+    # one-row tiles, decode steps and one-tile ranges take neither
     panels, products = [], []
 
     class Spy:
@@ -208,33 +218,38 @@ def test_panels_only_for_ranges_of_several_tiles(monkeypatch):
 
         @staticmethod
         def matmul(a, b, *args, **kwargs):
-            if b.shape[0] == head_dim:  # a panel's rows, not a projection's
-                products.append(a.shape[0])
+            if b.shape[0] == head_dim:  # a tile's keys, not a projection's
+                products.append((a.shape[0], "panel" if b.strides[1] == b.itemsize else "view"))
             return np.matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(modelcore, "np", Spy())
-    ids = random_ids(np.random.default_rng(5), 64, 400)
+    many = PANEL_MIN_TILES * ATTENTION_BLOCK
+    ids = random_ids(np.random.default_rng(5), 64, many + 42)
     n_heads, head_dim = 2, 16
     hidden = n_heads * head_dim
     config = ModelConfig(n_layers=2, n_heads=n_heads, hidden_size=hidden, head_dim=head_dim,
                          vocab_size=64, max_position=2048)
     model = init_random_model(config, seed=3)
-    for rows, want in ((64, []), (65, [65])):
+    for rows, want, source in ((64, [], None), (65, [], "view"), (many - ATTENTION_BLOCK, [], "view"),
+                               (many + 1, [many + 1], "panel")):
         cache = KvCache.empty(config)
         panels.clear()
         products.clear()
         prefill(model, cache, ids[:rows])  # the last layer attends over no rows
         assert panels == want, rows
-        # every full tile from the panel, the one-row tail tile not
-        assert products == [ATTENTION_BLOCK] * (n_heads * (rows // ATTENTION_BLOCK) if want else 0)
+        # every full tile into the buffer, the one-row tail tile not
+        tiles = rows // ATTENTION_BLOCK if source else 0
+        assert products == [(ATTENTION_BLOCK, source)] * (n_heads * tiles), rows
         prefill(model, cache, ids[rows : rows + 40])
         decode_step(model, cache, int(ids[rows + 40]))
         assert panels == want
-    prefill(model, KvCache.empty(config), ids[:300], observer_span=(100, 164))
-    assert panels == want + [300]  # the last layer's observed range is one tile
-    prefill(model, KvCache.empty(config), ids[:300], observer_span=(0, 300))
-    assert panels == want + [300, 300, 300]
-    assert 1 not in products
+        assert len(products) == n_heads * tiles
+    panels.clear()
+    prefill(model, KvCache.empty(config), ids[:many], observer_span=(100, 164))
+    assert panels == [many]  # the last layer's observed range is one tile
+    prefill(model, KvCache.empty(config), ids[:many], observer_span=(0, many))
+    assert panels == [many, many, many]
+    assert 1 not in (rows for rows, _ in products)
 
 
 @pytest.fixture
@@ -726,14 +741,19 @@ def traced_peak(fn) -> int:
 
 def test_prefill_holds_few_full_width_arrays():
     # U is one (S, d) float32 array. A one-layer prefill holds the cache's
-    # keys and values with an eighth of headroom (2.25 U) and one normed copy
-    # (U): the hidden states are dropped, and queries, the score tile and the
-    # capture are small. Full queries and K/V temporaries took 7.25 U.
-    S, d = 1024, 512
+    # keys and values with an eighth of headroom (2.25 U) and no whole input
+    # or normed copy: its prologue gathers, norms in place and projects one
+    # MLP row block at a time (U at S = MLP_BLOCK, U / 8 at 8 * MLP_BLOCK)
+    # and keeps only the normed query rows. Queries, the score buffer (U / 4
+    # at width 256) and the capture are small. Full queries and K/V
+    # temporaries took 7.25 U, a whole normed copy beside the cache 3.5 U.
     rng = np.random.default_rng(9)
-    unit = S * d * 4
-    for layers, rotary, bound in ((1, False, 4.0), (2, False, 13.0), (1, True, 5.5)):
-        config = ModelConfig(n_layers=layers, n_heads=4, hidden_size=d, head_dim=d // 4,
+    S8 = 8 * MLP_BLOCK
+    for S, d, heads, layers, rotary, bound in (
+            (1024, 512, 4, 1, False, 3.6), (1024, 512, 4, 2, False, 13.0), (1024, 512, 4, 1, True, 4.3),
+            (S8, 256, 1, 1, False, 2.9), (S8, 256, 4, 1, False, 2.9),
+            (S8, 256, 1, 1, True, 4.1), (S8, 256, 4, 1, True, 4.1)):
+        config = ModelConfig(n_layers=layers, n_heads=heads, hidden_size=d, head_dim=d // heads,
                              vocab_size=64, max_position=2 * S, rotary_enabled=rotary)
         model = init_random_model(config, seed=layers)
         ids = random_ids(rng, 64, S)
@@ -741,13 +761,16 @@ def test_prefill_holds_few_full_width_arrays():
         if rotary:
             # the long-lived cos/sin table (1.125 U here) is not the pass's
             modelcore._rotary_table(config, S)
-        peak = traced_peak(lambda: prefill(model, cache, ids, observer_span=(900, 1000), query_span=(1000, S)))
+        unit = S * d * 4
+        obs = (900, 1000) if S == 1024 else (S - 230, S - 130)
+        peak = traced_peak(lambda: prefill(model, cache, ids, observer_span=obs, query_span=(obs[1], S)))
         # two layers: the first one's MLP holds the cache (2.25 U), the hidden
         # states (U), the (S, 4d) fc1 output and one GELU temporary of that
         # size (8 U); a second GELU temporary would take the peak to 15.25 U.
-        # Rotary on adds the rotated-key shadow (1.125 U) and the fresh rows
-        # `rotate` returns before they are copied into it (U): 5.38 U.
-        assert peak < bound * unit, (layers, rotary, peak / unit)
+        # Rotary on adds the rotated-key shadow (1.125 U) and `rotate`'s
+        # temporaries for one PANEL_COPY_ROWS-row piece; rotating all new rows
+        # at once and copying them in took 5.38 U.
+        assert peak < bound * unit, (S, heads, layers, rotary, peak / unit)
         assert cache.length == S
 
 
@@ -782,6 +805,38 @@ def test_mlp_row_blocks_equal_the_whole_mlp_bitwise(S, width, monkeypatch):
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
+@pytest.mark.parametrize("layers, rotary", [(1, False), (1, True), (2, True)])
+def test_streamed_prologue_equals_the_whole_prologue_bitwise(layers, rotary, monkeypatch):
+    # A prefill's last layer norms and projects its rows block by block, over
+    # the MLP's row blocks, gathering a one-layer model's embedding rows per
+    # block, and rotates new keys into the shadow in PANEL_COPY_ROWS-row
+    # pieces; with both constants at S it does each over all rows at once.
+    # The spans straddle the edge between the two blocks of 2 * MLP_BLOCK + 1
+    # rows, so the query rows come from both.
+    S = 2 * MLP_BLOCK + 1
+    config = ModelConfig(n_layers=layers, n_heads=2, hidden_size=64, head_dim=32,
+                         vocab_size=64, max_position=2 * S, rotary_enabled=rotary)
+    model = init_random_model(config, seed=5)
+    ids = random_ids(np.random.default_rng(S), config.vocab_size, S + 1)
+    edge = S // 2
+
+    def run():
+        cache = KvCache.empty(config)
+        capture = prefill(model, cache, ids[:S], observer_span=(edge - 150, edge + 50),
+                          query_span=(edge - 20, edge + 100))
+        arrays = [*capture.layers, *capture.queries]
+        for layer in range(config.n_layers):
+            arrays += [cache.keys[layer], cache.values[layer], cache.rotated_keys(layer, config)]
+        return arrays + [decode_step(model, cache, ids[S])[0]]
+
+    blocks = run()
+    monkeypatch.setattr(modelcore, "MLP_BLOCK", S)
+    monkeypatch.setattr(modelcore, "PANEL_COPY_ROWS", S)
+    whole = run()
+    for a, b in zip(blocks, whole, strict=True):
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 def test_prefill_mlp_arrays_do_not_grow_with_the_sequence():
     # U is one (S, d) float32 array, here 1 MiB. The peak, 8.3 U, is layer
     # 0's attention: the cache's keys and values with headroom (2.25 U) and
@@ -789,9 +844,9 @@ def test_prefill_mlp_arrays_do_not_grow_with_the_sequence():
     # (ATTENTION_BLOCK x about S floats, U at width 64) and o_proj product
     # (U each). Its MLP holds the cache, the hidden states and one block's
     # fc1 output and GELU temporary (U each, as MLP_BLOCK = S / 4): 5.3 U.
-    # The second layer holds both layers' caches (4.5 U) and its normed
-    # copy: 6.6 U. An MLP over all S rows at once held 4 U per (S, 4d)
-    # array and peaked at 12.3 U.
+    # The second layer holds both layers' caches (4.5 U) and the hidden
+    # states, which it norms in place. An MLP over all S rows at once held
+    # 4 U per (S, 4d) array and peaked at 12.3 U.
     S, d = 4 * MLP_BLOCK, 64
     config = ModelConfig(n_layers=2, n_heads=2, hidden_size=d, head_dim=d // 2,
                          vocab_size=64, max_position=2 * S, rotary_enabled=False)
