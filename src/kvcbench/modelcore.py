@@ -31,9 +31,9 @@ Three properties of the design matter to everything downstream:
   rows (no block is small enough for a gemv), so its (rows, 4 x width)
   temporaries stay cache-sized. The last layer's prologue runs over the
   same blocks, so a pass holds few (tokens, width) arrays at once: an
-  8,192-token prefill of a one-layer, 256-wide model with rotary off peaks
-  at 2.53 such float32 arrays (``tracemalloc``), where a whole normed copy
-  took it to 3.51.
+  8,192-token prefill of a one-layer, 256-wide model with rotary off and
+  its observer rows in one tile peaks at 2.54 such float32 arrays
+  (``tracemalloc``), where a whole normed copy took it to 3.29.
 * Attention is one blocked kernel. The range is cut into tiles of
   ``ATTENTION_BLOCK`` rows starting at its first row; a tile of rows
   [r0, r1) scores columns [0, base + r1) with queries pre-multiplied by
@@ -45,20 +45,20 @@ Three properties of the design matter to everything downstream:
   ``score_bound``), and kept otherwise. Softmax normalisation is deferred
   to the output: ``exp2(s) @ V`` is divided by the row sums, one GEMV
   against a vector of ones, touching (rows, d_k) values instead of
-  (rows, columns). A range of more than one tile scores every multi-row tile
-  into a buffer kept for the pass, so no tile allocates its score matrix;
-  one of ``PANEL_MIN_TILES`` tiles or more first transposes its rotated
-  keys, ``PANEL_COPY_ROWS`` rows at a time, into contiguous per-head
-  (d_k, columns) key panels. A tile of ``end`` columns uses one contiguous
-  (rows, wt) block of the buffer, wt being ``end`` rounded up to an odd
-  multiple of 16 floats. The product writes the block's first ``end``
-  columns, the rest hold -inf, so the shift and ``exp2`` run over contiguous
-  memory while row sums, PV and the capture read the first ``end`` columns.
-  Panels and buffers are freed before the MLP. A one-row tile keeps the
-  plain product (numpy sends it to gemv, whose sums a buffer's product would
-  round differently), and so does a one-tile range (a decode step, a
-  question over a compressed cache). Every multi-row product into the
-  buffer, from a panel or not, is bitwise the plain product.
+  (rows, columns). A range of more than one tile transposes its rotated
+  keys once, in blocks of ``PANEL_COPY_ROWS`` rows, so each head reads a
+  contiguous (d_k, columns) key panel, and scores every multi-row tile into
+  a buffer kept for the pass: no tile allocates its score matrix or
+  repacks strided keys. A tile of ``end`` columns uses one contiguous
+  (rows, wt) block of it, wt being ``end`` rounded up to an odd multiple
+  of 16 floats. The product writes the block's first ``end`` columns, the
+  rest hold -inf, so the shift and ``exp2`` run over contiguous memory
+  while row sums, PV and the capture read the first ``end`` columns. Panels
+  and buffers are freed before the MLP. A one-row tile keeps the plain
+  product (numpy sends it to gemv, whose sums a panel would round
+  differently), and so does a one-tile range (a decode step, a question
+  over a compressed cache), which reads each key once. Every multi-row
+  product from a panel is bitwise the plain product.
 * A tile reads only the keys and values and writes only its own rows, so
   a range of several tiles that scores at least ``SPLIT_MIN_SCORES``
   elements runs them round-robin on ``TILE_WORKERS`` threads, the calling
@@ -100,11 +100,8 @@ ATTENTION_BLOCK = 64
 _FUTURE = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
 # models whose score_bound is at most this attend without the row-max shift
 SHIFT_FREE_BOUND = 64.0
-# key rows per block when keys are transposed into panels or rotated
+# key rows per block when a pass transposes its keys into panels
 PANEL_COPY_ROWS = 256
-# fewer tiles score from the keys' view: after 32k keys, a one-head, 256-wide
-# model ran ranges of 2-15 tiles 14-32% faster without the panel copy
-PANEL_MIN_TILES = 16
 # a layer's MLP runs over max(1, S // MLP_BLOCK) row blocks of equal size
 MLP_BLOCK = 1024
 # a range splits its tiles over threads only when it scores at least this
@@ -285,16 +282,15 @@ class KvCache:
 
     def rotated_keys(self, layer: int, config: ModelConfig) -> np.ndarray:
         """The keys of `layer` rotated to their positions, rotating only the
-        rows [done, n) that no earlier call rotated, into the shadow."""
+        rows [done, n) that no earlier call rotated."""
         done, n = self._done[layer], self._rows[layer]
         keys = self._keys[layer]
+        fresh = rotate(keys[done:n], done, config)
         if not config.rotary_enabled:
             return keys[:n]
         if n > self._rot[layer].shape[0]:
             self._rot[layer] = _grown(self._rot[layer], done, n)
-        for j in range(done, n, PANEL_COPY_ROWS):  # in pieces, so rotate's temporaries stay small
-            k = min(j + PANEL_COPY_ROWS, n)
-            self._rot[layer][j:k] = rotate(keys[j:k], j, config)
+        self._rot[layer][done:n] = fresh
         self._done[layer] = n
         return self._rot[layer][:n]
 
@@ -615,10 +611,9 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     only, the row-max shift only when the model's score bound exceeds
     SHIFT_FREE_BOUND, exp2, row sums as one GEMV, and the softmax divide
     applied to the (rows, d_k) output. A range of more than one tile scores
-    its multi-row tiles into one contiguous -inf-padded block per tile of a
-    score buffer for the pass, from key panels transposed once if it has
-    PANEL_MIN_TILES tiles; one-row tiles and one-tile ranges use the plain
-    product.
+    its multi-row tiles from per-head (d_k, columns) key panels, transposed
+    once, into one contiguous -inf-padded block per tile of a score buffer
+    for the pass; one-row tiles and one-tile ranges use the plain product.
     Such a range of at least SPLIT_MIN_SCORES scores splits its tiles over
     up to TILE_WORKERS threads, each with its own score buffer (``_attend``
     runs one share). Captured
@@ -645,13 +640,15 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     shift = model.score_bound > SHIFT_FREE_BOUND
     ones = np.ones(base + S, F32)
     w = model.weights
-    x = w["embedding"][token_ids] if logits or cfg.n_layers > 1 else None  # else gathered per block
+    x = None  # the embedding rows, gathered whole by a layer whose output feeds on
     n_obs = obs_hi - obs_lo
     captures = [np.zeros(base + S, F32) for _ in range(cfg.n_layers)] if n_obs else []
     query_rows: list[np.ndarray] = []
 
     for layer in range(cfg.n_layers):
         need_out = logits or layer < cfg.n_layers - 1
+        if need_out and x is None:
+            x = w["embedding"][token_ids]
         lo, hi = (0, S) if need_out else (obs_lo, obs_hi)
         # queries for rows [a, b) only, which cover both spans; at least
         # ATTENTION_BLOCK of them, as a product of a few rows can take another
@@ -692,16 +689,16 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         v_all = cache._values[layer]  # tiles read its rows [0, end)
         out = np.empty((S, d), F32) if need_out else None
         tiles = range(lo, hi, ATTENTION_BLOCK)
-        # a range of several tiles splits them over workers and scores its
-        # multi-row tiles into a buffer per worker, from per-head (d_k, columns)
-        # key panels, head h's in rows cols, once it has PANEL_MIN_TILES tiles
+        # a range of several tiles reads each key once per tile: transpose the
+        # keys once into per-head (d_k, columns) panels, head h's in rows cols,
+        # and split its tiles over workers, each with one score buffer for its
+        # multi-row tiles
         panels, bufs, workers = None, [None], 1
         if len(tiles) > 1:
             n_cols = base + hi
-            if len(tiles) >= PANEL_MIN_TILES:
-                panels = np.empty((d, n_cols), F32)
-                for j in range(0, n_cols, PANEL_COPY_ROWS):  # blocks of keys stay in cache while transposed
-                    panels[:, j : j + PANEL_COPY_ROWS] = k_rot[j : min(j + PANEL_COPY_ROWS, n_cols)].T
+            panels = np.empty((d, n_cols), F32)
+            for j in range(0, n_cols, PANEL_COPY_ROWS):  # blocks of keys stay in cache while transposed
+                panels[:, j : j + PANEL_COPY_ROWS] = k_rot[j : min(j + PANEL_COPY_ROWS, n_cols)].T
             if H * (hi - lo) * (base + hi) >= SPLIT_MIN_SCORES:
                 workers = min(TILE_WORKERS, len(tiles))
             # room for any tile's padded block; allocated on this thread, as a
@@ -756,7 +753,7 @@ def _attend(share, buf, capture, parts, hi, base, q, a, k_rot, panels, v_all, on
         future = _FUTURE[: r1 - r0, : r1 - r0]
         c0, c1 = max(r0, obs_lo), min(r1, obs_hi)
         block = None
-        if buf is not None and r1 > r0 + 1:
+        if panels is not None and r1 > r0 + 1:
             # one contiguous (rows, wt) block of the buffer, wt = end padded
             # to an odd number of 16-float (64-byte) lines, as rows a power
             # of two apart share cache sets; its padding columns hold -inf
@@ -766,10 +763,9 @@ def _attend(share, buf, capture, parts, hi, base, q, a, k_rot, panels, v_all, on
             cols = slice(h * dk, (h + 1) * dk)
             if block is not None:
                 block[:, end:] = -np.inf
-                keys = k_rot[:end, cols].T if panels is None else panels[cols, :end]
-                scores = np.matmul(q[r0 - a : r1 - a, cols], keys, out=block[:, :end])
+                scores = np.matmul(q[r0 - a : r1 - a, cols], panels[cols, :end], out=block[:, :end])
                 tile = block
-            else:  # numpy sends one row to gemv, which a buffer would round differently
+            else:  # numpy sends one row to gemv, which a panel would round differently
                 scores = tile = q[r0 - a : r1 - a, cols] @ k_rot[:end, cols].T
             if r1 > r0 + 1:  # a one-row tile has no future column
                 scores[:, base + r0 :][future] = -np.inf

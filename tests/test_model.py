@@ -24,7 +24,6 @@ from kvcbench.modelcore import (
     ATTENTION_BLOCK,
     DIAGNOSTIC_MIN_WIDTH,
     MLP_BLOCK,
-    PANEL_MIN_TILES,
     SHIFT_FREE_BOUND,
     GenerationParams,
     KvCache,
@@ -157,10 +156,10 @@ def test_chunked_prefill_equals_one_shot(split):
 @pytest.mark.parametrize("n_heads, head_dim, past_bound",
                          [(2, 16, False), (1, 32, False), (1, 64, False), (2, 16, True)])
 def test_a_multi_tile_range_equals_one_tile_calls_bitwise(n_heads, head_dim, past_bound):
-    # One call of 4 tiles and a row scores its 64-row tiles from a view of
-    # the keys (fewer than PANEL_MIN_TILES tiles take no panel) into the
-    # pass's score buffer, and its one-row tail tile from the plain product.
-    # Calls of one tile each score every tile from the plain product. The tail call projects its one row through gemv, which can
+    # One call of 4 tiles and a row scores its 64-row tiles from the key
+    # panels into the pass's score buffer, and its one-row tail tile from the
+    # plain product. Calls of one tile each score every tile from the plain
+    # product. The tail call projects its one row through gemv, which can
     # round differently from the one call's gemm, so that row alone is
     # compared within a tolerance.
     config = ModelConfig(n_layers=2, n_heads=n_heads, hidden_size=n_heads * head_dim, head_dim=head_dim,
@@ -191,19 +190,10 @@ def test_a_multi_tile_range_equals_one_tile_calls_bitwise(n_heads, head_dim, pas
     assert np.max(np.abs(logits[0] - logits[1])) < 1e-4
 
 
-@pytest.mark.parametrize("n_heads, head_dim, past_bound", [(2, 16, False), (1, 64, False), (2, 16, True)])
-def test_a_range_scored_from_key_panels_equals_one_tile_calls_bitwise(n_heads, head_dim, past_bound, monkeypatch):
-    # the check above with every range of several tiles scored from panels
-    monkeypatch.setattr(modelcore, "PANEL_MIN_TILES", 2)
-    test_a_multi_tile_range_equals_one_tile_calls_bitwise(n_heads, head_dim, past_bound)
-
-
 def test_panels_only_for_ranges_of_several_tiles(monkeypatch):
     # a pass transposes its keys into one (hidden, columns) panel per layer
-    # whose range has at least PANEL_MIN_TILES tiles. Every range of more
-    # than one tile scores its multi-row tiles into the pass's score buffer,
-    # from the panel when there is one, else from the rotated keys' view;
-    # one-row tiles, decode steps and one-tile ranges take neither
+    # whose range has more than one tile, and scores only its multi-row
+    # tiles from it; decode steps and one-tile ranges take none
     panels, products = [], []
 
     class Spy:
@@ -218,38 +208,33 @@ def test_panels_only_for_ranges_of_several_tiles(monkeypatch):
 
         @staticmethod
         def matmul(a, b, *args, **kwargs):
-            if b.shape[0] == head_dim:  # a tile's keys, not a projection's
-                products.append((a.shape[0], "panel" if b.strides[1] == b.itemsize else "view"))
+            if b.shape[0] == head_dim:  # a panel's rows, not a projection's
+                products.append(a.shape[0])
             return np.matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(modelcore, "np", Spy())
-    many = PANEL_MIN_TILES * ATTENTION_BLOCK
-    ids = random_ids(np.random.default_rng(5), 64, many + 42)
+    ids = random_ids(np.random.default_rng(5), 64, 400)
     n_heads, head_dim = 2, 16
     hidden = n_heads * head_dim
     config = ModelConfig(n_layers=2, n_heads=n_heads, hidden_size=hidden, head_dim=head_dim,
                          vocab_size=64, max_position=2048)
     model = init_random_model(config, seed=3)
-    for rows, want, source in ((64, [], None), (65, [], "view"), (many - ATTENTION_BLOCK, [], "view"),
-                               (many + 1, [many + 1], "panel")):
+    for rows, want in ((64, []), (65, [65])):
         cache = KvCache.empty(config)
         panels.clear()
         products.clear()
         prefill(model, cache, ids[:rows])  # the last layer attends over no rows
         assert panels == want, rows
-        # every full tile into the buffer, the one-row tail tile not
-        tiles = rows // ATTENTION_BLOCK if source else 0
-        assert products == [(ATTENTION_BLOCK, source)] * (n_heads * tiles), rows
+        # every full tile from the panel, the one-row tail tile not
+        assert products == [ATTENTION_BLOCK] * (n_heads * (rows // ATTENTION_BLOCK) if want else 0)
         prefill(model, cache, ids[rows : rows + 40])
         decode_step(model, cache, int(ids[rows + 40]))
         assert panels == want
-        assert len(products) == n_heads * tiles
-    panels.clear()
-    prefill(model, KvCache.empty(config), ids[:many], observer_span=(100, 164))
-    assert panels == [many]  # the last layer's observed range is one tile
-    prefill(model, KvCache.empty(config), ids[:many], observer_span=(0, many))
-    assert panels == [many, many, many]
-    assert 1 not in (rows for rows, _ in products)
+    prefill(model, KvCache.empty(config), ids[:300], observer_span=(100, 164))
+    assert panels == want + [300]  # the last layer's observed range is one tile
+    prefill(model, KvCache.empty(config), ids[:300], observer_span=(0, 300))
+    assert panels == want + [300, 300, 300]
+    assert 1 not in products
 
 
 @pytest.fixture
@@ -744,15 +729,18 @@ def test_prefill_holds_few_full_width_arrays():
     # keys and values with an eighth of headroom (2.25 U) and no whole input
     # or normed copy: its prologue gathers, norms in place and projects one
     # MLP row block at a time (U at S = MLP_BLOCK, U / 8 at 8 * MLP_BLOCK)
-    # and keeps only the normed query rows. Queries, the score buffer (U / 4
+    # and keeps only the normed query rows. Queries, the score tile (U / 4
     # at width 256) and the capture are small. Full queries and K/V
-    # temporaries took 7.25 U, a whole normed copy beside the cache 3.5 U.
+    # temporaries took 7.25 U, a whole normed copy beside the cache 3.3 U.
+    # At S = 1,024 the 100 observer rows span two tiles, so the last layer
+    # also holds its (d, S) key panel (U) and score buffer; at 8 * MLP_BLOCK
+    # they are 60 rows in one tile, as compression's guidance rows are.
     rng = np.random.default_rng(9)
     S8 = 8 * MLP_BLOCK
     for S, d, heads, layers, rotary, bound in (
-            (1024, 512, 4, 1, False, 3.6), (1024, 512, 4, 2, False, 13.0), (1024, 512, 4, 1, True, 4.3),
+            (1024, 512, 4, 1, False, 3.6), (1024, 512, 4, 2, False, 13.0), (1024, 512, 4, 1, True, 4.8),
             (S8, 256, 1, 1, False, 2.9), (S8, 256, 4, 1, False, 2.9),
-            (S8, 256, 1, 1, True, 4.1), (S8, 256, 4, 1, True, 4.1)):
+            (S8, 256, 1, 1, True, 4.5), (S8, 256, 4, 1, True, 4.5)):
         config = ModelConfig(n_layers=layers, n_heads=heads, hidden_size=d, head_dim=d // heads,
                              vocab_size=64, max_position=2 * S, rotary_enabled=rotary)
         model = init_random_model(config, seed=layers)
@@ -762,14 +750,14 @@ def test_prefill_holds_few_full_width_arrays():
             # the long-lived cos/sin table (1.125 U here) is not the pass's
             modelcore._rotary_table(config, S)
         unit = S * d * 4
-        obs = (900, 1000) if S == 1024 else (S - 230, S - 130)
+        obs = (900, 1000) if S == 1024 else (S - 200, S - 140)
         peak = traced_peak(lambda: prefill(model, cache, ids, observer_span=obs, query_span=(obs[1], S)))
         # two layers: the first one's MLP holds the cache (2.25 U), the hidden
         # states (U), the (S, 4d) fc1 output and one GELU temporary of that
         # size (8 U); a second GELU temporary would take the peak to 15.25 U.
-        # Rotary on adds the rotated-key shadow (1.125 U) and `rotate`'s
-        # temporaries for one PANEL_COPY_ROWS-row piece; rotating all new rows
-        # at once and copying them in took 5.38 U.
+        # Rotary on adds the rotated-key shadow (1.125 U) and the fresh rows
+        # `rotate` returns before they are copied into it (U); with a whole
+        # normed copy beside them it took 5.38 U.
         assert peak < bound * unit, (S, heads, layers, rotary, peak / unit)
         assert cache.length == S
 
@@ -809,8 +797,7 @@ def test_mlp_row_blocks_equal_the_whole_mlp_bitwise(S, width, monkeypatch):
 def test_streamed_prologue_equals_the_whole_prologue_bitwise(layers, rotary, monkeypatch):
     # A prefill's last layer norms and projects its rows block by block, over
     # the MLP's row blocks, gathering a one-layer model's embedding rows per
-    # block, and rotates new keys into the shadow in PANEL_COPY_ROWS-row
-    # pieces; with both constants at S it does each over all rows at once.
+    # block; with MLP_BLOCK at S it does so over all rows at once.
     # The spans straddle the edge between the two blocks of 2 * MLP_BLOCK + 1
     # rows, so the query rows come from both.
     S = 2 * MLP_BLOCK + 1
@@ -831,7 +818,6 @@ def test_streamed_prologue_equals_the_whole_prologue_bitwise(layers, rotary, mon
 
     blocks = run()
     monkeypatch.setattr(modelcore, "MLP_BLOCK", S)
-    monkeypatch.setattr(modelcore, "PANEL_COPY_ROWS", S)
     whole = run()
     for a, b in zip(blocks, whole, strict=True):
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
