@@ -1,17 +1,16 @@
 """Binary container for compressed caches, laid out so a cache can run
 from the mapped file.
 
-Layout (little-endian): magic ``KVCC``, version u32 (3, the only version
+Layout (little-endian): magic ``KVCC``, version u32 (4, the only version
 read; a cache of another version is rebuilt with ``kvc compress``), then
 the three 32-byte fingerprints (model, guidance, corpus), n_context u64,
-k u32, s u32, schedule code u8, n_layers u32, n_kept u64, hidden u32 and a
-rotated flag u8. Then per layer the kept original positions as u32, the K
-rows and the V rows as row-major f32 and, when the flag is 1, the K rows
-rotated to positions 0..n_kept-1 (``CompressedCache.rotated``, which a
-rotary model's compression carries) as row-major f32. Every array starts
-at a multiple of ``ALIGN`` bytes from the start of the file, after zero
-padding, and each float array is followed by n_kept // 8 zero rows, the
-headroom ``KvCache`` gives a cache it builds.
+k u32, s u32, schedule code u8, n_layers u32, n_kept u64 and hidden u32.
+Then per layer the kept original positions as u32, the K rows (rotated to
+positions 0..n_kept-1, as ``CompressedCache`` holds them) and the V rows
+as row-major f32. Rotary on or off, the layout is the same. Every array
+starts at a multiple of ``ALIGN`` bytes from the start of the file, after
+zero padding, and each float array is followed by n_kept // 8 zero rows,
+the headroom ``KvCache`` gives a cache it builds.
 
 Loading validates structure always and fingerprint compatibility when a
 model is supplied, so a cache can never be silently replayed against the
@@ -39,7 +38,7 @@ from .errors import FormatError, StaleCacheError
 from .modelcore import Model
 
 MAGIC = b"KVCC"
-VERSION = 3
+VERSION = 4
 # every array starts at a multiple of this many bytes
 ALIGN = 64
 # after the frame: the model, guidance and corpus fingerprints, n_context,
@@ -57,16 +56,15 @@ def save_cache(compressed: CompressedCache, path) -> None:
     n_layers = len(compressed.keys)
     n_kept = compressed.n_kept
     hidden = compressed.keys[0].shape[1]
-    rotated = compressed.rotated
     header = HEADER.pack(
         meta.model_fingerprint, meta.guidance_fingerprint, meta.corpus_fingerprint, meta.n_context,
         meta.k, meta.s, SCHEDULE_CODES.index(meta.schedule), n_layers, n_kept, hidden,
     )
-    parts = [header, bytes([rotated is not None])]
+    parts = [header]
     room = bytes(n_kept // 8 * hidden * 4)
     for layer in range(n_layers):
         parts.append(np.ascontiguousarray(compressed.kept_positions[layer], dtype="<u4"))
-        for rows in (compressed.keys, compressed.values, rotated)[: 2 + (rotated is not None)]:
+        for rows in (compressed.keys, compressed.values):
             parts += [np.ascontiguousarray(rows[layer], dtype="<f4"), room]
     write_container(path, MAGIC, VERSION, parts, ALIGN)
 
@@ -83,30 +81,26 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
     # with a kept row every layer takes bytes, so truncation bounds n_layers
     if n_layers < 1 or n_kept < 1 or hidden < 1:
         raise FormatError(f"{p}: implausible geometry ({n_layers} layers, {n_kept} kept rows, hidden {hidden})")
-    flag = r.u8()
-    if flag > 1:
-        raise FormatError(f"{p}: rotated flag is {flag}, expected 0 or 1")
 
     room = n_kept // 8
-    keys, values, kept, rotated = [], [], [], []
-    buffers = ([], [], [])
+    kept, buffers = [], ([], [])
     for _ in range(n_layers):
         r.align(ALIGN)
         pos = r.view("<u4", n_kept).astype(np.int64)
         if np.any(np.diff(pos) <= 0) or pos[-1] >= n_context:
             raise FormatError(f"{p}: kept positions not strictly increasing within context")
         kept.append(pos)
-        for rows, bufs in zip((keys, values, rotated)[: 2 + flag], buffers):
+        for bufs in buffers:
             r.align(ALIGN)
-            buf = r.view("<f4", (n_kept + room) * hidden).reshape(n_kept + room, hidden)
-            rows.append(buf[:n_kept])
-            rows[-1].flags.writeable = False
-            bufs.append(buf)
+            bufs.append(r.view("<f4", (n_kept + room) * hidden).reshape(n_kept + room, hidden))
     r.expect_end()
 
+    keys, values = ([buf[:n_kept] for buf in bufs] for bufs in buffers)
+    for rows in (*keys, *values):
+        rows.flags.writeable = False
     meta = CacheMeta(*fingerprints, n_context, k, s, SCHEDULE_CODES[code])
-    loaded = CompressedCache(keys, values, kept, meta, rotated if flag else None)
-    loaded._mapped = (buffers[0], buffers[1], buffers[2] if flag else None)
+    loaded = CompressedCache(keys, values, kept, meta)
+    loaded._mapped = buffers
     if model is not None and model.fingerprint != meta.model_fingerprint:
         raise StaleCacheError(f"{p}: cache was built by a different model than the one supplied")
     return loaded

@@ -12,18 +12,18 @@ guidance], re-scores everything visible, and keeps a growing budget, so
 earlier survivors compete with fresh tokens every round. With ``s = 1`` the
 iterative path degenerates to the one-shot oracle. With ``k >= n`` nothing
 is ever dropped and the survivor cache is bit-identical to a plain prefill
-of the context.
+of the context, its keys to the prefill's rotated keys.
 
 Survivors are renumbered to contiguous positions after every selection;
 because the cache stores unrotated keys, renumbering is exact rather than
 approximate. A segment's survivors enter the next segment's cache with an
 empty rotated-key shadow, which its prefill fills; the final survivors are
-rotated once, to positions 0..r-1, and the compressed cache keeps those
-rotated keys (``CompressedCache.rotated``, None with rotary off), so a
-cache built from it, and a KVCC file saved from it, rotate only the rows a
-question adds. The task-agnostic baselines run the same segment walk with
-their own keep rules; only ``compress_oracle`` stays a separate one-shot
-reference, and ``_survivors`` builds the result of both.
+rotated once, to positions 0..r-1, and the compressed cache keeps only
+those rotated keys, so a cache built from it, and a KVCC file saved from
+it, hold each key once and rotate only the rows a question adds. The
+task-agnostic baselines run the same segment walk with their own keep
+rules; only ``compress_oracle`` stays a separate one-shot reference, and
+``_survivors`` builds the result of both.
 
 The first segment may start from a ``ContextPrefill``, one plain prefill of
 the whole context shared by many compressions (the eval grid keeps one per
@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import StaleCacheError, UsageError
 from .modelcore import ATTENTION_BLOCK, GenerationParams, KvCache, Model, generate_greedy, prefill, rotate
+from .modelcore import with_headroom
 from .vocab import TokenSequence, Vocabulary, fingerprint_ids, tokenize
 
 GUIDANCE_KINDS = ("zs", "fs", "fsq")
@@ -171,17 +172,15 @@ class CacheMeta:
 @dataclass
 class CompressedCache:
     """Survivor K/V rows per layer plus the original context position of
-    every survivor. Keys are unrotated; assigned positions are the row
-    indices 0..r-1. ``rotated`` holds each layer's keys rotated to those
-    positions, or None with rotary off."""
+    every survivor. Assigned positions are the row indices 0..r-1, and the
+    keys are rotated to them (with rotary off, rotation is the identity)."""
 
     keys: list[np.ndarray]
     values: list[np.ndarray]
     kept_positions: list[np.ndarray]
     meta: CacheMeta
-    rotated: list[np.ndarray] | None = None
-    # a loaded KVCC file's (keys, values, rotated) arrays, headroom rows
-    # included, for the first to_kv_cache to take over; never copied by
+    # a loaded KVCC file's (keys, values) arrays, headroom rows included,
+    # for the first to_kv_cache to take over; never copied by
     # dataclasses.replace
     _mapped: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -191,19 +190,19 @@ class CompressedCache:
 
     def to_kv_cache(self) -> KvCache:
         """A cache of these rows to answer on. The first call on a loaded
-        KVCC cache runs on the mapped file's arrays; any other copies."""
+        KVCC cache runs on the mapped file's arrays; any other runs on
+        copies of them with headroom."""
         mapped, self._mapped = self._mapped, None
-        if mapped is not None:
-            return KvCache.adopt(self.n_kept, *mapped)
-        return KvCache(self.keys, self.values, self.rotated)
+        if mapped is None:
+            mapped = ([with_headroom(a) for a in self.keys], [with_headroom(a) for a in self.values])
+        return KvCache.adopt(self.n_kept, *mapped)
 
 
 def _survivors(model, ctx, keys, values, kept, guidance_fp, k, s, schedule) -> CompressedCache:
     """The compressed cache of survivor rows gathered from context `ctx`,
-    their keys rotated to positions 0..r-1 when the model rotates keys."""
+    their keys rotated to positions 0..r-1."""
     meta = CacheMeta(model.fingerprint, guidance_fp, fingerprint_ids(ctx), int(ctx.shape[0]), k, s, schedule)
-    rotated = [rotate(rows, 0, model.config) for rows in keys] if model.config.rotary_enabled else None
-    return CompressedCache(keys, values, kept, meta, rotated)
+    return CompressedCache([rotate(rows, 0, model.config) for rows in keys], values, kept, meta)
 
 
 def _context_ids(context) -> np.ndarray:
@@ -256,7 +255,7 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
     last ``sample`` rows, asks ``keep_rows(capture, cache, n_cand, r)`` for
     ``r`` of the ``n_cand`` survivor and segment rows per layer, then
     gathers them and renumbers them to positions 0..r-1. The result
-    carries the last survivors' keys rotated to those positions. Rows of
+    holds the last survivors' keys rotated to those positions. Rows of
     ``gids`` observe but are never candidates. With a ``prefix`` of ``ctx``
     the first segment forks the prefix rows that no observed or sampled row
     needs and prefills only the rest; a prefix of another model or other

@@ -10,15 +10,16 @@ Three properties of the design matter to everything downstream:
   so survivors of a compression pass can be gathered, renumbered to
   contiguous positions and re-rotated exactly. Attention reads keys from a
   per-layer rotated shadow that rotates each row once. Every forward pass
-  leaves every layer's shadow complete, and a compressed cache carries its
-  survivors' rotated keys into the shadow of the caches built from it;
-  only gathered rows given without them start with an empty shadow,
-  filled on first read. Rows are always rotated in runs of consecutive
-  positions, so ``rotate`` takes the first position and reads one slice of
-  a float32 cos/sin table with a column per (head, pair), cached per
-  (n_heads, head_dim, rotary_base). Every cache buffer carries an eighth
-  of headroom from construction on, and a cache answering from a mapped
-  KVCC file runs on the file's arrays, which carry that headroom too.
+  leaves every layer's shadow complete. A compressed cache keeps only its
+  survivors' keys rotated to positions 0..r-1, which the cache it answers
+  on (``KvCache.adopt``) uses as its shadow; only the segment walk's
+  gathered survivors start with an empty shadow, filled on first read.
+  Rows are always rotated in runs of consecutive positions, so ``rotate``
+  takes the first position and reads one slice of a float32 cos/sin table
+  with a column per (head, pair), cached per (n_heads, head_dim,
+  rotary_base). Every cache buffer carries an eighth of headroom from
+  construction on, and a cache answering from a mapped KVCC file runs on
+  the file's arrays, which carry that headroom too.
 * One layer loop, ``_forward``, serves prefill, capture and decode, and
   numbers new rows itself after the cache's last position. Each layer
   attends over one range of rows. ``prefill`` never produces logits (the
@@ -183,18 +184,16 @@ class KvCache:
     Keys are stored unrotated, as compressors gather them. ``rotated_keys``
     serves them rotated from a per-layer shadow that rotates only the rows
     added since it was last read. The constructor takes each layer's keys
-    rotated to positions 0..r-1 as ``rotated`` when it has them, so the
-    shadow starts at r rows (compressed caches and KVCC files carry all of
-    them, a fork its source's); every forward pass reads the shadow, so
-    only a cache built without them (the segment walk's survivors) fills
-    it on first read. With rotary off the keys are their own shadow. Every
-    buffer carries headroom: the constructor copies its n rows into
-    buffers of n + n // 8 rows, shadow included, and outgrowing one
-    reallocates it to ``need + need // 8`` rows, so neither an appended
-    token nor a short question copies the cache. ``adopt`` instead takes
-    over buffers that already have their headroom, a mapped KVCC file's.
-    A cache writes no row below the rows it was built with: appends and
-    shadow writes start after them, so adopted rows never change.
+    rotated to positions 0..r-1 as ``rotated`` when it has them (a fork its
+    source's), so only a cache built without them (the segment walk's
+    survivors) fills the shadow on first read. With rotary off the keys are
+    their own shadow, and so are the rotated keys a compressed cache
+    ``adopt``s. Every buffer carries headroom: the constructor copies its n
+    rows into buffers of n + n // 8 rows, shadow included, and outgrowing
+    one reallocates it to ``need + need // 8`` rows, so neither an appended
+    token nor a short question copies the cache. ``adopt`` takes over
+    buffers that already have their headroom. A cache writes no row below
+    the rows it was built with, so adopted rows never change.
     ``keys``, ``values`` and ``positions`` are exact-length views. A cache
     is owned by exactly one in-flight inference; callers that must not
     disturb a cache fork it.
@@ -204,26 +203,23 @@ class KvCache:
 
     def __init__(self, keys, values, rotated=None):
         self._rows = [k.shape[0] for k in keys]
-        self._keys = [np.empty((n + n // 8,) + k.shape[1:], k.dtype) for n, k in zip(self._rows, keys)]
-        self._values = [np.empty_like(b, dtype=v.dtype) for b, v in zip(self._keys, values)]
+        self._keys, self._values = [with_headroom(k) for k in keys], [with_headroom(v) for v in values]
         self._rot = [np.empty_like(b) for b in self._keys]
         self._done = [0] * len(keys) if rotated is None else [r.shape[0] for r in rotated]
-        for n, k, v, kb, vb in zip(self._rows, keys, values, self._keys, self._values):
-            kb[:n], vb[:n] = k, v
         for r, rb in zip(rotated or (), self._rot):
             rb[: r.shape[0]] = r
 
     @classmethod
-    def adopt(cls, n: int, keys, values, rotated=None) -> "KvCache":
+    def adopt(cls, n: int, keys, values) -> "KvCache":
         """A cache of the first `n` rows of each layer's `keys` and `values`
-        buffers, and of `rotated`, the keys rotated to positions 0..n-1 (None
-        to rotate them on first read), that takes the buffers over instead
-        of copying them; their rows past `n` are its headroom."""
+        buffers, the keys rotated to positions 0..n-1, that takes the
+        buffers over instead of copying them; their rows past `n` are its
+        headroom. The keys and the shadow share one list of buffers, so
+        ``rotated_keys`` rotates appended key rows in place, and ``keys``
+        and ``fork``, which need unrotated keys, raise UsageError."""
         cache = cls.__new__(cls)
-        cache._rows = [n] * len(keys)
-        cache._keys, cache._values = list(keys), list(values)
-        cache._rot = [np.empty_like(b) for b in keys] if rotated is None else list(rotated)
-        cache._done = [0 if rotated is None else n] * len(keys)
+        cache._keys = cache._rot = list(keys)
+        cache._values, cache._rows, cache._done = list(values), [n] * len(keys), [n] * len(keys)
         return cache
 
     @classmethod
@@ -240,6 +236,8 @@ class KvCache:
 
     @property
     def keys(self) -> list[np.ndarray]:
+        if self._keys is self._rot:
+            raise UsageError("an adopted cache holds rotated keys: read rotated_keys")
         return [k[:n] for k, n in zip(self._keys, self._rows)]
 
     @property
@@ -260,7 +258,7 @@ class KvCache:
         context prefill. Like every cache it gets the constructor's
         headroom, so appending up to an eighth of `rows` reallocates nothing."""
         n = self.length if rows is None else rows
-        return KvCache([k[:n] for k in self._keys], [v[:n] for v in self._values],
+        return KvCache([k[:n] for k in self.keys], [v[:n] for v in self.values],
                        [r[: min(d, n)] for r, d in zip(self._rot, self._done)])
 
     def extend(self, layer: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,6 +291,13 @@ class KvCache:
         self._rot[layer][done:n] = fresh
         self._done[layer] = n
         return self._rot[layer][:n]
+
+
+def with_headroom(rows: np.ndarray) -> np.ndarray:
+    """A copy of `rows`, n of them, in a buffer of n + n // 8 rows."""
+    out = np.empty((len(rows) + len(rows) // 8,) + rows.shape[1:], rows.dtype)
+    out[: len(rows)] = rows
+    return out
 
 
 def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -782,6 +787,7 @@ def _attend(share, buf, capture, parts, hi, base, q, a, k_rot, panels, v_all, on
                     capture[:end] += part
                 else:
                     parts[r0, h] = part
+            scores = tile = None  # a plain product is freed before the next head's
 
 
 def _run_shares(calls) -> None:

@@ -16,7 +16,7 @@ from kvcbench.compress import (
     compress_oracle,
 )
 from kvcbench.errors import FormatError, MissingArtifactError, StaleCacheError
-from kvcbench.modelcore import ModelConfig, decode_step, init_random_model, prefill, rotate
+from kvcbench.modelcore import ModelConfig, decode_step, init_random_model, prefill
 from kvcbench.vocab import build_vocabulary, tokenize
 
 from conftest import random_ids
@@ -64,71 +64,80 @@ def test_round_trip_bit_identical(saved):
     assert (m.n_context, m.k, m.s, m.schedule) == (24, 6, 2, "proportional")
 
 
-# the offset of the rotated flag, after the frame (8 bytes), the
-# fingerprints (96) and the geometry (33)
-FLAG_OFFSET = 137
+# the header, after the frame (8 bytes), the fingerprints (96) and the
+# geometry (33), ends at this byte
+HEADER_END = 137
 
 
-def v3_size(n, d, arrays, layers=2):
-    """The size of a v3 file: after the header, per layer the positions and
-    `arrays` float arrays of n + n // 8 rows, each at a multiple of 64."""
-    size = FLAG_OFFSET + 1
+def layout_size(n, d, layers=2):
+    """The size of a v4 file: after the header, per layer the positions and
+    the K and V arrays of n + n // 8 rows, each at a multiple of 64."""
+    size = HEADER_END
     for _ in range(layers):
         size = -(-size // 64) * 64 + 4 * n
-        for _ in range(arrays):
+        for _ in range(2):
             size = -(-size // 64) * 64 + (n + n // 8) * 4 * d
     return size
 
 
+def assert_layout_of_16_rows(raw, comp):
+    """16 kept rows of width 32: each layer holds 64 bytes of positions and
+    the K and V arrays of 16 + 2 rows of 128 bytes, each starting at a
+    multiple of 64 bytes, with the last two rows zero."""
+    assert struct.unpack("<I", raw[4:8]) == (4,) and 8 + HEADER.size == HEADER_END
+    assert len(raw) == layout_size(16, 32) == 192 + 2 * (64 + 2 * 18 * 128)
+    for layer in range(2):
+        start = 192 + layer * (64 + 2 * 18 * 128)
+        assert np.array_equal(np.frombuffer(raw, "<u4", 16, start), comp.kept_positions[layer])
+        for i, rows in enumerate((comp.keys, comp.values)):
+            at = start + 64 + i * 18 * 128
+            assert np.array_equal(np.frombuffer(raw, "<f4", 16 * 32, at), rows[layer].ravel())
+            assert not any(raw[at + 16 * 128 : at + 18 * 128])
+
+
 def test_v3_round_trip_keeps_rotated_keys_bitwise(saved):
+    """The rotated keys v3 stored beside the plain ones are, at v4, the only
+    keys: the file holds the compressor's rotated keys bitwise, and a cache
+    built from the loaded file serves them as its rotated keys unchanged."""
     model, comp, path = saved
     raw = path.read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (3,) and raw[FLAG_OFFSET] == 1
-    n, d = comp.n_kept, 32
-    assert len(raw) == v3_size(n, d, 3)
+    assert struct.unpack("<I", raw[4:8]) == (4,)
+    assert len(raw) == layout_size(comp.n_kept, 32)
     loaded = load_cache(path, model)
+    cache = loaded.to_kv_cache()
     for layer in range(2):
-        assert np.array_equal(comp.rotated[layer], rotate(comp.keys[layer], 0, model.config))
-        assert np.array_equal(loaded.rotated[layer], comp.rotated[layer])
         assert np.array_equal(loaded.keys[layer], comp.keys[layer])
+        assert np.array_equal(cache.rotated_keys(layer, model.config)[: comp.n_kept], comp.keys[layer])
         assert np.array_equal(loaded.values[layer], comp.values[layer])
         assert np.array_equal(loaded.kept_positions[layer], comp.kept_positions[layer])
 
 
 def test_rotary_off_cache_writes_no_rotated_payload(tmp_path):
-    model, comp = make_compressed(rotary=False)
-    assert comp.rotated is None
+    """Rotary off, the file has the rotary-on layout, with no further array,
+    and the loaded cache answers bitwise like the compressor's."""
+    model, comp = make_compressed(k=16, rotary=False)
+    assert comp.n_kept == 16
     path = tmp_path / "plain.kvcc"
     save_cache(comp, path)
-    raw = path.read_bytes()
-    assert raw[FLAG_OFFSET] == 0
-    assert len(raw) == v3_size(comp.n_kept, 32, 2)
+    assert_layout_of_16_rows(path.read_bytes(), comp)
     loaded = load_cache(path, model)
-    assert loaded.rotated is None
     assert all(np.array_equal(a, b) for a, b in zip(loaded.keys, comp.keys))
     assert_answers_alike(model, [comp.to_kv_cache(), loaded.to_kv_cache()])
 
 
 def test_v3_layout_aligns_every_array_and_adds_headroom_rows(tmp_path):
-    """16 kept rows of width 32: the header ends at byte 138 and each layer
-    holds 64 bytes of positions and three arrays of 16 + 2 rows of 128
-    bytes, each starting at a multiple of 64 bytes, with the last two rows
-    zero."""
+    """The aligned layout with headroom rows that v3 brought in, at v4 less
+    the rotated array: the header ends at byte 137, every array of the
+    loaded cache is aligned and the cache answers bitwise like the one the
+    compressor returned."""
     model, comp = make_compressed(k=16)
     assert comp.n_kept == 16
     path = tmp_path / "c.kvcc"
     save_cache(comp, path)
-    raw = path.read_bytes()
-    assert len(raw) == v3_size(16, 32, 3) == 192 + 2 * (64 + 3 * 18 * 128)
-    for layer in range(2):
-        start = 192 + layer * (64 + 3 * 18 * 128)
-        assert np.array_equal(np.frombuffer(raw, "<u4", 16, start), comp.kept_positions[layer])
-        for i, rows in enumerate((comp.keys, comp.values, comp.rotated)):
-            at = start + 64 + i * 18 * 128
-            assert np.array_equal(np.frombuffer(raw, "<f4", 16 * 32, at), rows[layer].ravel())
-            assert not any(raw[at + 16 * 128 : at + 18 * 128])
+    assert_layout_of_16_rows(path.read_bytes(), comp)
     loaded = load_cache(path, model)
-    assert all(a.ctypes.data % 64 == 0 for a in (*loaded.keys, *loaded.values, *loaded.rotated))
+    assert all(a.ctypes.data % 64 == 0 for a in (*loaded.keys, *loaded.values))
+    assert_answers_alike(model, [comp.to_kv_cache(), loaded.to_kv_cache()])
 
 
 def test_empty_file_is_damage(tmp_path):
@@ -151,20 +160,6 @@ def assert_answers_alike(model, caches, steps=20):
         tok = int(np.argmax(logits[0]))
 
 
-def test_cache_without_rotated_keys_answers_like_one_with_them(tmp_path):
-    """A cache whose rotated keys are not at hand, built in memory or
-    adopted from a file with the rotated flag 0, rotates them on first read
-    and answers bitwise like one that carries them."""
-    model, comp = make_compressed(k=16)
-    path = tmp_path / "flag0.kvcc"
-    save_cache(replace(comp, rotated=None), path)
-    assert path.read_bytes()[FLAG_OFFSET] == 0
-    loaded = load_cache(path, model)
-    assert loaded.rotated is None
-    assert_answers_alike(model, [comp.to_kv_cache(), replace(comp, rotated=None).to_kv_cache(),
-                                 loaded.to_kv_cache()])
-
-
 def test_first_kv_cache_of_a_loaded_cache_runs_on_the_mapping(tmp_path):
     """The first to_kv_cache of a loaded cache shares the loaded arrays'
     memory, a second one does not, and both answer bitwise like the cache
@@ -177,15 +172,13 @@ def test_first_kv_cache_of_a_loaded_cache_runs_on_the_mapping(tmp_path):
     cfg = model.config
     for layer in range(2):
         for rows, mapped, copied in (
-            (loaded.keys[layer], first.keys[layer], second.keys[layer]),
+            (loaded.keys[layer], first.rotated_keys(layer, cfg), second.rotated_keys(layer, cfg)),
             (loaded.values[layer], first.values[layer], second.values[layer]),
-            (loaded.rotated[layer], first.rotated_keys(layer, cfg), second.rotated_keys(layer, cfg)),
         ):
             assert not rows.flags.writeable
             assert np.shares_memory(rows, mapped) and not np.shares_memory(rows, copied)
     assert_answers_alike(model, [comp.to_kv_cache(), first, second])
-    for got, want in zip((*loaded.keys, *loaded.values, *loaded.rotated),
-                         (*comp.keys, *comp.values, *comp.rotated)):
+    for got, want in zip((*loaded.keys, *loaded.values), (*comp.keys, *comp.values)):
         assert np.array_equal(got, want)
     assert all(np.shares_memory(a, b) for a, b in zip(replace(loaded).keys, loaded.keys))
     assert replace(loaded)._mapped is None
@@ -200,13 +193,6 @@ def test_saving_over_a_loaded_path_leaves_its_answer_alone(tmp_path):
     save_cache(other, path)
     assert_answers_alike(model, [comp.to_kv_cache(), loaded.to_kv_cache()])
     assert not np.array_equal(load_cache(path).keys[0], comp.keys[0])
-
-
-def test_unknown_rotated_flag(saved, tmp_path):
-    _, _, path = saved
-    bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(FLAG_OFFSET, 2))
-    with pytest.raises(FormatError, match="rotated flag is 2"):
-        load_cache(bad)
 
 
 def test_save_is_deterministic(tmp_path):
@@ -267,13 +253,13 @@ def test_bad_magic(saved, tmp_path):
         load_cache(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2, 4, 9])
+@pytest.mark.parametrize("version", [1, 2, 3, 9])
 def test_bad_version(saved, tmp_path, version):
     """Only the version save_cache writes loads: an older cache is rebuilt
     with ``kvc compress``."""
     _, _, path = saved
     bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(slice(4, 8), struct.pack("<I", version)))
-    with pytest.raises(FormatError, match=rf"unsupported KVCC version {version} \(expected 3\)"):
+    with pytest.raises(FormatError, match=rf"unsupported KVCC version {version} \(expected 4\)"):
         load_cache(bad)
 
 
@@ -297,7 +283,7 @@ def test_zero_kept_rows_rejected_before_the_layers(tmp_path):
     """With no kept row a layer takes no bytes, so nothing but the geometry
     check bounds a claimed layer count: this 192-byte file claims 100,000."""
     header = HEADER.pack(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, 10, 1, 1, 0, 100_000, 0, 8)
-    raw = b"KVCC" + struct.pack("<I", 3) + header + b"\x00"
+    raw = b"KVCC" + struct.pack("<I", 4) + header
     path = tmp_path / "zero.kvcc"
     path.write_bytes(raw + bytes(-len(raw) % 64))
     assert path.stat().st_size == 192

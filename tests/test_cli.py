@@ -139,7 +139,7 @@ def test_compress_method_writes_the_suites_cache(suite_builds, tmp_path, capsys,
     assert loaded.meta == expected.meta
     if COMPRESSED_METHODS[method][0] is None:
         assert loaded.meta.schedule == method
-    for field in ("keys", "values", "kept_positions", "rotated"):
+    for field in ("keys", "values", "kept_positions"):
         got, want = getattr(loaded, field), getattr(expected, field)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -165,14 +165,14 @@ def test_ask_error_paths(bundle_dir, workdir, capsys):
                  "--question", "anything"]) == 4
     # a cache of a version load_cache no longer reads is refused, not parsed
     assert main(["compress", "--bundle", "bundle", "--budget", "32",
-                 "--method", "kvc_zs", "--out", "v2.kvcc"]) == 0
-    raw = bytearray((workdir / "v2.kvcc").read_bytes())
-    raw[4:8] = struct.pack("<I", 2)
-    (workdir / "v2.kvcc").write_bytes(bytes(raw))
+                 "--method", "kvc_zs", "--out", "v3.kvcc"]) == 0
+    raw = bytearray((workdir / "v3.kvcc").read_bytes())
+    raw[4:8] = struct.pack("<I", 3)
+    (workdir / "v3.kvcc").write_bytes(bytes(raw))
     capsys.readouterr()
-    assert main(["ask", "--cache", "v2.kvcc", "--bundle", "bundle",
+    assert main(["ask", "--cache", "v3.kvcc", "--bundle", "bundle",
                  "--question", "anything"]) == 4
-    assert "unsupported KVCC version 2 (expected 3)" in capsys.readouterr().err
+    assert "unsupported KVCC version 3 (expected 4)" in capsys.readouterr().err
 
 
 def test_ask_on_an_empty_cache_exits_4(bundle_dir, workdir, capsys):

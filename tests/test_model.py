@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from kvcbench import modelcore
 from kvcbench.cachefile import load_cache, save_cache
-from kvcbench.compress import CompressedCache, CompressionBudget, _walk, compress_iterative
+from kvcbench.compress import CacheMeta, CompressedCache, CompressionBudget, _walk, compress_iterative
 from kvcbench.errors import PositionOverflowError, UsageError
 from kvcbench.evalharness import default_eval_config, make_guidance, ttft_reference_config
 from kvcbench.modelcore import (
@@ -730,7 +730,9 @@ def test_prefill_holds_few_full_width_arrays():
     # or normed copy: its prologue gathers, norms in place and projects one
     # MLP row block at a time (U at S = MLP_BLOCK, U / 8 at 8 * MLP_BLOCK)
     # and keeps only the normed query rows. Queries, the score tile (U / 4
-    # at width 256) and the capture are small. Full queries and K/V
+    # at width 256) and the capture are small; each head frees its plain
+    # product before the next head's allocates (at 4 heads the two overlapped
+    # for 2.77 U, 2.55 U without). Full queries and K/V
     # temporaries took 7.25 U, a whole normed copy beside the cache 3.3 U.
     # At S = 1,024 the 100 observer rows span two tiles, so the last layer
     # also holds its (d, S) key panel (U) and score buffer; at 8 * MLP_BLOCK
@@ -739,7 +741,7 @@ def test_prefill_holds_few_full_width_arrays():
     S8 = 8 * MLP_BLOCK
     for S, d, heads, layers, rotary, bound in (
             (1024, 512, 4, 1, False, 3.6), (1024, 512, 4, 2, False, 13.0), (1024, 512, 4, 1, True, 4.8),
-            (S8, 256, 1, 1, False, 2.9), (S8, 256, 4, 1, False, 2.9),
+            (S8, 256, 1, 1, False, 2.9), (S8, 256, 4, 1, False, 2.7),
             (S8, 256, 1, 1, True, 4.5), (S8, 256, 4, 1, True, 4.5)):
         config = ModelConfig(n_layers=layers, n_heads=heads, hidden_size=d, head_dim=d // heads,
                              vocab_size=64, max_position=2 * S, rotary_enabled=rotary)
@@ -929,6 +931,22 @@ def assert_shadow_exact(model, cache):
         assert np.array_equal(cache.rotated_keys(layer, model.config), expected)
 
 
+def assert_adopted_shadow_exact(model, cache, compressed, ids):
+    """The shadow of a cache built from `compressed`, then prefilled with
+    `ids`, is the compressed keys followed by the new rows' keys rotated to
+    their positions. The new keys are a reference cache's that takes the
+    compressed keys as its shadow, as its unrotated rows below n_kept,
+    zero here, are never read."""
+    n = compressed.n_kept
+    ref = KvCache([np.zeros_like(k) for k in compressed.keys], compressed.values, compressed.keys)
+    prefill(model, ref, ids)
+    assert cache.length == ref.length
+    for layer in range(model.config.n_layers):
+        shadow = cache.rotated_keys(layer, model.config)
+        assert np.array_equal(shadow[:n], compressed.keys[layer])
+        assert np.array_equal(shadow[n:], rotate(ref.keys[layer][n:], n, model.config))
+
+
 @pytest.mark.parametrize("n0", [1, 7, ATTENTION_BLOCK - 1, ATTENTION_BLOCK, ATTENTION_BLOCK + 8])
 def test_shadow_equals_full_rotation_across_growth(n0):
     config = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16,
@@ -1017,17 +1035,17 @@ def test_loaded_cache_answers_without_regrowth(small_bundle, small_model, tmp_pa
     loaded = load_cache(path, small_model)
     cache = loaded.to_kv_cache()
     n = loaded.n_kept
-    prefill(small_model, cache, random_ids(np.random.default_rng(13), small_model.config.vocab_size, n // 8))
+    ids = random_ids(np.random.default_rng(13), small_model.config.vocab_size, n // 8)
+    prefill(small_model, cache, ids)
     assert cache.length == n + n // 8
-    assert_shadow_exact(small_model, cache)
     assert grown_calls == []
+    assert_adopted_shadow_exact(small_model, cache, compressed, ids)
     for a in (*compressed.keys, *compressed.values):
         root = a
         while isinstance(root.base, np.ndarray):
             root = root.base
         assert a.shape[0] == compressed.n_kept and root.nbytes == a.nbytes
-    for got, want in zip((*loaded.keys, *loaded.values, *loaded.rotated),
-                         (*compressed.keys, *compressed.values, *compressed.rotated)):
+    for got, want in zip((*loaded.keys, *loaded.values), (*compressed.keys, *compressed.values)):
         assert not got.flags.writeable and np.array_equal(got, want)
 
 
@@ -1055,7 +1073,7 @@ def test_plain_prefill_leaves_every_shadow_complete(tiny_model, monkeypatch):
 @pytest.mark.parametrize("from_disk", [False, True])
 def test_a_question_on_a_compressed_cache_rotates_only_its_rows(small_bundle, small_model, tmp_path,
                                                                 monkeypatch, from_disk):
-    """A rotary model's compressed cache carries its survivors' rotated keys,
+    """A rotary model's compressed cache holds its survivors' rotated keys,
     in memory and through a KVCC file, so a cache built from it has a
     complete shadow and a question prefilled on it rotates only the
     question's rows, from position n_kept on."""
@@ -1073,12 +1091,66 @@ def test_a_question_on_a_compressed_cache_rotates_only_its_rows(small_bundle, sm
 
     monkeypatch.setattr(modelcore, "rotate", counted)
     cache = compressed.to_kv_cache()
-    assert_shadow_exact(small_model, cache)
+    assert_adopted_shadow_exact(small_model, cache, compressed, [])
     assert calls == []
     n = compressed.n_kept
-    prefill(small_model, cache, random_ids(np.random.default_rng(14), small_model.config.vocab_size, 9))
+    ids = random_ids(np.random.default_rng(14), small_model.config.vocab_size, 9)
+    prefill(small_model, cache, ids)
     assert calls and all(call == (n, 9) for call in calls)
-    assert_shadow_exact(small_model, cache)
+    assert_adopted_shadow_exact(small_model, cache, compressed, ids)
+
+
+# the geometry of hand_compressed's rows
+HAND_CONFIG = ModelConfig(n_layers=2, n_heads=2, hidden_size=64, head_dim=32, vocab_size=64, max_position=2048)
+
+
+def hand_compressed(n=1000):
+    """A compressed cache of n random rows per layer of HAND_CONFIG."""
+    rng = np.random.default_rng(15)
+    layers, d = HAND_CONFIG.n_layers, HAND_CONFIG.hidden_size
+    keys, values = ([rng.standard_normal((n, d)).astype(np.float32) for _ in range(layers)] for _ in "kv")
+    meta = CacheMeta(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, n, n, 1, "flat")
+    return CompressedCache(keys, values, [np.arange(n)] * layers, meta)
+
+
+@pytest.mark.parametrize("from_disk", [False, True])
+def test_an_answer_cache_refuses_to_read_or_fork_its_keys(tmp_path, from_disk):
+    """A cache built from a compressed cache, on the mapped file or on
+    copies, holds its keys rotated: reading them unrotated or forking it
+    raises UsageError, while its values and rotated keys read as stored."""
+    compressed = hand_compressed()
+    if from_disk:
+        save_cache(compressed, tmp_path / "c.kvcc")
+        compressed = load_cache(tmp_path / "c.kvcc")
+    cache = compressed.to_kv_cache()
+    for read in (lambda: cache.keys, cache.fork, lambda: cache.fork(ATTENTION_BLOCK)):
+        with pytest.raises(UsageError, match="rotated keys"):
+            read()
+    for layer in range(HAND_CONFIG.n_layers):
+        assert np.array_equal(cache.values[layer], compressed.values[layer])
+        assert np.array_equal(cache.rotated_keys(layer, HAND_CONFIG), compressed.keys[layer])
+        assert np.shares_memory(cache.values[layer], compressed.values[layer]) == from_disk
+
+
+def test_a_copied_answer_cache_allocates_two_buffers_per_layer(grown_calls):
+    """to_kv_cache of a compressed cache in memory copies each layer's keys
+    and values into a buffer with an eighth of headroom, and the key buffer
+    is its own rotated-key shadow: two buffers per layer, where a separate
+    shadow made three. A question of an eighth of the rows then fits."""
+    compressed = hand_compressed(1000)
+    buffer = (1000 + 1000 // 8) * HAND_CONFIG.hidden_size * 4
+    tracemalloc.start()
+    try:
+        cache = compressed.to_kv_cache()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 4 * buffer <= held < 4.1 * buffer, held / buffer
+    model = init_random_model(HAND_CONFIG, seed=6)
+    ids = random_ids(np.random.default_rng(16), HAND_CONFIG.vocab_size, 1000 // 8)
+    prefill(model, cache, ids)
+    assert grown_calls == []
+    assert_adopted_shadow_exact(model, cache, compressed, ids)
 
 
 def test_gathered_caches_decode_like_a_fresh_prefill(tiny_model):
@@ -1090,7 +1162,8 @@ def test_gathered_caches_decode_like_a_fresh_prefill(tiny_model):
     # a keep-all rule: the walk gathers every row after the first segment
     walked = _walk(tiny_model, ids, CompressionBudget(700), 2,
                    lambda capture, cache, n, r: [np.arange(n)] * len(cache.keys), b"", "walk")
-    loaded = CompressedCache(fresh.keys, fresh.values, walked.kept_positions, walked.meta)
+    rotated = [fresh.rotated_keys(layer, tiny_model.config) for layer in range(tiny_model.config.n_layers)]
+    loaded = CompressedCache(rotated, fresh.values, walked.kept_positions, walked.meta)
     caches = [walked.to_kv_cache(), loaded.to_kv_cache(), fresh]
     for tok in (5, 9, 13):
         logits = [decode_step(tiny_model, c, tok)[0] for c in caches]
