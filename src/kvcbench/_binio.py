@@ -4,13 +4,15 @@ failure (missing file, a directory, no permission) into
 MissingArtifactError, CLI exit 3. ``writing`` turns one on the write side
 (an output directory that is a file, an output file that is a directory, no
 permission) into UsageError, CLI exit 2. The binary containers (KVCC, KVCI,
-KVCW) share one frame, a 4-byte magic then a u32 version, which
+KVCW) share one layout: a 4-byte magic then a u32 version, which
 ``read_container`` checks over the mapped file and ``write_container``
-writes. Also here: a little-endian reader for container bodies, a typed
-record reader for the JSON formats, and the atomic writer every whole-file
-save goes through. Saves rename a new file over the old one, so a save
-never changes a mapping of the old file; truncating a mapped file in place
-is unsupported (touching a page past its new end raises SIGBUS)."""
+writes, then fixed-size headers and arrays. Every array starts at a
+multiple of ``ALIGN`` bytes from the start of the file, after zero
+padding, and loads as a view of the mapping (``Reader.view``). Also here: a
+typed record reader for the JSON formats, and the atomic writer every
+whole-file save goes through. Saves rename a new file over the old one, so
+a save never changes a mapping of the old file; truncating a mapped file in
+place is unsupported (touching a page past its new end raises SIGBUS)."""
 
 from __future__ import annotations
 
@@ -24,6 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, MissingArtifactError, UsageError
+
+# every array of a container starts at a multiple of this many bytes
+ALIGN = 64
 
 
 @contextlib.contextmanager
@@ -89,39 +94,21 @@ class Reader:
         off = self._advance(n)
         return self.data[off : off + n]
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def unpack(self, layout: struct.Struct) -> tuple:
         """The next ``layout.size`` bytes unpacked by `layout`."""
         return layout.unpack(self.take(layout.size))
 
-    def align(self, n: int) -> None:
-        """Skip to the next multiple of `n` bytes from the start of the file."""
-        self._advance(-self.off % n)
-
     def view(self, dtype, count: int) -> np.ndarray:
-        """The next `count` items as a view of the file's bytes, which it
-        keeps alive: writable (copy-on-write) over a mapping, and aligned
-        only where the format aligns them."""
+        """The `count` items from the next multiple of ``ALIGN`` bytes on, as
+        a view of the file's bytes, which it keeps alive: writable
+        (copy-on-write) over a mapping."""
+        self._advance(-self.off % ALIGN)
         dt = np.dtype(dtype)
         return np.frombuffer(self.data, dt, count, self._advance(dt.itemsize * count))
 
-    def array(self, dtype, count: int) -> np.ndarray:
-        """The next `count` items as an array of their own."""
-        return self.view(dtype, count).copy()
-
     def expect_end(self) -> None:
         if self.off != len(self.data):
-            raise FormatError(
-                f"{self.path}: {len(self.data) - self.off} trailing bytes after last field"
-            )
+            raise FormatError(f"{self.path}: {len(self.data) - self.off} trailing bytes after last field")
 
 
 def read_container(path, magic: bytes, version: int) -> Reader:
@@ -131,22 +118,23 @@ def read_container(path, magic: bytes, version: int) -> Reader:
     r = Reader(map_artifact(path, f"{name} container"), path)
     if r.take(4) != magic:
         raise FormatError(f"{path}: not a {name} container")
-    found = r.u32()
+    found = int.from_bytes(r.take(4), "little")
     if found != version:
         raise FormatError(f"{path}: unsupported {name} version {found} (expected {version})")
     return r
 
 
-def write_container(path, magic: bytes, version: int, parts, align: int = 1) -> None:
+def write_container(path, magic: bytes, version: int, parts) -> None:
     """Atomically write the frame of `magic` and `version`, then each of
     `parts` (bytes, or C-contiguous arrays written through the buffer
     protocol) in turn, so no joined copy of the file is ever made. Zero
-    bytes pad the file so that each array starts at a multiple of `align`."""
+    bytes pad the file so that each array starts at a multiple of
+    ``ALIGN``."""
     with atomic_write(path, "wb") as fh:
-        fh.write(magic + struct.pack("<I", version))
+        fh.write(magic + version.to_bytes(4, "little"))
         for part in parts:
             if isinstance(part, np.ndarray):
-                fh.write(bytes(-fh.tell() % align))
+                fh.write(bytes(-fh.tell() % ALIGN))
             fh.write(part)
 
 

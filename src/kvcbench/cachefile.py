@@ -7,10 +7,10 @@ the three 32-byte fingerprints (model, guidance, corpus), n_context u64,
 k u32, s u32, schedule code u8, n_layers u32, n_kept u64 and hidden u32.
 Then per layer the kept original positions as u32, the K rows (rotated to
 positions 0..n_kept-1, as ``CompressedCache`` holds them) and the V rows
-as row-major f32. Rotary on or off, the layout is the same. Every array
-starts at a multiple of ``ALIGN`` bytes from the start of the file, after
-zero padding, and each float array is followed by n_kept // 8 zero rows,
-the headroom ``KvCache`` gives a cache it builds.
+as row-major f32. Rotary on or off, the layout is the same. Each array
+starts aligned, as in every container (``_binio``), and each float array
+is followed by n_kept // 8 zero rows, the headroom ``KvCache`` gives a
+cache it builds.
 
 Loading validates structure always and fingerprint compatibility when a
 model is supplied, so a cache can never be silently replayed against the
@@ -39,8 +39,6 @@ from .modelcore import Model
 
 MAGIC = b"KVCC"
 VERSION = 4
-# every array starts at a multiple of this many bytes
-ALIGN = 64
 # after the frame: the model, guidance and corpus fingerprints, n_context,
 # k, s, schedule code, n_layers, n_kept, hidden
 HEADER = struct.Struct("<32s32s32sQIIBIQI")
@@ -66,7 +64,7 @@ def save_cache(compressed: CompressedCache, path) -> None:
         parts.append(np.ascontiguousarray(compressed.kept_positions[layer], dtype="<u4"))
         for rows in (compressed.keys, compressed.values):
             parts += [np.ascontiguousarray(rows[layer], dtype="<f4"), room]
-    write_container(path, MAGIC, VERSION, parts, ALIGN)
+    write_container(path, MAGIC, VERSION, parts)
 
 
 def load_cache(path, model: Model | None = None) -> CompressedCache:
@@ -85,13 +83,11 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
     room = n_kept // 8
     kept, buffers = [], ([], [])
     for _ in range(n_layers):
-        r.align(ALIGN)
         pos = r.view("<u4", n_kept).astype(np.int64)
         if np.any(np.diff(pos) <= 0) or pos[-1] >= n_context:
             raise FormatError(f"{p}: kept positions not strictly increasing within context")
         kept.append(pos)
         for bufs in buffers:
-            r.align(ALIGN)
             bufs.append(r.view("<f4", (n_kept + room) * hidden).reshape(n_kept + room, hidden))
     r.expect_end()
 

@@ -66,10 +66,11 @@ Three properties of the design matter to everything downstream:
   thread among them: the cores that BLAS leaves idle (``_tile_workers``,
   fixed at import; 1 with BLAS at its default of a thread per core). The
   caller builds the panels and one score buffer per worker before the
-  threads start, and adds the capture contributions, kept per (tile,
-  head), in tile-then-head order after the join. Each tile makes the same
-  BLAS calls on any thread, so no output depends on the worker count; some
-  do depend on the BLAS thread count.
+  threads start, and runs the tiles holding observer rows itself, in tile
+  order, so their capture contributions add in tile-then-head order as on
+  one thread. Each tile makes the same BLAS calls on any thread, so no
+  output depends on the worker count; some do depend on the BLAS thread
+  count.
 
 A prefill can capture how a designated observer span (guidance tokens)
 attends: per layer, one vector over columns holding the mean over heads and
@@ -619,13 +620,13 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     its multi-row tiles from per-head (d_k, columns) key panels, transposed
     once, into one contiguous -inf-padded block per tile of a score buffer
     for the pass; one-row tiles and one-tile ranges use the plain product.
-    Such a range of at least SPLIT_MIN_SCORES scores splits its tiles over
-    up to TILE_WORKERS threads, each with its own score buffer (``_attend``
-    runs one share). Captured
-    observer rows add their probabilities, each divided by H * n_obs, into
-    the layer's capture vector with one GEMV per tile and head, in tile
-    then head order. The MLP runs over max(1, S // MLP_BLOCK) equal row
-    blocks."""
+    Such a range of at least SPLIT_MIN_SCORES scores splits its tiles
+    without observer rows over up to TILE_WORKERS threads, each with its
+    own score buffer (``_attend`` runs one share). Captured observer rows
+    add their probabilities, each divided by H * n_obs, into the layer's
+    capture vector with one GEMV per tile and head, in tile then head
+    order, on the calling thread. The MLP runs over max(1, S // MLP_BLOCK)
+    equal row blocks."""
     cfg = model.config
     S = token_ids.shape[0]
     base = cache.length
@@ -698,30 +699,28 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         # keys once into per-head (d_k, columns) panels, head h's in rows cols,
         # and split its tiles over workers, each with one score buffer for its
         # multi-row tiles
-        panels, bufs, workers = None, [None], 1
+        panels, shares, bufs = None, [tiles], [None]
         if len(tiles) > 1:
             n_cols = base + hi
             panels = np.empty((d, n_cols), F32)
             for j in range(0, n_cols, PANEL_COPY_ROWS):  # blocks of keys stay in cache while transposed
                 panels[:, j : j + PANEL_COPY_ROWS] = k_rot[j : min(j + PANEL_COPY_ROWS, n_cols)].T
             if H * (hi - lo) * (base + hi) >= SPLIT_MIN_SCORES:
-                workers = min(TILE_WORKERS, len(tiles))
+                # tiles holding observer rows add into the capture on this
+                # thread, in tile order; the rest are dealt round-robin from
+                # the last one, so the caller takes the costliest share and
+                # seldom sleeps in the join: a thread that sleeps can wake on
+                # the other core, away from its cached data
+                observed = tiles[(obs_lo - lo) // ATTENTION_BLOCK : (obs_hi - lo - 1) // ATTENTION_BLOCK + 1]
+                rest = [r0 for r0 in tiles[::-1] if r0 not in observed]
+                workers = max(1, min(TILE_WORKERS, len(rest)))
+                shares = [[*observed, *rest[::workers]], *(rest[i::workers] for i in range(1, workers))]
             # room for any tile's padded block; allocated on this thread, as a
             # worker's own heap arena would keep its pages past the pass
-            bufs = [np.empty((ATTENTION_BLOCK * (n_cols + 32),), F32) for _ in range(workers)]
-        kernel = (hi, base, q, a, k_rot, panels, v_all, ones, out, shift, (obs_lo, obs_hi), H)
-        if workers == 1:
-            _attend(tiles, bufs[0], captures[layer] if n_obs else None, None, *kernel)
-        else:
-            parts: dict[tuple[int, int], np.ndarray] = {}
-            # the caller takes the last tile and every workers-th before it,
-            # the costliest share, so it seldom sleeps in the join: a thread
-            # that sleeps can wake on the other core, away from its cached data
-            _run_shares([partial(_attend, tiles[::-1][i::workers], bufs[i], None, parts, *kernel)
-                         for i in range(workers)])
-            for key in sorted(parts):  # tile, then head: the order of one thread's adds
-                part = parts.pop(key)
-                captures[layer][: part.shape[0]] += part
+            bufs = [np.empty((ATTENTION_BLOCK * (n_cols + 32),), F32) for _ in shares]
+        kernel = (captures[layer] if n_obs else None, hi, base, q, a, k_rot, panels, v_all, ones, out, shift,
+                  (obs_lo, obs_hi), H)
+        _run_shares([partial(_attend, share, buf, *kernel) for share, buf in zip(shares, bufs)])
 
         if need_out:
             x += out @ w[f"layers.{layer}.o_proj"]
@@ -740,15 +739,16 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     return out_logits, (capture if n_obs or q_hi > q_lo else None)
 
 
-def _attend(share, buf, capture, parts, hi, base, q, a, k_rot, panels, v_all, ones, out, shift, obs, H):
+def _attend(share, buf, capture, hi, base, q, a, k_rot, panels, v_all, ones, out, shift, obs, H):
     """Attend the tiles of a range ending at row `hi` that start at the rows
     in `share`: each tile's rows of `out` (when not None) and, for its
-    observer rows (`obs`, a local (start, end)), one contribution per head to
-    the capture vector, added into `capture`, or kept as ``parts[r0, h]``
-    when `parts` is a dict. `q` holds the scaled queries of rows from `a` on;
-    with `panels`, multi-row tiles score into a block of `buf`. Tiles read
-    only the keys and values and write only their own rows, so ranges can
-    split their tiles over threads."""
+    observer rows (`obs`, a local (start, end)), one contribution per head
+    added into the capture vector `capture`. `q` holds the scaled queries of
+    rows from `a` on; with `panels`, multi-row tiles score into a block of
+    `buf`. Tiles read only the keys and values and write only their own
+    rows, so ranges can split their tiles over threads; the tiles holding
+    observer rows stay on one thread, in tile order, as they add into
+    `capture`."""
     dk = q.shape[1] // H
     obs_lo, obs_hi = obs
     for r0 in share:
@@ -782,11 +782,7 @@ def _attend(share, buf, capture, parts, hi, base, q, a, k_rot, panels, v_all, on
                 out[r0:r1, cols] = (scores @ v_all[:end, cols]) / rowsum
             if c0 < c1:
                 rows = slice(c0 - r0, c1 - r0)
-                part = (F32(1 / (H * (obs_hi - obs_lo))) / rowsum[rows, 0]) @ scores[rows]
-                if parts is None:
-                    capture[:end] += part
-                else:
-                    parts[r0, h] = part
+                capture[:end] += (F32(1 / (H * (obs_hi - obs_lo))) / rowsum[rows, 0]) @ scores[rows]
             scores = tile = None  # a plain product is freed before the next head's
 
 

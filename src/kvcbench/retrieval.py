@@ -29,7 +29,9 @@ from .vocab import TokenSequence, Vocabulary, tokenize
 logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"KVCI"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+# after the frame: vocabulary sha, n_chunks, vocab_size, nnz
+INDEX_HEADER = struct.Struct("<32sIIQ")
 
 
 def vocab_hash(vocab: Vocabulary) -> bytes:
@@ -174,17 +176,16 @@ def evidence_recall(result: RetrievalResult, budget_tokens: int, chunk_tokens: i
 
 
 # --- on-disk format (KVCI) ----------------------------------------------------
-# magic, version u32, vocab sha 32B, n_chunks u32, vocab_size u32,
-# idf f32[vocab_size], nnz u64, indptr u64[n_chunks+1], indices u32[nnz],
-# data f32[nnz]; little-endian throughout.
+# the frame (magic, version u32), INDEX_HEADER, then idf f32[vocab_size],
+# indptr u64[n_chunks+1], indices u32[nnz] and data f32[nnz], each starting
+# aligned (``_binio``) and loaded as a view of the mapped file;
+# little-endian throughout.
 
 
 def save_index(index: ChunkIndex, path: Path | str) -> None:
     write_container(path, INDEX_MAGIC, INDEX_VERSION, [
-        index.vocab_sha,
-        struct.pack("<II", index.n_chunks, index.vocab_size),
+        INDEX_HEADER.pack(index.vocab_sha, index.n_chunks, index.vocab_size, len(index.indices)),
         np.ascontiguousarray(index.idf, dtype="<f4"),
-        struct.pack("<Q", len(index.indices)),
         np.ascontiguousarray(index.indptr, dtype="<u8"),
         np.ascontiguousarray(index.indices, dtype="<u4"),
         np.ascontiguousarray(index.data, dtype="<f4"),
@@ -192,16 +193,16 @@ def save_index(index: ChunkIndex, path: Path | str) -> None:
 
 
 def load_index(path: Path | str) -> ChunkIndex:
+    """Map a KVCI container; its arrays are writable copy-on-write views.
+    Structural damage, a malformed CSR and any version but
+    ``INDEX_VERSION`` raise FormatError."""
     p = Path(path)
     r = read_container(p, INDEX_MAGIC, INDEX_VERSION)
-    vocab_sha = r.take(32)
-    n_chunks = r.u32()
-    vocab_size = r.u32()
-    idf = r.array("<f4", vocab_size)
-    nnz = r.u64()
-    indptr = r.array("<u8", n_chunks + 1)
-    indices = r.array("<u4", nnz)
-    data = r.array("<f4", nnz)
+    vocab_sha, n_chunks, vocab_size, nnz = r.unpack(INDEX_HEADER)
+    idf = r.view("<f4", vocab_size)
+    indptr = r.view("<u8", n_chunks + 1)
+    indices = r.view("<u4", nnz)
+    data = r.view("<f4", nnz)
     r.expect_end()
     if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
         raise FormatError(f"{p}: CSR indptr does not start at 0 and never decrease")

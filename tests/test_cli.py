@@ -633,6 +633,38 @@ def test_unreadable_artifact_exits_3(bundle_dir, workdir, capsys, artifact):
     assert err[0].startswith("error: cannot read ") and err[0].endswith(f"{target}: Is a directory")
 
 
+@pytest.mark.parametrize("artifact", ["i.kvci", "m.kvcw"])
+def test_version_1_index_or_weights_exits_4(bundle_dir, workdir, capsys, artifact):
+    """Version 1 of KVCI and KVCW is refused, not parsed: the index is
+    rebuilt by deleting it, the weights by saving them again."""
+    vocab_size = len((bundle_dir / "vocab.txt").read_text().splitlines())
+    model = init_random_model(default_eval_config(vocab_size), 5)
+    save_weights(model, workdir / "m.kvcw")
+    (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(model.config)))
+    argv = [*RAG_WITH_WEIGHTS, "--index", "i.kvci"]
+    assert main(argv) == 0  # writes the index
+    raw = bytearray((workdir / artifact).read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    (workdir / artifact).write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert f"unsupported {artifact[-4:].upper()} version 1 (expected 2)" in capsys.readouterr().err
+
+
+def test_weights_loaded_with_another_config_exit_4(bundle_dir, workdir, capsys):
+    """The file records no shapes: a sidecar naming another valid config
+    ends the tensors early or leaves bytes over."""
+    vocab_size = len((bundle_dir / "vocab.txt").read_text().splitlines())
+    config = default_eval_config(vocab_size)
+    save_weights(init_random_model(config, 5), workdir / "m.kvcw")
+    for n_layers, reason in ((config.n_layers + 1, "unexpected end of container"),
+                             (config.n_layers - 1, "trailing bytes")):
+        other = dataclasses.replace(config, n_layers=n_layers)
+        (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(other)))
+        assert main(RAG_WITH_WEIGHTS) == 4
+        assert reason in capsys.readouterr().err
+
+
 def test_exit_code_mapping():
     assert _exit_code(UsageError("x")) == 2
     assert _exit_code(MalformedSequenceError("x")) == 2

@@ -304,28 +304,32 @@ def test_outputs_do_not_depend_on_the_worker_count(name, tile_workers):
 
 
 def test_more_workers_than_cores_with_fast_thread_switches_agree_bitwise(tile_workers):
-    # Five workers share the capture's parts dict and the output rows; a
-    # lost or reordered update would move a capture or an output bit.
+    # Five workers share the output rows while the caller adds the capture;
+    # a lost or reordered update would move a capture or an output bit. A
+    # long observer span keeps most tiles on the caller, a short one at the
+    # end deals most of them to the workers.
     model = init_random_model(default_eval_config(64), 6)
     ids = random_ids(np.random.default_rng(6), 64, 12 * ATTENTION_BLOCK + 7)
     n = len(ids) - 1
+    spans = [(ATTENTION_BLOCK + 3, n), (n - 20, n)]
 
-    def run():
+    def run(span):
         cache = KvCache.empty(model.config)
-        capture = prefill(model, cache, ids[:n], observer_span=(ATTENTION_BLOCK + 3, n))
+        capture = prefill(model, cache, ids[:n], observer_span=span)
         return [*capture.layers, *cache.keys, *cache.values, decode_step(model, cache, ids[n])[0]]
 
-    serial = run()
+    serial = [run(span) for span in spans]
     tile_workers(5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = [run() for _ in range(3)]
+        threaded = [[run(span) for _ in range(3)] for span in spans]
     finally:
         sys.setswitchinterval(interval)
-    for arrays in threaded:
-        for a, b in zip(serial, arrays, strict=True):
-            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+    for one, runs in zip(serial, threaded, strict=True):
+        for arrays in runs:
+            for a, b in zip(one, arrays, strict=True):
+                assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 def test_a_compressed_cache_file_does_not_depend_on_the_worker_count(small_bundle, small_model, tmp_path,
@@ -391,7 +395,8 @@ def test_only_ranges_of_enough_scores_split(tiny_model, monkeypatch):
     # elements, one of 1,536 rows 2 x 1,536 x 1,536
     splits = []
     run_shares = modelcore._run_shares
-    monkeypatch.setattr(modelcore, "_run_shares", lambda calls: splits.append(len(calls)) or run_shares(calls))
+    monkeypatch.setattr(modelcore, "_run_shares",
+                        lambda calls: len(calls) > 1 and splits.append(len(calls)) or run_shares(calls))
     monkeypatch.setattr(modelcore, "TILE_WORKERS", 2)
     monkeypatch.setattr(modelcore, "SPLIT_MIN_SCORES", 2 * 1024 * 1024 + 1)
     ids = random_ids(np.random.default_rng(8), tiny_model.config.vocab_size, 1536)

@@ -1,7 +1,10 @@
 """Artifact files are read in one place. No module of the package except
 ``_binio`` reads or maps a file itself, so what an unreadable artifact
 means (MissingArtifactError, exit 3) and how a container frame is checked
-are decided once."""
+are decided once. Nor does any other module turn bytes into fields by
+hand: a container's fixed fields are one module-level ``struct.Struct``,
+its arrays ``Reader.view``s, so how arrays are aligned is decided once
+too."""
 
 import ast
 from pathlib import Path
@@ -22,6 +25,11 @@ READ_CALLS = {"read_bytes", "read_text", "read", "read_file", "readline", "readl
 WRITE_HANDLES = {
     ("evalharness", "run_suite"): "a",  # the runs JSONL append handle
 }
+
+
+# calls that pack or parse bytes by hand: the struct module's functions,
+# called as struct.<name> or imported, and numpy's frombuffer
+STRUCT_CALLS = {"pack", "unpack", "pack_into", "unpack_from", "iter_unpack", "calcsize"}
 
 
 def calls(node, scope="<module>"):
@@ -59,6 +67,26 @@ def file_reads(module: str, source: str) -> list[str]:
     return found
 
 
+def byte_parsing(module: str, source: str) -> list[str]:
+    """Each call in `source` that packs or parses bytes outside the owner
+    module. A Struct's own pack and the Reader's unpack are allowed."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module in ("struct", "numpy")
+                for alias in node.names}
+    found = []
+    for scope, call in calls(tree):
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            hit = func.attr == "frombuffer" or (
+                func.attr in STRUCT_CALLS and isinstance(func.value, ast.Name) and func.value.id == "struct")
+        else:
+            hit = isinstance(func, ast.Name) and func.id in imported & (STRUCT_CALLS | {"frombuffer"})
+        if hit:
+            found.append(f"{module}.{scope}: {ast.unparse(func)}()")
+    return found
+
+
 def modules():
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -67,6 +95,31 @@ def test_only_binio_reads_artifact_files():
     found = [read for module, source in modules().items() if module != OWNER
              for read in file_reads(module, source)]
     assert not found, f"read artifact files through {OWNER}: {found}"
+
+
+def test_only_binio_packs_or_parses_bytes():
+    found = [call for module, source in modules().items() if module != OWNER
+             for call in byte_parsing(module, source)]
+    assert not found, f"read container fields through {OWNER}.Reader: {found}"
+
+
+@pytest.mark.parametrize("snippet", [
+    "def f(raw):\n    return struct.unpack('<I', raw)\n",
+    "def f(n):\n    return struct.pack('<Q', n)\n",
+    "def f(raw):\n    return struct.unpack_from('<I', raw, 4)\n",
+    "from struct import pack\ndef f(n):\n    return pack('<I', n)\n",
+    "def f(raw):\n    return np.frombuffer(raw, np.float32)\n",
+    "from numpy import frombuffer\ndef f(raw):\n    return frombuffer(raw)\n",
+], ids=["unpack", "pack", "unpack_from", "imported_pack", "frombuffer", "imported_frombuffer"])
+def test_the_walk_sees_byte_parsing(snippet):
+    assert byte_parsing("retrieval", snippet)
+
+
+def test_the_walk_allows_a_header_struct():
+    snippet = ("HEADER = struct.Struct('<32sIIQ')\n"
+               "def save(i):\n    return HEADER.pack(b'', 1, 2, 3)\n"
+               "def load(r):\n    return r.unpack(HEADER), r.view('<f4', 4)\n")
+    assert byte_parsing("retrieval", snippet) == []
 
 
 def test_every_allowed_write_handle_still_exists():

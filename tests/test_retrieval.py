@@ -215,7 +215,7 @@ def test_index_bad_version(saved_index, tmp_path):
     struct.pack_into("<I", raw, 4, 7)
     bad = tmp_path / "v.kvci"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"unsupported KVCI version 7 \(expected 1\)"):
+    with pytest.raises(FormatError, match=r"unsupported KVCI version 7 \(expected 2\)"):
         load_index(bad)
 
 
@@ -233,15 +233,11 @@ def test_index_truncation_and_trailing(saved_index, tmp_path):
 
 
 def test_index_indptr_nnz_mismatch(saved_index, tmp_path):
-    index, path = saved_index
-    raw = bytearray(path.read_bytes())
-    # last indptr entry lives after header(48) + idf + nnz + n_chunks entries
-    off = 48 + 4 * index.vocab_size + 8 + 8 * index.n_chunks
-    (last,) = struct.unpack_from("<Q", raw, off)
-    assert last == int(index.indptr[-1])
-    struct.pack_into("<Q", raw, off, last + 1)
+    index, _ = saved_index
+    indptr = index.indptr.copy()
+    indptr[-1] += 1
     bad = tmp_path / "nnz.kvci"
-    bad.write_bytes(bytes(raw))
+    save_index(dataclasses.replace(index, indptr=indptr), bad)
     with pytest.raises(FormatError, match="CSR indptr does not match nnz"):
         load_index(bad)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kvcbench.errors import FormatError, MissingArtifactError
+from kvcbench.errors import FormatError, MissingArtifactError, UsageError
 from kvcbench.modelcore import ModelConfig, init_random_model, tensor_names
 from kvcbench.weights import load_weights, save_weights
 
@@ -54,27 +54,16 @@ def test_unsupported_version(saved):
     raw = bytearray(path.read_bytes())
     raw[4] = 9
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="version"):
+    with pytest.raises(FormatError, match=r"unsupported KVCW version 9 \(expected 2\)"):
         load_weights(path, CONFIG)
 
 
-def test_unknown_dtype_code(saved):
+def test_version_1_is_refused(saved):
     _, path = saved
     raw = bytearray(path.read_bytes())
-    # magic(4) + version(4) + count(4) + name_len(4) + "embedding"(9) -> dtype byte
-    raw[25] = 7
+    raw[4] = 1
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="dtype"):
-        load_weights(path, CONFIG)
-
-
-def test_tensor_name_not_utf8(saved):
-    _, path = saved
-    raw = bytearray(path.read_bytes())
-    # magic(4) + version(4) + count(4) + name_len(4) -> first byte of "embedding"
-    raw[16] = 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="not utf-8"):
+    with pytest.raises(FormatError, match=r"unsupported KVCW version 1 \(expected 2\)"):
         load_weights(path, CONFIG)
 
 
@@ -97,7 +86,7 @@ def test_missing_tensor_for_config(saved):
     _, path = saved
     bigger = ModelConfig(n_layers=3, n_heads=2, hidden_size=16, head_dim=8,
                          vocab_size=32, max_position=64)
-    with pytest.raises(FormatError, match="missing tensor"):
+    with pytest.raises(FormatError, match="unexpected end of container"):
         load_weights(path, bigger)
 
 
@@ -105,7 +94,7 @@ def test_extra_tensor_for_config(saved):
     _, path = saved
     smaller = ModelConfig(n_layers=1, n_heads=2, hidden_size=16, head_dim=8,
                           vocab_size=32, max_position=64)
-    with pytest.raises(FormatError, match="unexpected tensor"):
+    with pytest.raises(FormatError, match="trailing bytes after last field"):
         load_weights(path, smaller)
 
 
@@ -113,5 +102,14 @@ def test_shape_mismatch_for_config(saved):
     _, path = saved
     wider = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16,
                         vocab_size=32, max_position=64)
-    with pytest.raises(FormatError, match="shape"):
+    with pytest.raises(FormatError, match=r"unexpected end of container at byte \d+"):
         load_weights(path, wider)
+
+
+def test_save_refuses_a_tensor_of_another_shape(tmp_path):
+    # the file records no shapes, so it could not tell such a tensor apart
+    model = init_random_model(CONFIG, seed=3)
+    model.weights["layers.1.q_proj"] = model.weights["layers.1.q_proj"][:, :8]
+    with pytest.raises(UsageError, match=r"tensor layers\.1\.q_proj has shape \(16, 8\), expected \(16, 16\)"):
+        save_weights(model, tmp_path / "model.kvcw")
+    assert not (tmp_path / "model.kvcw").exists()
