@@ -59,12 +59,21 @@ Three properties of the design matter to everything downstream:
   product (numpy sends it to gemv, whose sums a panel would round
   differently), and so does a one-tile range (a decode step, a question
   over a compressed cache), which reads each key once. Every multi-row
-  product from a panel is bitwise the plain product.
+  product from a panel is bitwise the plain product. A plain-product tile
+  that captures nothing scores all heads in one batched product of
+  (heads, rows, columns), then masks, runs ``exp2``, sums rows, multiplies
+  by V and divides once for all heads; numpy makes each head's BLAS call
+  on the same operands as a loop over heads would, so the bits are the
+  loop's. Tiles that capture or score from panels loop over heads, so no
+  score block grows. A pass's fixed costs are resolved once: each layer's
+  weights and the query scale at ``Model`` construction, the ones vector
+  kept and grown like the rotary table.
 * A tile reads only the keys and values and writes only its own rows, so
   a range of several tiles that scores at least ``SPLIT_MIN_SCORES``
   elements runs them round-robin on ``TILE_WORKERS`` threads, the calling
   thread among them: the cores that BLAS leaves idle (``_tile_workers``,
-  fixed at import; 1 with BLAS at its default of a thread per core). The
+  fixed at import; 1 with BLAS at its default of a thread per core). Any
+  other range calls the kernel directly, with no thread set-up. The
   caller builds the panels and one score buffer per worker before the
   threads start, and runs the tiles holding observer rows itself, in tile
   order, so their capture contributions add in tile-then-head order as on
@@ -282,15 +291,16 @@ class KvCache:
     def rotated_keys(self, layer: int, config: ModelConfig) -> np.ndarray:
         """The keys of `layer` rotated to their positions, rotating only the
         rows [done, n) that no earlier call rotated."""
-        done, n = self._done[layer], self._rows[layer]
-        keys = self._keys[layer]
-        fresh = rotate(keys[done:n], done, config)
+        n = self._rows[layer]
         if not config.rotary_enabled:
-            return keys[:n]
-        if n > self._rot[layer].shape[0]:
-            self._rot[layer] = _grown(self._rot[layer], done, n)
-        self._rot[layer][done:n] = fresh
-        self._done[layer] = n
+            return self._keys[layer][:n]
+        done = self._done[layer]
+        if done < n:
+            fresh = rotate(self._keys[layer][done:n], done, config)
+            if n > self._rot[layer].shape[0]:
+                self._rot[layer] = _grown(self._rot[layer], done, n)
+            self._rot[layer][done:n] = fresh
+            self._done[layer] = n
         return self._rot[layer][:n]
 
 
@@ -332,31 +342,34 @@ class AttentionCapture:
 
 @dataclass
 class Model:
+    """Weights plus what a forward pass reads of them, resolved once:
+    ``layers[l]`` holds layer l's weights in ``LAYER_TENSORS`` order and
+    ``scale`` is the base-2 query scale log2(e)/sqrt(d_k)."""
+
     config: ModelConfig
     weights: dict[str, np.ndarray]
     fingerprint: bytes = field(default=b"", repr=False)
     score_bound: float = field(default=np.inf, init=False, repr=False)
+    layers: list[tuple[np.ndarray, ...]] = field(default_factory=list, init=False, repr=False, compare=False)
+    scale: np.float32 = field(default=F32(1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fingerprint:
             self.fingerprint = fingerprint_weights(self.config, self.weights)
         self.score_bound = score_bound(self.config, self.weights)
+        self.layers = [tuple(self.weights[f"layers.{i}.{name}"] for name in LAYER_TENSORS)
+                       for i in range(self.config.n_layers)]
+        self.scale = F32(np.log2(np.e) / np.sqrt(self.config.head_dim))
+
+
+LAYER_TENSORS = ("attn_norm", "q_proj", "k_proj", "v_proj", "o_proj", "mlp_norm", "mlp_fc1", "mlp_fc2")
 
 
 def tensor_names(config: ModelConfig) -> list[str]:
     """Canonical tensor set of the flat weight container, in storage order."""
     names = ["embedding"]
     for i in range(config.n_layers):
-        names += [
-            f"layers.{i}.attn_norm",
-            f"layers.{i}.q_proj",
-            f"layers.{i}.k_proj",
-            f"layers.{i}.v_proj",
-            f"layers.{i}.o_proj",
-            f"layers.{i}.mlp_norm",
-            f"layers.{i}.mlp_fc1",
-            f"layers.{i}.mlp_fc2",
-        ]
+        names += [f"layers.{i}.{name}" for name in LAYER_TENSORS]
     names += ["final_norm", "lm_head"]
     return names
 
@@ -499,6 +512,11 @@ def init_diagnostic_model(config: ModelConfig, vocab: Vocabulary) -> Model:
     return Model(cfg, weights)
 
 
+_EPS = F32(1e-6)
+# the tanh-GELU's constants: sqrt(2/pi), the cubic's coefficient, 1 and 1/2
+_GELU_C, _GELU_A, _ONE, _HALF = F32(np.sqrt(2.0 / np.pi)), F32(0.044715), F32(1.0), F32(0.5)
+
+
 def _rmsnorm(x: np.ndarray, gain: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """``x * inv * gain`` with ``inv`` the reciprocal root mean square of each
     row; the squares' buffer becomes the result, so one (rows, d) array is
@@ -507,7 +525,7 @@ def _rmsnorm(x: np.ndarray, gain: np.ndarray, squares: np.ndarray | None = None)
     float32 rows, without its overhead."""
     out = np.square(x, out=squares)
     mean = np.add.reduce(out, axis=-1, keepdims=True) / x.shape[-1]
-    inv = 1.0 / np.sqrt(mean + F32(1e-6))
+    inv = 1.0 / np.sqrt(mean + _EPS)
     out = out if squares is None else x
     np.multiply(x, inv, out=out)
     out *= gain
@@ -519,15 +537,14 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x)))`` evaluated in
     that order (float addition and multiplication commute bitwise), with one
     temporary the size of `x`. Exactness is irrelevant, determinism is not."""
-    c = F32(np.sqrt(2.0 / np.pi))
-    t = F32(0.044715) * x
+    t = _GELU_A * x
     t *= x
     t *= x
     t += x
-    t *= c
+    t *= _GELU_C
     np.tanh(t, out=t)
-    t += F32(1.0)
-    x *= F32(0.5)
+    t += _ONE
+    x *= _HALF
     x *= t
     return x
 
@@ -549,6 +566,18 @@ def _rotary_table(config: ModelConfig, size: int) -> tuple[np.ndarray, np.ndarra
             np.tile(f(angles).astype(F32), config.n_heads) for f in (np.cos, np.sin)
         )
     return tables
+
+
+_ONES = np.ones(0, F32)
+
+
+def _ones(size: int) -> np.ndarray:
+    """A float32 vector of at least `size` ones, kept and regrown past the
+    largest size asked for, like the rotary table."""
+    global _ONES
+    if _ONES.shape[0] < size:
+        _ONES = np.ones(size + size // 8, F32)
+    return _ONES
 
 
 def rotate(mat: np.ndarray, start: int, config: ModelConfig) -> np.ndarray:
@@ -593,7 +622,7 @@ def prefill(model, cache: KvCache, ids, observer_span=None, query_span=None):
     S = token_ids.shape[0]
     if S == 0:
         return None
-    if np.any(token_ids >= cfg.vocab_size) or np.any(token_ids < 0):
+    if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:
         raise UsageError("token id outside model vocabulary")
     for name, span in (("observer", observer_span), ("query", query_span)):
         if span is not None and span[1] > span[0] and not (0 <= span[0] and span[1] <= S):
@@ -622,7 +651,8 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     for the pass; one-row tiles and one-tile ranges use the plain product.
     Such a range of at least SPLIT_MIN_SCORES scores splits its tiles
     without observer rows over up to TILE_WORKERS threads, each with its
-    own score buffer (``_attend`` runs one share). Captured observer rows
+    own score buffer (``_attend`` runs one share, ``_run_shares`` them
+    all); any other range calls ``_attend`` once. Captured observer rows
     add their probabilities, each divided by H * n_obs, into the layer's
     capture vector with one GEMV per tile and head, in tile then head
     order, on the calling thread. The MLP runs over max(1, S // MLP_BLOCK)
@@ -632,39 +662,36 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     base = cache.length
     if base + S > cfg.max_position:
         raise PositionOverflowError(f"position {base + S - 1} exceeds max_position {cfg.max_position}")
+    # grow the long-lived rotary table and ones vector before this pass's
+    # temporaries, so that they cannot pin them in the heap once freed
     if cfg.rotary_enabled:
-        # grow the long-lived rotary table before this pass's temporaries,
-        # so that it cannot pin them in the heap once they are freed
         _rotary_table(cfg, base + S)
-    (obs_lo, obs_hi), (q_lo, q_hi) = (
-        tuple(span) if span is not None and span[1] > span[0] else (0, 0)
-        for span in (observer_span, query_span)
-    )
+    ones = _ones(base + S)
+    obs_lo, obs_hi = (observer_span if observer_span is not None and observer_span[1] > observer_span[0]
+                      else (0, 0))
+    q_lo, q_hi = query_span if query_span is not None and query_span[1] > query_span[0] else (0, 0)
 
-    H, dk, d = cfg.n_heads, cfg.head_dim, cfg.hidden_size
-    scale = F32(np.log2(np.e) / np.sqrt(dk))
+    H, d = cfg.n_heads, cfg.hidden_size
     shift = model.score_bound > SHIFT_FREE_BOUND
-    ones = np.ones(base + S, F32)
-    w = model.weights
+    embedding = model.weights["embedding"]
     x = None  # the embedding rows, gathered whole by a layer whose output feeds on
     n_obs = obs_hi - obs_lo
     captures = [np.zeros(base + S, F32) for _ in range(cfg.n_layers)] if n_obs else []
     query_rows: list[np.ndarray] = []
 
-    for layer in range(cfg.n_layers):
+    for layer, (gain, wq, wk, wv, wo, mlp_gain, fc1, fc2) in enumerate(model.layers):
         need_out = logits or layer < cfg.n_layers - 1
         if need_out and x is None:
-            x = w["embedding"][token_ids]
+            x = embedding[token_ids]
         lo, hi = (0, S) if need_out else (obs_lo, obs_hi)
         # queries for rows [a, b) only, which cover both spans; at least
         # ATTENTION_BLOCK of them, as a product of a few rows can take another
         # BLAS path (numpy sends one row to gemv) whose sums round differently
         a = b = S
         if hi > lo or q_hi > q_lo:
-            a = min(s0 for s0, s1 in ((lo, hi), (q_lo, q_hi)) if s1 > s0)
+            a = min(lo if hi > lo else S, q_lo if q_hi > q_lo else S)
             b = min(S, max(hi, q_hi, a + ATTENTION_BLOCK))
             a = max(0, min(a, b - ATTENTION_BLOCK))
-        gain, wk, wv = (w[f"layers.{layer}.{name}"] for name in ("attn_norm", "k_proj", "v_proj"))
         k_new, v_new = cache.extend(layer, S)
         if need_out:
             hn = _rmsnorm(x, gain)
@@ -677,7 +704,7 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             n = max(1, S // MLP_BLOCK)
             for i in range(n):
                 r0, r1 = i * S // n, (i + 1) * S // n
-                xb = w["embedding"][token_ids[r0:r1]] if x is None else x[r0:r1]
+                xb = embedding[token_ids[r0:r1]] if x is None else x[r0:r1]
                 _rmsnorm(xb, gain, squares=v_new[r0:r1])
                 np.matmul(xb, wk, out=k_new[r0:r1])
                 np.matmul(xb, wv, out=v_new[r0:r1])
@@ -687,11 +714,11 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
         k_rot = cache.rotated_keys(layer, cfg)
         if a == b:
             continue
-        q = rotate(hn @ w[f"layers.{layer}.q_proj"], base + a, cfg)
+        q = rotate(hn @ wq, base + a, cfg)
         del hn
         if q_hi > q_lo:
             query_rows.append(q[q_lo - a : q_hi - a].copy())
-        q *= scale
+        q *= model.scale
         v_all = cache._values[layer]  # tiles read its rows [0, end)
         out = np.empty((S, d), F32) if need_out else None
         tiles = range(lo, hi, ATTENTION_BLOCK)
@@ -720,23 +747,28 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
             bufs = [np.empty((ATTENTION_BLOCK * (n_cols + 32),), F32) for _ in shares]
         kernel = (captures[layer] if n_obs else None, hi, base, q, a, k_rot, panels, v_all, ones, out, shift,
                   (obs_lo, obs_hi), H)
-        _run_shares([partial(_attend, share, buf, *kernel) for share, buf in zip(shares, bufs)])
+        if len(shares) == 1:
+            _attend(tiles, bufs[0], *kernel)
+        else:
+            _run_shares([partial(_attend, share, buf, *kernel) for share, buf in zip(shares, bufs)])
 
         if need_out:
-            x += out @ w[f"layers.{layer}.o_proj"]
+            x += out @ wo
             del q, out, panels, bufs, kernel  # freed before the MLP
             # the MLP in blocks of at least MLP_BLOCK rows: its (rows, 4d)
             # temporaries stay cache-sized, and no product becomes a gemv
             n = max(1, S // MLP_BLOCK)
             for i in range(n):
                 xb = x[i * S // n : (i + 1) * S // n]
-                up = _rmsnorm(xb, w[f"layers.{layer}.mlp_norm"]) @ w[f"layers.{layer}.mlp_fc1"]
-                xb += _gelu(up) @ w[f"layers.{layer}.mlp_fc2"]
+                up = _rmsnorm(xb, mlp_gain) @ fc1
+                xb += _gelu(up) @ fc2
                 del up
 
-    out_logits = _rmsnorm(x, w["final_norm"]) @ w["lm_head"] if logits else None
-    capture = AttentionCapture(captures, query_rows if q_hi > q_lo else None)
-    return out_logits, (capture if n_obs or q_hi > q_lo else None)
+    if logits:
+        return _rmsnorm(x, model.weights["final_norm"]) @ model.weights["lm_head"], None
+    if n_obs or q_hi > q_lo:
+        return None, AttentionCapture(captures, query_rows if q_hi > q_lo else None)
+    return None, None
 
 
 def _attend(share, buf, capture, hi, base, q, a, k_rot, panels, v_all, ones, out, shift, obs, H):
@@ -745,10 +777,12 @@ def _attend(share, buf, capture, hi, base, q, a, k_rot, panels, v_all, ones, out
     observer rows (`obs`, a local (start, end)), one contribution per head
     added into the capture vector `capture`. `q` holds the scaled queries of
     rows from `a` on; with `panels`, multi-row tiles score into a block of
-    `buf`. Tiles read only the keys and values and write only their own
-    rows, so ranges can split their tiles over threads; the tiles holding
-    observer rows stay on one thread, in tile order, as they add into
-    `capture`."""
+    `buf`. A plain-product tile without observer rows scores all heads at
+    once, as (H, rows, columns), and makes per head the BLAS calls a loop
+    over heads makes; other tiles loop over heads. Tiles read only the keys
+    and values and write only their own rows, so ranges can split their
+    tiles over threads; the tiles holding observer rows stay on one thread,
+    in tile order, as they add into `capture`."""
     dk = q.shape[1] // H
     obs_lo, obs_hi = obs
     for r0 in share:
@@ -757,6 +791,22 @@ def _attend(share, buf, capture, hi, base, q, a, k_rot, panels, v_all, ones, out
         # row r sees columns [0, base + r]: only the diagonal tile is masked
         future = _FUTURE[: r1 - r0, : r1 - r0]
         c0, c1 = max(r0, obs_lo), min(r1, obs_hi)
+        if c0 >= c1 and (panels is None or r1 == r0 + 1):
+            # a plain-product tile that captures nothing, all heads at once:
+            # (H, rows, end) scores, each head's the per-head loop's product
+            # and so its bits (numpy makes the same BLAS call per head)
+            n = r1 - r0
+            scores = (q[r0 - a : r1 - a].reshape(n, H, dk).transpose(1, 0, 2)
+                      @ k_rot[:end].reshape(end, H, dk).transpose(1, 2, 0))
+            if n > 1:
+                scores[:, :, base + r0 :][:, future] = -np.inf
+            if shift:
+                scores -= scores.max(axis=2, keepdims=True)
+            np.exp2(scores, out=scores)
+            rowsum = (scores @ ones[:end])[..., None]
+            np.divide(scores @ v_all[:end].reshape(end, H, dk).transpose(1, 0, 2), rowsum,
+                      out=out[r0:r1].reshape(n, H, dk).transpose(1, 0, 2))
+            continue
         block = None
         if panels is not None and r1 > r0 + 1:
             # one contiguous (rows, wt) block of the buffer, wt = end padded

@@ -406,6 +406,119 @@ def test_only_ranges_of_enough_scores_split(tiny_model, monkeypatch):
     assert splits == [2]
 
 
+def test_only_a_range_that_splits_goes_through_run_shares(tiny_model, monkeypatch, tile_workers):
+    # every range of several tiles splits here; one tile, a decode step's
+    # or a short question's, calls the kernel directly
+    calls = []
+    run_shares = modelcore._run_shares
+    monkeypatch.setattr(modelcore, "_run_shares", lambda shares: calls.append(len(shares)) or run_shares(shares))
+    tile_workers(2)
+    ids = random_ids(np.random.default_rng(9), tiny_model.config.vocab_size, 2 * ATTENTION_BLOCK + 1)
+    cache = KvCache.empty(tiny_model.config)
+    prefill(tiny_model, cache, ids[: ATTENTION_BLOCK - 1], observer_span=(0, 9))
+    decode_step(tiny_model, cache, int(ids[ATTENTION_BLOCK - 1]))
+    assert calls == []
+    prefill(tiny_model, KvCache.empty(tiny_model.config), ids)
+    assert calls == [2]
+
+
+def per_head_plain_tile(q, k_rot, v_all, base, H, shift):
+    """The plain-product tile as a loop over heads: the kernel's form for a
+    one-tile range before its heads were batched, kept as the oracle."""
+    rows, dk = q.shape[0], q.shape[1] // H
+    end = base + rows
+    future = modelcore._FUTURE[:rows, :rows]
+    ones = np.ones(end, np.float32)
+    out = np.empty(q.shape, np.float32)
+    for h in range(H):
+        cols = slice(h * dk, (h + 1) * dk)
+        scores = q[:, cols] @ k_rot[:end, cols].T
+        if rows > 1:
+            scores[:, base:][future] = -np.inf
+        if shift:
+            scores -= scores.max(axis=1, keepdims=True)
+        np.exp2(scores, out=scores)
+        rowsum = (scores @ ones[:end])[:, None]
+        out[:, cols] = (scores @ v_all[:end, cols]) / rowsum
+    return out
+
+
+def batched_tiles_equal_the_per_head_loop() -> int:
+    """Compares the kernel's one-tile, capture-free path bit for bit with
+    per_head_plain_tile over heads, widths, rows, cached rows and the shift;
+    returns the number of cases. Keys and values sit in buffers with
+    headroom, as the cache's do."""
+    rng = np.random.default_rng(21)
+    cases = 0
+    for H in (1, 2, 4):
+        for dk in (8, 16, 32, 256):
+            d = H * dk
+            pool = rng.standard_normal((3, 4097 + 64 + 600, d)).astype(np.float32) / np.float32(np.sqrt(dk))
+            for rows in (1, 2, 7, 63, 64):
+                for base in (0, 1, 63, 500, 4097):
+                    end = base + rows
+                    q, k_rot, v_all = (pool[i, : end + end // 8] for i in range(3))
+                    q = np.ascontiguousarray(q[:rows])
+                    for shift in (False, True):
+                        out = np.empty((rows, d), np.float32)
+                        modelcore._attend([0], None, None, rows, base, q, 0, k_rot, None, v_all,
+                                          modelcore._ones(end), out, shift, (0, 0), H)
+                        want = per_head_plain_tile(q, k_rot, v_all, base, H, shift)
+                        case = (H, dk, rows, base, shift)
+                        assert np.array_equal(out.view(np.uint32), want.view(np.uint32)), case
+                        cases += 1
+    return cases
+
+
+def test_a_plain_tile_batched_over_heads_equals_the_per_head_loop_bitwise():
+    assert batched_tiles_equal_the_per_head_loop() == 3 * 4 * 5 * 5 * 2
+
+
+def test_a_plain_tile_batched_over_heads_equals_the_per_head_loop_on_one_blas_thread():
+    tests = str(Path(__file__).parent)
+    src = str(Path(modelcore.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
+    script = "import test_model; print(test_model.batched_tiles_equal_the_per_head_loop())"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["600"]
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_short_passes_take_the_batched_path(n_heads, monkeypatch):
+    # exp2 runs once per tile on its (heads, rows, columns) scores when the
+    # tile captures nothing and scores from the plain product, and once per
+    # head on a (rows, columns) block when it adds into the capture
+    calls = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp2(x, *args, **kwargs):
+            calls.append(x.ndim)
+            return np.exp2(x, *args, **kwargs)
+
+    config = ModelConfig(n_layers=2, n_heads=n_heads, hidden_size=n_heads * 16, head_dim=16,
+                         vocab_size=64, max_position=2048)
+    model = init_random_model(config, seed=4)
+    ids = random_ids(np.random.default_rng(10), config.vocab_size, 600)
+    cache = KvCache.empty(config)
+    prefill(model, cache, ids[:590])
+    monkeypatch.setattr(modelcore, "np", Spy())
+    prefill(model, cache, ids[590:599])  # the last layer attends over no rows
+    assert calls == [3]
+    calls.clear()
+    decode_step(model, cache, int(ids[599]))
+    assert calls == [3, 3]
+    calls.clear()
+    capture = prefill(model, KvCache.empty(config), ids[:9], observer_span=(2, 9))
+    assert calls == [2] * (2 * n_heads)
+    assert all(np.isclose(layer.sum(), 1.0) for layer in capture.layers)
+
+
 @pytest.mark.parametrize("cores, environ, workers", [
     (2, {}, 1),  # BLAS runs a thread per core
     (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
@@ -1073,6 +1186,29 @@ def test_plain_prefill_leaves_every_shadow_complete(tiny_model, monkeypatch):
     for layer in range(config.n_layers):
         cache.rotated_keys(layer, config)
     assert sum(rows) == 0
+
+
+@pytest.mark.parametrize("rotary", [True, False])
+def test_reading_a_complete_shadow_calls_no_rotate(rotary, monkeypatch):
+    """Only rows a shadow lacks are handed to ``rotate``: a complete shadow,
+    or a rotary-off model's keys, read without a call."""
+    config = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16, vocab_size=64,
+                         max_position=2048, rotary_enabled=rotary)
+    model = init_random_model(config, seed=2)
+    cache = KvCache.empty(config)
+    prefill(model, cache, random_ids(np.random.default_rng(16), 64, 70))
+    calls = []
+
+    def counted(mat, start, cfg):
+        calls.append(mat.shape[0])
+        return rotate(mat, start, cfg)
+
+    monkeypatch.setattr(modelcore, "rotate", counted)
+    for layer in range(config.n_layers):
+        cache.rotated_keys(layer, config)
+    assert calls == []
+    decode_step(model, cache, 5)  # one query row per layer, and one key row when rotary
+    assert calls == [1, 1] * config.n_layers if rotary else [1] * config.n_layers
 
 
 @pytest.mark.parametrize("from_disk", [False, True])
