@@ -8,11 +8,12 @@ KVCW) share one layout: a 4-byte magic then a u32 version, which
 ``read_container`` checks over the mapped file and ``write_container``
 writes, then fixed-size headers and arrays. Every array starts at a
 multiple of ``ALIGN`` bytes from the start of the file, after zero
-padding, and loads as a view of the mapping (``Reader.view``). Also here: a
-typed record reader for the JSON formats, and the atomic writer every
-whole-file save goes through. Saves rename a new file over the old one, so
-a save never changes a mapping of the old file; truncating a mapped file in
-place is unsupported (touching a page past its new end raises SIGBUS)."""
+padding that the reader checks, and loads as a view of the mapping
+(``Reader.view``). Also here: a typed record reader for the JSON formats,
+and the atomic writer every whole-file save goes through. Saves rename a
+new file over the old one, so a save never changes a mapping of the old
+file; truncating a mapped file in place is unsupported (touching a page
+past its new end raises SIGBUS)."""
 
 from __future__ import annotations
 
@@ -101,8 +102,10 @@ class Reader:
     def view(self, dtype, count: int) -> np.ndarray:
         """The `count` items from the next multiple of ``ALIGN`` bytes on, as
         a view of the file's bytes, which it keeps alive: writable
-        (copy-on-write) over a mapping."""
-        self._advance(-self.off % ALIGN)
+        (copy-on-write) over a mapping. Padding that is not zero raises
+        FormatError."""
+        if any(self.take(-self.off % ALIGN)):
+            raise FormatError(f"{self.path}: nonzero padding before byte {self.off}")
         dt = np.dtype(dtype)
         return np.frombuffer(self.data, dt, count, self._advance(dt.itemsize * count))
 

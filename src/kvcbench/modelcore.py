@@ -71,15 +71,16 @@ Three properties of the design matter to everything downstream:
 * A tile reads only the keys and values and writes only its own rows, so
   a range of several tiles that scores at least ``SPLIT_MIN_SCORES``
   elements runs them round-robin on ``TILE_WORKERS`` threads, the calling
-  thread among them: the cores that BLAS leaves idle (``_tile_workers``,
-  fixed at import; 1 with BLAS at its default of a thread per core). Any
-  other range calls the kernel directly, with no thread set-up. The
-  caller builds the panels and one score buffer per worker before the
-  threads start, and runs the tiles holding observer rows itself, in tile
-  order, so their capture contributions add in tile-then-head order as on
-  one thread. Each tile makes the same BLAS calls on any thread, so no
-  output depends on the worker count; some do depend on the BLAS thread
-  count.
+  thread among them. Importing this module sets numpy's bundled OpenBLAS
+  to one thread for the whole process (``_pin_blas``), so parallelism
+  comes only from the tile workers, one per usable core; where numpy links
+  another BLAS, BLAS is left alone and one worker runs. Any other range
+  calls the kernel directly, with no thread set-up. The caller builds the
+  panels and one score buffer per worker before the threads start, and
+  runs the tiles holding observer rows itself, in tile order, so their
+  capture contributions add in tile-then-head order as on one thread.
+  Each tile makes the same one-thread BLAS calls on any thread, so no
+  output depends on the core count or on the BLAS environment variables.
 
 A prefill can capture how a designated observer span (guidance tokens)
 attends: per layer, one vector over columns holding the mean over heads and
@@ -93,6 +94,7 @@ probability matrix is ever stored.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import hashlib
 import os
 import threading
@@ -121,27 +123,22 @@ MLP_BLOCK = 1024
 SPLIT_MIN_SCORES = 1 << 22
 
 
-def _tile_workers(environ, cores: int) -> int:
-    """Threads that attend the tiles of a range: ``cores // blas``, at least
-    1, with ``blas`` the BLAS thread count. That is the first of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that reads as
-    an int >= 1, the order OpenBLAS reads them in, else ``cores``, as BLAS
-    then runs a thread per core. Tiles only take the cores BLAS leaves idle:
-    on top of BLAS's own threads they slowed a prefill down."""
-    blas = cores
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            count = int(environ.get(name, ""))
-        except ValueError:
-            continue
-        if count >= 1:
-            blas = count
-            break
-    return max(1, cores // blas)
+def _pin_blas() -> int:
+    """Set numpy's bundled OpenBLAS to one thread and return the tile worker
+    count, the cores this process may run on. Where numpy links another
+    BLAS (no handle, or no ``scipy_openblas_set_num_threads64_`` in it),
+    BLAS is left as it is and one worker runs. The extension module's handle
+    resolves the symbol, as dlsym searches its dependencies too."""
+    try:
+        set_threads = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return 1
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-TILE_WORKERS = _tile_workers(
-    os.environ, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+TILE_WORKERS = _pin_blas()
 
 # init_diagnostic_model needs room for one sink channel plus near-orthogonal
 # random codes; below this width the code construction cannot separate tokens.
@@ -650,9 +647,10 @@ def _forward(model, cache: KvCache, token_ids, logits, observer_span=None, query
     once, into one contiguous -inf-padded block per tile of a score buffer
     for the pass; one-row tiles and one-tile ranges use the plain product.
     Such a range of at least SPLIT_MIN_SCORES scores splits its tiles
-    without observer rows over up to TILE_WORKERS threads, each with its
-    own score buffer (``_attend`` runs one share, ``_run_shares`` them
-    all); any other range calls ``_attend`` once. Captured observer rows
+    without observer rows over up to TILE_WORKERS threads, a worker per
+    core while BLAS runs on one thread (``_pin_blas``), each with its own
+    score buffer (``_attend`` runs one share, ``_run_shares`` them all);
+    any other range calls ``_attend`` once. Captured observer rows
     add their probabilities, each divided by H * n_obs, into the layer's
     capture vector with one GEMV per tile and head, in tile then head
     order, on the calling thread. The MLP runs over max(1, S // MLP_BLOCK)

@@ -75,11 +75,15 @@ def damaged_copy(saved, name, truncate, data):
 @settings(max_examples=2000, deadline=None)
 @given(name=st.sampled_from(sorted(LOADERS)), truncate=st.booleans(), data=st.data())
 def test_damaged_artifacts_raise_only_kvc_errors(saved, small_model, name, truncate, data):
+    """Any damage to a KVCW is refused: the stored fingerprint covers the
+    config and every tensor, and padding must be zero."""
     damaged = damaged_copy(saved, name, truncate, data)
     try:
         LOADERS[name](damaged / name, small_model)
     except KvcError:
         pass
+    else:
+        assert name != "model.kvcw"
 
 
 MODEL_FILES = ["model.kvcw", "model.kvcw.json"]
@@ -110,14 +114,16 @@ COMMANDS = {
 @given(command=st.sampled_from(sorted(COMMANDS)), truncate=st.booleans(), data=st.data())
 def test_damaged_artifacts_exit_with_documented_codes(saved, command, truncate, data):
     """Every byte of the fingerprinted bundle files and the length of every
-    binary container is checked, so that damage exits 2, 3 or 4. A flipped
-    float payload byte or a JSON whitespace change may go unseen (exit 0);
-    nothing exits 1 or raises."""
+    binary container is checked, so that damage exits 2, 3 or 4, and every
+    byte of the KVCW, which exits 4. A flipped float payload byte of a KVCC
+    or KVCI or a JSON whitespace change may go unseen (exit 0); nothing
+    exits 1 or raises."""
     argv, reads = COMMANDS[command]
     name = data.draw(st.sampled_from(reads), label="file")
     damaged = damaged_copy(saved, name, truncate, data)
     checked = name.removeprefix("bundle/") in BUNDLE_DATA_FILES or (truncate and not name.endswith(".json"))
-    assert main(argv(damaged)) in ((2, 3, 4) if checked else (0, 2, 3, 4))
+    codes = (4,) if name == "model.kvcw" else (2, 3, 4) if checked else (0, 2, 3, 4)
+    assert main(argv(damaged)) in codes
 
 
 # Every key sits on its own line with no blank between and no space around

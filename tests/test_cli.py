@@ -648,21 +648,33 @@ def test_version_1_index_or_weights_exits_4(bundle_dir, workdir, capsys, artifac
     (workdir / artifact).write_bytes(bytes(raw))
     capsys.readouterr()
     assert main(argv) == 4
-    assert f"unsupported {artifact[-4:].upper()} version 1 (expected 2)" in capsys.readouterr().err
+    expected = 3 if artifact == "m.kvcw" else 2
+    assert f"unsupported {artifact[-4:].upper()} version 1 (expected {expected})" in capsys.readouterr().err
 
 
 def test_weights_loaded_with_another_config_exit_4(bundle_dir, workdir, capsys):
     """The file records no shapes: a sidecar naming another valid config
-    ends the tensors early or leaves bytes over."""
+    ends the tensors early or leaves bytes over, and one whose shapes match
+    (one head of width 32, rotary off, for two of width 16) or a flipped
+    tensor byte fails the stored fingerprint."""
     vocab_size = len((bundle_dir / "vocab.txt").read_text().splitlines())
     config = default_eval_config(vocab_size)
     save_weights(init_random_model(config, 5), workdir / "m.kvcw")
-    for n_layers, reason in ((config.n_layers + 1, "unexpected end of container"),
-                             (config.n_layers - 1, "trailing bytes")):
-        other = dataclasses.replace(config, n_layers=n_layers)
+    for changes, reason in (({"n_layers": config.n_layers + 1}, "unexpected end of container"),
+                            ({"n_layers": config.n_layers - 1}, "trailing bytes"),
+                            ({"n_heads": 1, "head_dim": 32, "rotary_enabled": False}, "fingerprint mismatch")):
+        other = dataclasses.replace(config, **changes)
         (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(other)))
         assert main(RAG_WITH_WEIGHTS) == 4
         assert reason in capsys.readouterr().err
+    (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(config)))
+    assert main(RAG_WITH_WEIGHTS) == 0
+    raw = bytearray((workdir / "m.kvcw").read_bytes())
+    raw[-5] ^= 0x01
+    (workdir / "m.kvcw").write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(RAG_WITH_WEIGHTS) == 4
+    assert "fingerprint mismatch" in capsys.readouterr().err
 
 
 def test_exit_code_mapping():

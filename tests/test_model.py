@@ -2,11 +2,14 @@
 position discipline and layout, capture semantics, and the diagnostic
 construction."""
 
+import ctypes
+import hashlib
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -474,17 +477,6 @@ def test_a_plain_tile_batched_over_heads_equals_the_per_head_loop_bitwise():
     assert batched_tiles_equal_the_per_head_loop() == 3 * 4 * 5 * 5 * 2
 
 
-def test_a_plain_tile_batched_over_heads_equals_the_per_head_loop_on_one_blas_thread():
-    tests = str(Path(__file__).parent)
-    src = str(Path(modelcore.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
-    script = "import test_model; print(test_model.batched_tiles_equal_the_per_head_loop())"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["600"]
-
-
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_short_passes_take_the_batched_path(n_heads, monkeypatch):
     # exp2 runs once per tile on its (heads, rows, columns) scores when the
@@ -519,58 +511,66 @@ def test_short_passes_take_the_batched_path(n_heads, monkeypatch):
     assert all(np.isclose(layer.sum(), 1.0) for layer in capture.layers)
 
 
-@pytest.mark.parametrize("cores, environ, workers", [
-    (2, {}, 1),  # BLAS runs a thread per core
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-    (2, {"GOTO_NUM_THREADS": "1"}, 2),
-    (2, {"OMP_NUM_THREADS": "1"}, 2),
-    (8, {"OMP_NUM_THREADS": "3"}, 2),
-    (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
-    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-    # the first variable set to a count wins, in OpenBLAS's order
-    (4, {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 2),
-    (4, {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
-    # counts below 1 and words are skipped, as OpenBLAS skips them
-    (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
-    (4, {"OPENBLAS_NUM_THREADS": "-1", "GOTO_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4),
-    (4, {"OPENBLAS_NUM_THREADS": "abc"}, 1),
-])
-def test_tile_workers_take_the_cores_blas_leaves(cores, environ, workers):
-    assert modelcore._tile_workers(environ, cores) == workers
-
-
-TILE_WORKERS_SCRIPT = """
-import hashlib, os
-import numpy as np
-from kvcbench import modelcore
-from kvcbench.evalharness import default_eval_config
-
-assert modelcore.TILE_WORKERS == len(os.sched_getaffinity(0)), modelcore.TILE_WORKERS
-model = modelcore.init_random_model(default_eval_config(64), 5)
-ids = np.random.default_rng(5).integers(4, 64, size=1500)
-modelcore.SPLIT_MIN_SCORES = 0  # split every range of several tiles
-digests = []
-for workers in (modelcore.TILE_WORKERS, 1):
-    modelcore.TILE_WORKERS = workers
-    cache = modelcore.KvCache.empty(model.config)
-    capture = modelcore.prefill(model, cache, ids[:1000], observer_span=(300, 1000))
-    capture = modelcore.prefill(model, cache, ids[1000:-1], observer_span=(100, 499), query_span=(0, 499))
+def workload_digest() -> str:
+    """SHA-256 of the cache, captures, query rows and logits of two
+    eval-model prefills with observer spans over several tiles and one
+    decode step, under the current TILE_WORKERS and SPLIT_MIN_SCORES."""
+    model = init_random_model(default_eval_config(64), 5)
+    ids = np.random.default_rng(5).integers(4, 64, size=1500)
+    cache = KvCache.empty(model.config)
+    prefill(model, cache, ids[:1000], observer_span=(300, 1000))
+    capture = prefill(model, cache, ids[1000:-1], observer_span=(100, 499), query_span=(0, 499))
     h = hashlib.sha256()
     for a in (*cache.keys, *cache.values, *capture.layers, *capture.queries,
-              modelcore.decode_step(model, cache, int(ids[-1]))[0]):
+              decode_step(model, cache, int(ids[-1]))[0]):
         h.update(a.tobytes())
-    digests.append(h.hexdigest())
-assert digests[0] == digests[1], digests
-"""
+    return h.hexdigest()
 
 
-def test_one_blas_thread_gives_every_core_a_worker_and_the_same_bits():
-    # Tier-1 runs with BLAS unpinned, so TILE_WORKERS is 1 in this process;
-    # a process with one BLAS thread per the rule takes a worker per core.
+def test_importing_modelcore_pins_blas_to_one_thread_and_gives_each_core_a_worker():
+    blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    assert blas.scipy_openblas_get_num_threads64_() == 1
+    assert modelcore.TILE_WORKERS == len(os.sched_getaffinity(0))
+
+
+def no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [no_library, lambda path: types.SimpleNamespace()], ids=["no_handle", "no_symbol"])
+def test_without_the_bundled_openblas_blas_is_left_alone_and_one_worker_runs(monkeypatch, cdll):
+    # numpy linked against another BLAS: nothing to pin, so no tile runs
+    # beside BLAS's own threads
+    monkeypatch.setattr(modelcore.ctypes, "CDLL", cdll)
+    assert modelcore._pin_blas() == 1
+
+
+def test_one_blas_thread_gives_every_core_a_worker_and_the_same_bits(tile_workers):
+    digests = []
+    for workers in (modelcore.TILE_WORKERS, 1):
+        tile_workers(workers)
+        digests.append(workload_digest())
+    assert digests[0] == digests[1], digests
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="BLAS runs one thread on one core whatever is set")
+def test_no_bit_depends_on_the_blas_environment():
+    # OpenBLAS takes its thread count from these variables when it loads,
+    # a thread per core when none is set; the pin at import overrides both
+    tests = str(Path(__file__).parent)
     src = str(Path(modelcore.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", TILE_WORKERS_SCRIPT], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    unset = {name: value for name, value in os.environ.items() if name not in BLAS_VARIABLES}
+    unset["PYTHONPATH"] = os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])
+    script = "import test_model; test_model.modelcore.SPLIT_MIN_SCORES = 0; print(test_model.workload_digest())"
+    digests = []
+    for env in (unset, dict(unset, OPENBLAS_NUM_THREADS="1")):
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert digests[0] == digests[1], digests
 
 
 def test_empty_prefill_is_a_no_op(tiny_model):

@@ -54,7 +54,7 @@ def test_unsupported_version(saved):
     raw = bytearray(path.read_bytes())
     raw[4] = 9
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"unsupported KVCW version 9 \(expected 2\)"):
+    with pytest.raises(FormatError, match=r"unsupported KVCW version 9 \(expected 3\)"):
         load_weights(path, CONFIG)
 
 
@@ -63,7 +63,34 @@ def test_version_1_is_refused(saved):
     raw = bytearray(path.read_bytes())
     raw[4] = 1
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"unsupported KVCW version 1 \(expected 2\)"):
+    with pytest.raises(FormatError, match=r"unsupported KVCW version 1 \(expected 3\)"):
+        load_weights(path, CONFIG)
+
+
+def test_version_2_is_refused(saved):
+    # version 2 stored no fingerprint; save the model again
+    _, path = saved
+    raw = bytearray(path.read_bytes())
+    raw[4] = 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"unsupported KVCW version 2 \(expected 3\)"):
+        load_weights(path, CONFIG)
+
+
+def test_file_records_the_fingerprint_after_the_frame(saved):
+    model, path = saved
+    assert path.read_bytes()[8:40] == model.fingerprint
+
+
+@pytest.mark.parametrize("where", ["fingerprint", "tensor", "padding"])
+def test_a_flipped_byte_is_refused(saved, where):
+    # the fingerprint hashes the config and every tensor; padding must be zero
+    _, path = saved
+    raw = bytearray(path.read_bytes())
+    offset = {"fingerprint": 8, "tensor": len(raw) - 3, "padding": 50}[where]
+    raw[offset] ^= 0x10
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="padding" if where == "padding" else "fingerprint mismatch"):
         load_weights(path, CONFIG)
 
 
