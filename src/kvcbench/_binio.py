@@ -3,8 +3,8 @@ artifact whole and ``map_artifact`` maps one copy-on-write; both turn any OS
 failure (missing file, a directory, no permission) into
 MissingArtifactError, CLI exit 3. ``writing`` turns one on the write side
 (an output directory that is a file, an output file that is a directory, no
-permission) into UsageError, CLI exit 2. The binary containers (KVCC, KVCI,
-KVCW) share one layout: a 4-byte magic then a u32 version, which
+permission) into UsageError, CLI exit 2. The two binary containers, KVCC
+and KVCW, share one layout: a 4-byte magic then a u32 version, which
 ``read_container`` checks over the mapped file and ``write_container``
 writes, then fixed-size headers and arrays. Every array starts at a
 multiple of ``ALIGN`` bytes from the start of the file, after zero
@@ -142,9 +142,8 @@ def write_container(path, magic: bytes, version: int, parts) -> None:
 
 
 # dataclass field annotation -> the JSON values it accepts; a tuple field
-# takes a JSON list of its element type
-_JSON_TYPES = {"str": str, "int": int, "bool": bool, "float": (int, float),
-               "float | None": (int, float, type(None))}
+# takes a JSON list of its element type, and no field takes a bool
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "float | None": (int, float, type(None))}
 
 
 def _json_value(name: str, value, annotation: str):
@@ -152,7 +151,7 @@ def _json_value(name: str, value, annotation: str):
         if not isinstance(value, list):
             raise TypeError(f"{name} is {value!r}, expected a list")
         return tuple(_json_value(name, v, annotation[6:-6]) for v in value)
-    if isinstance(value, bool) != (annotation == "bool") or not isinstance(value, _JSON_TYPES[annotation]):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[annotation]):
         raise TypeError(f"{name} is {value!r}, expected {annotation}")
     return float(value) if annotation.startswith("float") and value is not None else value
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import logging
 import os
 import re
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import json_record, read_artifact, writing
+from ._binio import read_artifact, writing
 from .cachefile import load_cache, save_cache
 from .compress import BUDGET_SCHEDULES, CompressionBudget, answer_with_cache
 from .corpusgen import (
@@ -65,14 +64,7 @@ from .evalharness import (
     write_ttft_csv,
 )
 from .modelcore import Model, ModelConfig, init_random_model
-from .retrieval import (
-    assemble_context,
-    index_chunks,
-    load_index,
-    retrieve,
-    save_index,
-    vocab_hash,
-)
+from .retrieval import assemble_context, index_chunks, retrieve
 from .vocab import detokenize, tokenize
 from .weights import load_weights
 
@@ -101,25 +93,16 @@ def _csv_ints(text: str, flag: str) -> list[int]:
 
 
 def _model(weights, seed: int, config: ModelConfig) -> Model:
-    """KVCW `weights` with a JSON config sidecar at <weights>.json when
+    """The model of KVCW file `weights`, under the config it stores, when
     given, else the random model of `config` drawn from `seed`."""
-    if not weights:
-        return init_random_model(config, seed)
-    weights_path = _resolve(weights)
-    sidecar = weights_path.with_suffix(weights_path.suffix + ".json")
-    raw = read_artifact(sidecar, "model config sidecar")
-    try:
-        stored = json_record(ModelConfig, json.loads(raw.decode()))
-    except (ValueError, TypeError, UsageError) as exc:
-        raise FormatError(f"bad model config in {sidecar}: {exc}") from None
-    return load_weights(weights_path, stored)
+    return load_weights(_resolve(weights)) if weights else init_random_model(config, seed)
 
 
 def _add_model_args(sub) -> None:
     sub.add_argument("--model-seed", type=int, default=0,
                      help="seed for the deterministic random model (default %(default)s)")
     sub.add_argument("--weights", default=None,
-                     help="KVCW weight file with a <file>.json config sidecar (overrides --model-seed)")
+                     help="KVCW weight file, which stores its own config (overrides --model-seed)")
 
 
 # --- corpusgen ----------------------------------------------------------------
@@ -202,20 +185,8 @@ def cmd_rag(args) -> int:
     if args.top < 0:
         raise UsageError(f"--top must be >= 0, got {args.top}")
     bundle = load_bundle(_resolve(args.bundle))
-    if args.index:
-        index_path = _resolve(args.index)
-        if index_path.exists():
-            index = load_index(index_path)
-            if index.vocab_sha != vocab_hash(bundle.vocab):
-                raise StaleCacheError(f"index {index_path} was built for a different vocabulary")
-        else:
-            index = index_chunks(bundle)
-            save_index(index, index_path)
-    else:
-        index = index_chunks(bundle)
-
     query = tokenize(args.question, bundle.vocab)
-    result = retrieve(index, query, top_b=len(bundle.chunks))
+    result = retrieve(index_chunks(bundle), query, top_b=len(bundle.chunks))
     # assemble before printing, so a budget below one chunk fails before the ranking
     context = assemble_context(bundle, result, args.budget) if args.answer else None
     if args.budget < 1:
@@ -331,7 +302,8 @@ def cmd_eval(args) -> int:
             model = _model(config.weights, config.model_seed, default_eval_config(len(bundle.vocab)))
             runs_path = runs_dir / f"s{seed}c{conn}.jsonl"
             if not args.resume:
-                runs_path.unlink(missing_ok=True)
+                with writing(runs_path):
+                    runs_path.unlink(missing_ok=True)
             records = run_suite(
                 model, bundle,
                 methods=config.methods,
@@ -345,7 +317,7 @@ def cmd_eval(args) -> int:
             seed_records.extend(records)
             print(f"seed {seed} connectivity {conn}: {len(records)} records -> {runs_path}")
         report_path = report_dir / f"report-s{seed}.csv"
-        emit_report(seed_records, report_path, chunk_tokens=config.corpus["chunk_tokens"])
+        emit_report(seed_records, report_path)
         print(f"report: {report_path}")
     if n_failed:
         print(f"warning: {n_failed} cells failed (recorded with error text)", file=sys.stderr)
@@ -399,7 +371,7 @@ def cmd_report(args) -> int:
     for path in args.runs:
         records.extend(load_records(_resolve(path)))
     out = _resolve(args.out)
-    rows = emit_report(records, out, chunk_tokens=args.chunk_tokens)
+    rows = emit_report(records, out)
     print(f"{len(rows)} report rows from {len(records)} records -> {out}")
     return 0
 
@@ -458,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1024,
                    help="context token budget (default %(default)s)")
     p.add_argument("--top", type=int, default=8, help="ranks to display (default %(default)s)")
-    p.add_argument("--index", default=None, help="KVCI index file to reuse (built when absent)")
     p.add_argument("--answer", action="store_true", help="also answer over the retrieved context")
     p.add_argument("--max-new", type=int, default=12,
                    help="maximum generated tokens (default %(default)s)")
@@ -488,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("report", help="aggregate run records into a summary CSV")
     p.add_argument("--runs", nargs="+", required=True, help="run JSONL files")
     p.add_argument("--out", default="report.csv", help="output CSV (default %(default)s)")
-    p.add_argument("--chunk-tokens", type=int, default=CorpusSpec.chunk_tokens,
-                   help="chunk width for the coverage bound (default %(default)s)")
     p.set_defaults(func=cmd_report)
 
     return parser

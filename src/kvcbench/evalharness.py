@@ -79,7 +79,7 @@ from .vocab import TokenSequence, Vocabulary, detokenize, tokenize
 
 log = logging.getLogger(__name__)
 
-RUNS_SCHEMA_VERSION = 1
+RUNS_SCHEMA_VERSION = 2
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -186,14 +186,18 @@ class RunRecord:
     prefill_s: float
     first_token_s: float
     elapsed_s: float
+    # the rest of the settings a cell ran under
+    chunk_tokens: int
+    model_fp: str
+    segments: int
+    fewshot: int
+    max_new: int
     error: str = ""
-    # the rest of the settings a cell ran under; records written before
-    # they were carried read as "", 0, 0, 0, which no run has
-    model_fp: str = ""
-    segments: int = 0
-    fewshot: int = 0
-    max_new: int = 0
     schema_version: int = RUNS_SCHEMA_VERSION
+
+    def __post_init__(self):
+        if self.chunk_tokens < 1:
+            raise ValueError(f"chunk_tokens is {self.chunk_tokens}, expected >= 1")
 
 
 def load_records(path) -> list[RunRecord]:
@@ -243,9 +247,9 @@ def run_suite(
     cells to `out_path` as JSON lines. Existing cells are skipped, so
     rerunning after an interruption (or on a warm registry) does no
     compression work twice. A runs file holding a record of another corpus,
-    connectivity, model, segment count, few-shot count or ``max_new`` raises
-    StaleCacheError before any cell runs. A cell that raises is recorded
-    with its error and the suite continues."""
+    connectivity, chunk width, model, segment count, few-shot count or
+    ``max_new`` raises StaleCacheError before any cell runs. A cell that
+    raises is recorded with its error and the suite continues."""
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r} (choose from {METHODS})")
@@ -258,8 +262,8 @@ def run_suite(
     vocab = bundle.vocab
     corpus = bundle.corpus_tokens()
     corpus_fp = bundle.corpus_fingerprint().hex()
-    settings = dict(corpus_fp=corpus_fp, connectivity=bundle.spec.connectivity, model_fp=model.fingerprint.hex(),
-                    segments=s, fewshot=n_fewshot, max_new=params.max_new_tokens)
+    settings = dict(corpus_fp=corpus_fp, connectivity=bundle.spec.connectivity, chunk_tokens=bundle.spec.chunk_tokens,
+                    model_fp=model.fingerprint.hex(), segments=s, fewshot=n_fewshot, max_new=params.max_new_tokens)
 
     examples = select_fewshot(bundle, n_fewshot)
     reserved = {q.qid for q in examples}
@@ -516,18 +520,17 @@ def write_ttft_csv(records, path) -> None:
 REPORT_CSV_COLUMNS = ("method", "budget", "connectivity", "n", "mean_overlap", "mean_retention", "mean_evidence_recall", "schema_version")
 
 
-def emit_report(records, out_path, chunk_tokens: int = 256) -> list[dict]:
+def emit_report(records, out_path) -> list[dict]:
     """Aggregate run records into per (method, budget, connectivity) means.
 
     For every (budget, connectivity) that has retrieval rows, one extra
     ``rag_bound`` row carries the evidence-coverage ceiling for join
-    questions, min(1, retrievable_chunks / (1 + connectivity)); a perfect
-    ranking attains it exactly. Records that share a connectivity but come
-    from different corpora are refused. Failed cells count toward n but
-    score zero overlap, so partial runs stay visible.
+    questions, min(1, retrievable_chunks / (1 + connectivity)), where the
+    records' ``chunk_tokens`` sets how many chunks fit the budget; a
+    perfect ranking attains it exactly. Records that share a connectivity
+    but come from different corpora are refused. Failed cells count toward
+    n but score zero overlap, so partial runs stay visible.
     """
-    if chunk_tokens < 1:
-        raise UsageError(f"chunk_tokens must be >= 1, got {chunk_tokens}")
     records = list(records)
     if not records:
         raise UsageError("no records to report on")
@@ -563,7 +566,7 @@ def emit_report(records, out_path, chunk_tokens: int = 256) -> list[dict]:
         if method == "rag":
             n_join = sum(1 for g in group if g.kind == "join")
             if n_join:
-                bound = min(1.0, (budget // chunk_tokens) / (1 + conn))
+                bound = min(1.0, (budget // group[0].chunk_tokens) / (1 + conn))
                 rows.append(
                     {
                         "method": "rag_bound",

@@ -165,8 +165,8 @@ class ModelConfig:
             raise UsageError(
                 f"hidden_size {self.hidden_size} != n_heads {self.n_heads} x head_dim {self.head_dim}"
             )
-        if self.n_layers < 1:
-            raise UsageError("n_layers must be >= 1")
+        if min(self.n_layers, self.n_heads, self.head_dim) < 1:
+            raise UsageError("n_layers, n_heads and head_dim must be >= 1")
         if self.vocab_size < 2:
             raise UsageError("vocab_size must be >= 2")
         if self.max_position < 1:

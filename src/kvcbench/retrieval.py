@@ -6,43 +6,29 @@ broken toward the lower chunk id.  Scoring is exact-match at the word
 level, which keeps the retrieval floor fully explainable: a chunk scores
 only through tokens it literally shares with the query.
 
-Index vectors are stored CSR-style in float32; scores are accumulated in
-float64 from those float32 weights, so a saved and reloaded index ranks
-identically to a fresh one.
+The index lives in memory only: every command that ranks chunks builds
+it from the bundle with ``index_chunks``. Its vectors are CSR-style
+float32; scores are accumulated in float64 from those float32 weights.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._binio import read_container, write_container
 from .corpusgen import CorpusBundle
-from .errors import FormatError, UsageError
-from .vocab import TokenSequence, Vocabulary, tokenize
+from .errors import UsageError
+from .vocab import TokenSequence, tokenize
 
 logger = logging.getLogger(__name__)
-
-INDEX_MAGIC = b"KVCI"
-INDEX_VERSION = 2
-# after the frame: vocabulary sha, n_chunks, vocab_size, nnz
-INDEX_HEADER = struct.Struct("<32sIIQ")
-
-
-def vocab_hash(vocab: Vocabulary) -> bytes:
-    return hashlib.sha256("\n".join(vocab.id_to_token).encode()).digest()
 
 
 @dataclass
 class ChunkIndex:
     """CSR tf-idf matrix, one L2-normalized row per chunk."""
 
-    vocab_sha: bytes
     n_chunks: int
     vocab_size: int
     idf: np.ndarray      # (vocab_size,) f32
@@ -91,7 +77,6 @@ def index_chunks(bundle: CorpusBundle) -> ChunkIndex:
         indptr[i + 1] = indptr[i] + len(ids)
 
     return ChunkIndex(
-        vocab_sha=vocab_hash(vocab),
         n_chunks=n_chunks,
         vocab_size=vocab_size,
         idf=idf.astype(np.float32),
@@ -173,49 +158,3 @@ def evidence_recall(result: RetrievalResult, budget_tokens: int, chunk_tokens: i
     n_fit = budget_tokens // chunk_tokens
     got = set(result.ranking[:n_fit])
     return len(gold & got) / len(gold)
-
-
-# --- on-disk format (KVCI) ----------------------------------------------------
-# the frame (magic, version u32), INDEX_HEADER, then idf f32[vocab_size],
-# indptr u64[n_chunks+1], indices u32[nnz] and data f32[nnz], each starting
-# aligned (``_binio``) and loaded as a view of the mapped file;
-# little-endian throughout.
-
-
-def save_index(index: ChunkIndex, path: Path | str) -> None:
-    write_container(path, INDEX_MAGIC, INDEX_VERSION, [
-        INDEX_HEADER.pack(index.vocab_sha, index.n_chunks, index.vocab_size, len(index.indices)),
-        np.ascontiguousarray(index.idf, dtype="<f4"),
-        np.ascontiguousarray(index.indptr, dtype="<u8"),
-        np.ascontiguousarray(index.indices, dtype="<u4"),
-        np.ascontiguousarray(index.data, dtype="<f4"),
-    ])
-
-
-def load_index(path: Path | str) -> ChunkIndex:
-    """Map a KVCI container; its arrays are writable copy-on-write views.
-    Structural damage, a malformed CSR and any version but
-    ``INDEX_VERSION`` raise FormatError."""
-    p = Path(path)
-    r = read_container(p, INDEX_MAGIC, INDEX_VERSION)
-    vocab_sha, n_chunks, vocab_size, nnz = r.unpack(INDEX_HEADER)
-    idf = r.view("<f4", vocab_size)
-    indptr = r.view("<u8", n_chunks + 1)
-    indices = r.view("<u4", nnz)
-    data = r.view("<f4", nnz)
-    r.expect_end()
-    if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
-        raise FormatError(f"{p}: CSR indptr does not start at 0 and never decrease")
-    if int(indptr[-1]) != nnz:
-        raise FormatError(f"{p}: CSR indptr does not match nnz")
-    if nnz and int(indices.max()) >= vocab_size:
-        raise FormatError(f"{p}: CSR index outside the vocabulary of {vocab_size} tokens")
-    return ChunkIndex(
-        vocab_sha=vocab_sha,
-        n_chunks=n_chunks,
-        vocab_size=vocab_size,
-        idf=idf,
-        indptr=indptr,
-        indices=indices,
-        data=data,
-    )

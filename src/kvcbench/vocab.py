@@ -34,10 +34,9 @@ def fingerprint_ids(ids) -> bytes:
 
 @dataclass
 class TokenSequence:
-    """A list of token ids, optionally remembering the text it came from."""
+    """A list of token ids."""
 
     ids: list[int]
-    source_text: str | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -98,7 +97,7 @@ def build_vocabulary(texts) -> Vocabulary:
 def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """Lowercase, split on whitespace, map each word to its id (or <unk>)."""
     ids = [vocab.token_to_id.get(w, UNK) for w in text.lower().split()]
-    return TokenSequence(ids=ids, source_text=text)
+    return TokenSequence(ids=ids)
 
 
 def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:

@@ -349,7 +349,7 @@ def test_criterion_10_serialization_round_trips(tmp_path, monkeypatch):
 
     wpath = tmp_path / "model.kvcw"
     save_weights(model, wpath)
-    reloaded = load_weights(wpath, config)
+    reloaded = load_weights(wpath)
     assert reloaded.fingerprint == model.fingerprint
     rng = np.random.default_rng(40)
     ctx = random_ids(rng, len(vocab), 120)

@@ -1,10 +1,8 @@
 """Damaged artifacts: every loader turns a truncated or byte-flipped KVCC,
-KVCI, KVCW or bundle file into a KvcError, never another exception, and
-the CLI commands that read them, an eval INI or a runs JSONL exit with a
+KVCW or bundle file into a KvcError, never another exception, and the CLI
+commands that read them, an eval INI or a runs JSONL exit with a
 documented code."""
 
-import dataclasses
-import json
 import shutil
 
 import pytest
@@ -17,7 +15,6 @@ from kvcbench.compress import CompressionBudget, compress_iterative
 from kvcbench.corpusgen import BUNDLE_DATA_FILES, load_bundle, save_bundle
 from kvcbench.errors import KvcError
 from kvcbench.evalharness import make_guidance
-from kvcbench.retrieval import index_chunks, load_index, save_index
 from kvcbench.weights import load_weights, save_weights
 
 BUNDLE_FILES = sorted(f"bundle/{part}" for part in (*BUNDLE_DATA_FILES, "spec.json"))
@@ -25,8 +22,7 @@ BUNDLE_FILES = sorted(f"bundle/{part}" for part in (*BUNDLE_DATA_FILES, "spec.js
 # artifact file -> load(path, model)
 LOADERS = {
     "ctx.kvcc": lambda path, model: load_cache(path, model=model),
-    "chunks.kvci": lambda path, model: load_index(path),
-    "model.kvcw": lambda path, model: load_weights(path, model.config),
+    "model.kvcw": lambda path, model: load_weights(path),
     **{name: lambda path, model: load_bundle(path.parent) for name in BUNDLE_FILES},
 }
 
@@ -41,9 +37,7 @@ def saved(small_bundle, small_model, tmp_path_factory):
         small_bundle.vocab, CompressionBudget(64),
     )
     save_cache(compressed, clean / "ctx.kvcc")
-    save_index(index_chunks(small_bundle), clean / "chunks.kvci")
     save_weights(small_model, clean / "model.kvcw")
-    (clean / "model.kvcw.json").write_text(json.dumps(dataclasses.asdict(small_model.config)))
     for name, load in LOADERS.items():
         load(clean / name, small_model)  # the undamaged files load
     return clean, root / "damaged"
@@ -75,8 +69,9 @@ def damaged_copy(saved, name, truncate, data):
 @settings(max_examples=2000, deadline=None)
 @given(name=st.sampled_from(sorted(LOADERS)), truncate=st.booleans(), data=st.data())
 def test_damaged_artifacts_raise_only_kvc_errors(saved, small_model, name, truncate, data):
-    """Any damage to a KVCW is refused: the stored fingerprint covers the
-    config and every tensor, and padding must be zero."""
+    """Any damage to a KVCW is refused: its config must be one the model
+    accepts and that fits the file, the stored fingerprint covers the config
+    and every tensor, and padding must be zero."""
     damaged = damaged_copy(saved, name, truncate, data)
     try:
         LOADERS[name](damaged / name, small_model)
@@ -86,7 +81,6 @@ def test_damaged_artifacts_raise_only_kvc_errors(saved, small_model, name, trunc
         assert name != "model.kvcw"
 
 
-MODEL_FILES = ["model.kvcw", "model.kvcw.json"]
 QUESTION = "which projects does someone belong to"
 
 # command -> (argv in the artifact directory, the artifact files it reads)
@@ -94,18 +88,17 @@ COMMANDS = {
     "ask": (
         lambda d: ["ask", "--bundle", str(d / "bundle"), "--cache", str(d / "ctx.kvcc"),
                    "--question", QUESTION, "--max-new", "4", "--weights", str(d / "model.kvcw")],
-        [*BUNDLE_FILES, "ctx.kvcc", *MODEL_FILES],
+        [*BUNDLE_FILES, "ctx.kvcc", "model.kvcw"],
     ),
     "rag": (
         lambda d: ["rag", "--bundle", str(d / "bundle"), "--question", QUESTION, "--budget", "160",
-                   "--index", str(d / "chunks.kvci"), "--answer", "--max-new", "4",
-                   "--weights", str(d / "model.kvcw")],
-        [*BUNDLE_FILES, "chunks.kvci", *MODEL_FILES],
+                   "--answer", "--max-new", "4", "--weights", str(d / "model.kvcw")],
+        [*BUNDLE_FILES, "model.kvcw"],
     ),
     "compress": (
         lambda d: ["compress", "--bundle", str(d / "bundle"), "--budget", "32", "--method", "kvc_zs",
                    "--out", str(d / "out.kvcc"), "--weights", str(d / "model.kvcw")],
-        [*BUNDLE_FILES, *MODEL_FILES],
+        [*BUNDLE_FILES, "model.kvcw"],
     ),
 }
 
@@ -115,9 +108,9 @@ COMMANDS = {
 def test_damaged_artifacts_exit_with_documented_codes(saved, command, truncate, data):
     """Every byte of the fingerprinted bundle files and the length of every
     binary container is checked, so that damage exits 2, 3 or 4, and every
-    byte of the KVCW, which exits 4. A flipped float payload byte of a KVCC
-    or KVCI or a JSON whitespace change may go unseen (exit 0); nothing
-    exits 1 or raises."""
+    byte of the KVCW, header included, which exits 4. A flipped float
+    payload byte of a KVCC or a JSON whitespace change may go unseen
+    (exit 0); nothing exits 1 or raises."""
     argv, reads = COMMANDS[command]
     name = data.draw(st.sampled_from(reads), label="file")
     damaged = damaged_copy(saved, name, truncate, data)

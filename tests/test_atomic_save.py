@@ -8,7 +8,6 @@ from kvcbench.baselines import compress_streaming_llm
 from kvcbench.cachefile import save_cache
 from kvcbench.corpusgen import save_bundle
 from kvcbench.evalharness import RunRecord, TimingRecord, emit_report, write_ttft_csv
-from kvcbench.retrieval import index_chunks, save_index
 from kvcbench.weights import save_weights
 
 
@@ -37,6 +36,7 @@ RECORD = RunRecord(
     qid="q0", kind="direct", method="rag", budget=160, connectivity=2, corpus_fp="aa",
     answer="x", overlap=1.0, retention=None, evidence_recall=None, compress_s=0.0,
     retrieve_s=0.0, prefill_s=0.0, first_token_s=0.0, elapsed_s=0.0,
+    chunk_tokens=80, model_fp="bb", segments=2, fewshot=3, max_new=12,
 )
 TIMING = TimingRecord("full", 1600, 0, 5, 0.25, 0.2, 3, True)
 
@@ -44,7 +44,6 @@ TIMING = TimingRecord("full", 1600, 0, 5, 0.25, 0.2, 3, True)
 SAVERS = {
     "kvcc": lambda d, b, m, v: save_cache(
         compress_streaming_llm(m, b.corpus_tokens(), 64 + v), d / "c.kvcc"),
-    "kvci": lambda d, b, m, v: save_index(index_chunks(b), d / "i.kvci"),
     "kvcw": lambda d, b, m, v: save_weights(m, d / "m.kvcw"),
     "bundle": lambda d, b, m, v: save_bundle(b, d),
     "vocab": lambda d, b, m, v: b.vocab.save(d / "vocab.txt"),

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from kvcbench.evalharness import (
     select_fewshot,
 )
 from kvcbench.modelcore import init_random_model
-from kvcbench.retrieval import load_index, save_index
+from kvcbench.weights import CONFIG as WEIGHTS_HEADER
 from kvcbench.weights import save_weights
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -191,33 +192,30 @@ def test_ask_refuses_cache_from_other_model(bundle_dir, workdir, capsys):
     assert "different model" in capsys.readouterr().err
 
 
-def test_weights_sidecar_flow(bundle_dir, workdir, capsys):
+def saved_model(bundle_dir, workdir):
+    """The seed-5 eval model for the bundle, written with save_weights alone
+    to m.kvcw."""
     vocab_size = len((bundle_dir / "vocab.txt").read_text().splitlines())
-    config = default_eval_config(vocab_size)
-    model = init_random_model(config, seed=5)
+    model = init_random_model(default_eval_config(vocab_size), seed=5)
     save_weights(model, workdir / "m.kvcw")
-    good = dataclasses.asdict(config)
-    # a hand-written sidecar may spell the float rotary_base as an int
-    (workdir / "m.kvcw.json").write_text(json.dumps({**good, "rotary_base": 10000}))
+    return model
+
+
+def test_weights_file_flow(bundle_dir, workdir, capsys):
+    """A KVCW is all `--weights` needs: no other file names its config."""
+    model = saved_model(bundle_dir, workdir)
+    assert [p.name for p in workdir.glob("m.kvcw*")] == ["m.kvcw"]
 
     assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
                  "--weights", "m.kvcw", "--out", "w.kvcc"]) == 0
     load_cache(workdir / "w.kvcc", model=model)  # same fingerprint as the model in process
     assert main(["ask", "--cache", "w.kvcc", "--bundle", "bundle",
                  "--question", "anything", "--weights", "m.kvcw"]) == 0
+    assert main([*RAG_WITH_WEIGHTS, "--question", read_question(bundle_dir)]) == 0
+    assert "answer:" in capsys.readouterr().out
     # seed-0 default model did not build this cache
     assert main(["ask", "--cache", "w.kvcc", "--bundle", "bundle",
                  "--question", "anything"]) == 4
-
-    (workdir / "m.kvcw.json").unlink()
-    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
-                 "--weights", "m.kvcw", "--out", "x.kvcc"]) == 3
-    damaged = [{**good, "n_layers": 2.0}, {**good, "rotary_enabled": "no"}, {**good, "hidden_size": 30}]
-    for sidecar in (json.dumps({"bogus": 1}), "{not json", "[1, 2]", *map(json.dumps, damaged)):
-        (workdir / "m.kvcw.json").write_text(sidecar)
-        assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
-                     "--weights", "m.kvcw", "--out", "x.kvcc"]) == 4
-        assert "bad model config" in capsys.readouterr().err
 
 
 def test_rag_ranking_markers_and_answer(bundle_dir, capsys):
@@ -261,38 +259,6 @@ def test_rag_budget_below_one_chunk_ranks_without_marks(bundle_dir, capsys, budg
                  "--budget", budget, "--top", "3"]) == 0
     ranks = [line for line in capsys.readouterr().out.splitlines() if "rank" in line]
     assert len(ranks) == 3 and not any(line.startswith("*") for line in ranks)
-
-
-def test_rag_index_reuse_and_staleness(bundle_dir, workdir, capsys):
-    question = read_question(bundle_dir)
-    base = ["rag", "--bundle", "bundle", "--question", question,
-            "--budget", "160", "--index", "chunks.kvci"]
-    assert main(base) == 0
-    first = (workdir / "chunks.kvci").read_bytes()
-    assert main(base) == 0
-    assert (workdir / "chunks.kvci").read_bytes() == first
-
-    other = list(BUNDLE_ARGS)
-    other[other.index("7")] = "8"
-    other[other.index("bundle")] = "bundle8"
-    assert main(other) == 0
-    capsys.readouterr()
-    assert main(["rag", "--bundle", "bundle8", "--question", question,
-                 "--budget", "160", "--index", "chunks.kvci"]) == 4
-    assert "different vocabulary" in capsys.readouterr().err
-
-
-def test_rag_index_with_out_of_vocabulary_ids_exits_4(bundle_dir, workdir, capsys):
-    question = read_question(bundle_dir)
-    args = ["rag", "--bundle", "bundle", "--question", question,
-            "--budget", "160", "--index", "chunks.kvci"]
-    assert main(args) == 0
-    index = load_index(workdir / "chunks.kvci")
-    index.indices[0] = index.vocab_size
-    save_index(index, workdir / "chunks.kvci")
-    capsys.readouterr()
-    assert main(args) == 4
-    assert "outside the vocabulary" in capsys.readouterr().err
 
 
 def spec_with(**changes):
@@ -401,7 +367,7 @@ def test_eval_resume_refuses_runs_of_another_corpus(workdir, monkeypatch, capsys
     ("[eval]\n", "[eval]\nsegments = 1\n"),
     ("fewshot = 1", "fewshot = 2"),
     ("max_new = 4", "max_new = 5"),
-    None,  # the same settings over records written before records carried them
+    None,  # the same settings over version 1 records, which carried no chunk width
 ], ids=["model", "segments", "fewshot", "max_new", "old_schema"])
 def test_eval_resume_refuses_runs_of_other_settings(workdir, monkeypatch, capsys, edit):
     (workdir / "eval.ini").write_text(EVAL_INI)
@@ -409,8 +375,8 @@ def test_eval_resume_refuses_runs_of_other_settings(workdir, monkeypatch, capsys
     runs = workdir / "results" / "runs" / "s3c1.jsonl"
     if edit is None:
         rows = [json.loads(line) for line in runs.read_text().splitlines()]
-        runs.write_text("".join(json.dumps({k: v for k, v in row.items()
-                                            if k not in ("model_fp", "segments", "fewshot", "max_new")}) + "\n"
+        runs.write_text("".join(json.dumps({**{k: v for k, v in row.items() if k != "chunk_tokens"},
+                                            "schema_version": 1}) + "\n"
                                 for row in rows))
     else:
         assert edit[0] in EVAL_INI
@@ -418,7 +384,8 @@ def test_eval_resume_refuses_runs_of_other_settings(workdir, monkeypatch, capsys
     before = runs.read_bytes()
     monkeypatch.setattr(evalharness, "_run_cell", lambda *args: pytest.fail("a cell ran"))
     assert main(["eval", "--config", "eval.ini", "--resume"]) == 4
-    assert "another corpus or setting" in capsys.readouterr().err
+    reason = "line 1 is not a run record" if edit is None else "another corpus or setting"
+    assert reason in capsys.readouterr().err
     assert runs.read_bytes() == before
 
 
@@ -507,6 +474,13 @@ def test_unwritable_outputs_exit_2(bundle_dir, workdir, capsys):
     assert "adir" in capsys.readouterr().err
     assert not list(workdir.glob(".adir.*"))  # no temporary file left behind
 
+    # a runs file that is a directory, which a run without --resume deletes first
+    (workdir / "eval.ini").write_text(EVAL_INI)
+    (workdir / "results" / "runs" / "s3c1.jsonl").mkdir(parents=True)
+    assert main(["eval", "--config", "eval.ini"]) == 2
+    err = capsys.readouterr().err
+    assert "s3c1.jsonl" in err and "Traceback" not in err
+
 
 def test_compress_creates_its_output_directory(bundle_dir, workdir, capsys):
     assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
@@ -519,6 +493,7 @@ RECORD = RunRecord(
     qid="q0", kind="join", method="rag", budget=160, connectivity=2, corpus_fp="aa",
     answer="x", overlap=1.0, retention=None, evidence_recall=0.5, compress_s=0.0,
     retrieve_s=0.0, prefill_s=0.0, first_token_s=0.0, elapsed_s=0.0,
+    chunk_tokens=80, model_fp="bb", segments=2, fewshot=3, max_new=12,
 )
 
 
@@ -527,8 +502,7 @@ RECORD = RunRecord(
      "--examples", "-1", "--out", "c.kvcc"],
     ["ttft", "--sizes", "2048", "--reps", "1", "--question-tokens", "-3", "--budget", "256"],
     ["ttft", "--sizes", "2048", "--reps", "1", "--question-tokens", "0", "--budget", "256"],
-    ["report", "--runs", "runs.jsonl", "--out", "r.csv", "--chunk-tokens", "0"],
-], ids=["compress_examples", "ttft_question_tokens", "ttft_no_question_tokens", "report_chunk_tokens"])
+], ids=["compress_examples", "ttft_question_tokens", "ttft_no_question_tokens"])
 def test_bad_counts_exit_2(bundle_dir, workdir, capsys, argv):
     (workdir / "runs.jsonl").write_text(json.dumps(dataclasses.asdict(RECORD)) + "\n")
     assert main(argv) == 2
@@ -567,10 +541,24 @@ def test_report_merges_runs(workdir, capsys):
     (workdir / "eval.ini").write_text(EVAL_INI)
     assert main(["eval", "--config", "eval.ini"]) == 0
     capsys.readouterr()
-    assert main(["report", "--runs", "results/runs/s3c1.jsonl",
-                 "--out", "merged.csv", "--chunk-tokens", "80"]) == 0
+    assert main(["report", "--runs", "results/runs/s3c1.jsonl", "--out", "merged.csv"]) == 0
     assert "report rows from 6 records" in capsys.readouterr().out
     assert (workdir / "merged.csv").exists()
+
+
+def test_report_takes_the_chunk_width_from_the_records(workdir, capsys):
+    """80-token chunks at budget 240 fit 3 chunks, the 1 + 2 a join question
+    at connectivity 2 needs: `kvc report` finds the bound `kvc eval` does."""
+    ini = EVAL_INI.replace("connectivity = 1", "connectivity = 2").replace(
+        "full,streaming", "rag").replace("budgets = 48", "budgets = 240")
+    (workdir / "eval.ini").write_text(ini)
+    assert main(["eval", "--config", "eval.ini"]) == 0
+    assert main(["report", "--runs", "results/runs/s3c2.jsonl", "--out", "r.csv"]) == 0
+    capsys.readouterr()
+    for path in ("results/report/report-s3.csv", "r.csv"):
+        with (workdir / path).open() as fh:
+            bounds = [row for row in csv.DictReader(fh) if row["method"] == "rag_bound"]
+        assert [row["mean_evidence_recall"] for row in bounds] == ["1.0"], path
 
 
 def test_report_on_a_corrupt_runs_line_exits_4(workdir, capsys):
@@ -585,11 +573,7 @@ def test_report_on_a_corrupt_runs_line_exits_4(workdir, capsys):
 
 
 def test_report_on_a_wrongly_typed_record_of_another_schema_exits_4(workdir, capsys):
-    row = dataclasses.asdict(RunRecord(
-        qid="q0", kind="direct", method="rag", budget=160, connectivity=2, corpus_fp="aa",
-        answer="x", overlap=1.0, retention=None, evidence_recall=None, compress_s=0.0,
-        retrieve_s=0.0, prefill_s=0.0, first_token_s=0.0, elapsed_s=0.0,
-    ))
+    row = dataclasses.asdict(RECORD)
     row.update(schema_version=99, overlap="high")
     (workdir / "runs.jsonl").write_text(json.dumps(row) + "\n")
     assert main(["report", "--runs", "runs.jsonl", "--out", "m.csv"]) == 4
@@ -607,10 +591,8 @@ RAG_WITH_WEIGHTS = [*RAG, "--answer", "--max-new", "2", "--weights", "m.kvcw"]
 # artifact path -> a command that reads it
 READERS = {
     "c.kvcc": ["ask", "--cache", "c.kvcc", "--bundle", "bundle", "--question", "anything"],
-    "i.kvci": [*RAG, "--index", "i.kvci"],
     **{f"bundle/{part}": RAG for part in ("spec.json", *BUNDLE_DATA_FILES)},
     "m.kvcw": RAG_WITH_WEIGHTS,
-    "m.kvcw.json": RAG_WITH_WEIGHTS,
     "runs.jsonl": ["report", "--runs", "runs.jsonl", "--out", "m.csv"],
     "eval.ini": ["eval", "--config", "eval.ini"],
 }
@@ -620,10 +602,7 @@ READERS = {
 def test_unreadable_artifact_exits_3(bundle_dir, workdir, capsys, artifact):
     """A directory in place of an artifact is an unreadable artifact: exit 3
     with one error line, whatever the command and the file format."""
-    vocab_size = len((bundle_dir / "vocab.txt").read_text().splitlines())
-    model = init_random_model(default_eval_config(vocab_size), 5)
-    save_weights(model, workdir / "m.kvcw")
-    (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(model.config)))
+    saved_model(bundle_dir, workdir)
     target = workdir / artifact
     target.unlink(missing_ok=True)
     target.mkdir()
@@ -633,43 +612,46 @@ def test_unreadable_artifact_exits_3(bundle_dir, workdir, capsys, artifact):
     assert err[0].startswith("error: cannot read ") and err[0].endswith(f"{target}: Is a directory")
 
 
-@pytest.mark.parametrize("artifact", ["i.kvci", "m.kvcw"])
-def test_version_1_index_or_weights_exits_4(bundle_dir, workdir, capsys, artifact):
-    """Version 1 of KVCI and KVCW is refused, not parsed: the index is
-    rebuilt by deleting it, the weights by saving them again."""
-    vocab_size = len((bundle_dir / "vocab.txt").read_text().splitlines())
-    model = init_random_model(default_eval_config(vocab_size), 5)
-    save_weights(model, workdir / "m.kvcw")
-    (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(model.config)))
-    argv = [*RAG_WITH_WEIGHTS, "--index", "i.kvci"]
-    assert main(argv) == 0  # writes the index
-    raw = bytearray((workdir / artifact).read_bytes())
-    raw[4:8] = struct.pack("<I", 1)
-    (workdir / artifact).write_bytes(bytes(raw))
-    capsys.readouterr()
-    assert main(argv) == 4
-    expected = 3 if artifact == "m.kvcw" else 2
-    assert f"unsupported {artifact[-4:].upper()} version 1 (expected {expected})" in capsys.readouterr().err
+def test_version_3_weights_exit_4(bundle_dir, workdir, capsys):
+    """Version 3, whose config sat in a JSON file beside it, is refused, not
+    parsed: save the weights again."""
+    saved_model(bundle_dir, workdir)
+    raw = bytearray((workdir / "m.kvcw").read_bytes())
+    raw[4:8] = struct.pack("<I", 3)
+    (workdir / "m.kvcw").write_bytes(bytes(raw))
+    assert main(RAG_WITH_WEIGHTS) == 4
+    assert "unsupported KVCW version 3 (expected 4)" in capsys.readouterr().err
+
+
+def write_header(path, config):
+    """Store `config` in the KVCW at `path`, leaving its fingerprint and
+    tensors as they are."""
+    raw = bytearray(path.read_bytes())
+    raw[8 : 8 + WEIGHTS_HEADER.size] = WEIGHTS_HEADER.pack(*dataclasses.astuple(config))
+    path.write_bytes(bytes(raw))
 
 
 def test_weights_loaded_with_another_config_exit_4(bundle_dir, workdir, capsys):
-    """The file records no shapes: a sidecar naming another valid config
-    ends the tensors early or leaves bytes over, and one whose shapes match
-    (one head of width 32, rotary off, for two of width 16) or a flipped
-    tensor byte fails the stored fingerprint."""
-    vocab_size = len((bundle_dir / "vocab.txt").read_text().splitlines())
-    config = default_eval_config(vocab_size)
-    save_weights(init_random_model(config, 5), workdir / "m.kvcw")
+    """A header naming another valid config ends the tensors early or
+    leaves bytes over, and one whose shapes match (one head of width 32,
+    rotary off, for two of width 16) or a flipped tensor byte fails the
+    stored fingerprint. A flipped top byte of the layer or vocabulary
+    count is refused from the file's size, before any per-tensor work."""
+    config = saved_model(bundle_dir, workdir).config
+    clean = (workdir / "m.kvcw").read_bytes()
     for changes, reason in (({"n_layers": config.n_layers + 1}, "unexpected end of container"),
                             ({"n_layers": config.n_layers - 1}, "trailing bytes"),
-                            ({"n_heads": 1, "head_dim": 32, "rotary_enabled": False}, "fingerprint mismatch")):
-        other = dataclasses.replace(config, **changes)
-        (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(other)))
+                            ({"n_heads": 1, "head_dim": 32, "rotary_enabled": False}, "fingerprint mismatch"),
+                            ({"n_layers": config.n_layers ^ 0xFF000000}, "unexpected end of container"),
+                            ({"vocab_size": config.vocab_size ^ 0xFF000000}, "unexpected end of container")):
+        write_header(workdir / "m.kvcw", dataclasses.replace(config, **changes))
+        t0 = time.perf_counter()
         assert main(RAG_WITH_WEIGHTS) == 4
+        assert time.perf_counter() - t0 < 1.0
         assert reason in capsys.readouterr().err
-    (workdir / "m.kvcw.json").write_text(json.dumps(dataclasses.asdict(config)))
+    (workdir / "m.kvcw").write_bytes(clean)
     assert main(RAG_WITH_WEIGHTS) == 0
-    raw = bytearray((workdir / "m.kvcw").read_bytes())
+    raw = bytearray(clean)
     raw[-5] ^= 0x01
     (workdir / "m.kvcw").write_bytes(bytes(raw))
     capsys.readouterr()

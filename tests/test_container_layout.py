@@ -1,4 +1,4 @@
-"""The binary containers (KVCC, KVCI, KVCW) share one layout: the frame and
+"""The binary containers (KVCC, KVCW) share one layout: the frame and
 fixed-size headers, then arrays that each start at a multiple of 64 bytes
 from the start of the file and load as views of the mapped file."""
 
@@ -11,7 +11,6 @@ from kvcbench import _binio
 from kvcbench.cachefile import load_cache, save_cache
 from kvcbench.compress import CompressionBudget, compress_iterative
 from kvcbench.evalharness import make_guidance
-from kvcbench.retrieval import index_chunks, load_index, save_index
 from kvcbench.weights import load_weights, save_weights
 
 
@@ -22,13 +21,8 @@ def kvcc(bundle, model):
             lambda c: [*c.kept_positions, *c.keys, *c.values])
 
 
-def kvci(bundle, model):
-    index = index_chunks(bundle)
-    return index, save_index, load_index, lambda i: [i.idf, i.indptr, i.indices, i.data]
-
-
 def kvcw(bundle, model):
-    return (model, save_weights, lambda path: load_weights(path, model.config),
+    return (model, save_weights, load_weights,
             lambda m: list(m.weights.values()))
 
 
@@ -40,7 +34,7 @@ def mapping(view: np.ndarray) -> mmap.mmap:
     return view.obj
 
 
-@pytest.mark.parametrize("container", [kvcc, kvci, kvcw], ids=["KVCC", "KVCI", "KVCW"])
+@pytest.mark.parametrize("container", [kvcc, kvcw], ids=["KVCC", "KVCW"])
 def test_arrays_start_aligned_load_mapped_and_round_trip_bitwise(small_bundle, small_model, tmp_path,
                                                                  monkeypatch, container):
     thing, save, load, arrays = container(small_bundle, small_model)

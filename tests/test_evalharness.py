@@ -299,25 +299,26 @@ def test_suite_refuses_a_runs_file_of_another_corpus(suite, small_bundle, small_
     assert compress_mod.COMPRESSION_CALLS == calls
 
 
-SETTINGS = ("model_fp", "segments", "fewshot", "max_new")
+SETTINGS = ("chunk_tokens", "model_fp", "segments", "fewshot", "max_new")
 
 
 def test_records_carry_the_settings_they_ran_under(suite, small_model):
     records, _, _ = suite
     assert {tuple(getattr(r, name) for name in SETTINGS) for r in records} == {
-        (small_model.fingerprint.hex(), 2, 3, 6)}
+        (80, small_model.fingerprint.hex(), 2, 3, 6)}
 
 
 @pytest.mark.parametrize("other", ["model", "segments", "fewshot", "max_new", "old_schema"])
 def test_suite_refuses_a_runs_file_of_other_settings(suite, small_bundle, small_model, tmp_path, other):
-    # old_schema: records written before they carried their settings
+    # old_schema: version 1 records, which carried no chunk width, are
+    # refused as a format, not as another setting
     _, out, _ = suite
     runs = tmp_path / "runs.jsonl"
     if other == "old_schema":
         rows = [json.loads(line) for line in out.read_text().splitlines()]
-        runs.write_text("".join(json.dumps({k: v for k, v in row.items() if k not in SETTINGS}) + "\n"
+        runs.write_text("".join(json.dumps({**{k: v for k, v in row.items() if k != "chunk_tokens"},
+                                            "schema_version": 1}) + "\n"
                                 for row in rows))
-        assert {r.model_fp for r in load_records(runs)} == {""}
     else:
         runs.write_bytes(out.read_bytes())
     kwargs = dict(model=small_model, s=2, n_fewshot=3, params=GenerationParams(max_new_tokens=6))
@@ -330,7 +331,7 @@ def test_suite_refuses_a_runs_file_of_other_settings(suite, small_bundle, small_
     elif other == "max_new":
         kwargs["params"] = GenerationParams(max_new_tokens=7)
     before, calls = runs.read_bytes(), compress_mod.COMPRESSION_CALLS
-    with pytest.raises(StaleCacheError, match="runs.jsonl"):
+    with pytest.raises(FormatError if other == "old_schema" else StaleCacheError, match="runs.jsonl"):
         run_suite(bundle=small_bundle, methods=("full", "kvc_zs"), budgets=(64,), out_path=runs, **kwargs)
     assert runs.read_bytes() == before
     assert compress_mod.COMPRESSION_CALLS == calls
@@ -341,7 +342,10 @@ def test_suite_refuses_a_runs_file_of_other_settings(suite, small_bundle, small_
     lambda good: [good.replace(b'"qid"', b'"quid"'), good],
     lambda good: [good.replace(b'"answer": "x", ', b""), good],
     lambda good: [b"[1, 2]"],
-    lambda good: [good.replace(b'"schema_version": 1', b'"schema_version": 99')],
+    lambda good: [good.replace(b'"schema_version": 2', b'"schema_version": 99')],
+    lambda good: [good.replace(b'"schema_version": 2', b'"schema_version": 1')],
+    lambda good: [good.replace(b'"chunk_tokens": 256', b'"chunk_tokens": 0')],
+    lambda good: [good.replace(b'"chunk_tokens": 256, ', b"")],
     lambda good: [good.replace(b'"overlap": 1.0', b'"overlap": "high"')],
     lambda good: [good.replace(b'"budget": 512', b'"budget": 1.5')],
     lambda good: [good.replace(b'"budget": 512', b'"budget": true')],
@@ -368,7 +372,8 @@ def make_record(**kwargs):
         qid="q0", kind="direct", method="rag", budget=512, connectivity=2,
         corpus_fp="aa", answer="x", overlap=1.0, retention=None,
         evidence_recall=None, compress_s=0.0, retrieve_s=0.0, prefill_s=0.0,
-        first_token_s=0.0, elapsed_s=0.0,
+        first_token_s=0.0, elapsed_s=0.0, chunk_tokens=256, model_fp="bb",
+        segments=2, fewshot=3, max_new=12,
     )
     base.update(kwargs)
     return RunRecord(**base)
@@ -381,7 +386,7 @@ def test_emit_report_groups_and_bound(tmp_path):
         make_record(qid="q0", method="kvc_fs", overlap=0.25, retention=0.75),
     ]
     out = tmp_path / "report.csv"
-    rows = emit_report(records, out, chunk_tokens=256)
+    rows = emit_report(records, out)
     by_method = {(r["method"], r["budget"]): r for r in rows}
 
     rag = by_method[("rag", 512)]
@@ -414,7 +419,7 @@ def test_emit_report_validation(tmp_path):
 
 def test_emit_report_on_real_suite(suite, tmp_path):
     records, _, _ = suite
-    rows = emit_report(records, tmp_path / "suite.csv", chunk_tokens=80)
+    rows = emit_report(records, tmp_path / "suite.csv")
     bounds = {r["budget"]: r for r in rows if r["method"] == "rag_bound"}
     assert bounds[64]["mean_evidence_recall"] == pytest.approx(0.0)
     assert bounds[128]["mean_evidence_recall"] == pytest.approx((128 // 80) / 3)

@@ -1,25 +1,19 @@
 """TF-IDF retrieval: hand-computed idf oracle, dense reference ranking,
-tie breaking, budget arithmetic, and the KVCI on-disk format."""
+tie breaking and budget arithmetic."""
 
-import dataclasses
 import logging
 import math
-import struct
 
 import numpy as np
 import pytest
 
 from kvcbench.corpusgen import ChunkDoc, CorpusBundle, CorpusSpec
-from kvcbench.errors import FormatError, MissingArtifactError, UsageError
+from kvcbench.errors import UsageError
 from kvcbench.retrieval import (
-    ChunkIndex,
     assemble_context,
     evidence_recall,
     index_chunks,
-    load_index,
     retrieve,
-    save_index,
-    vocab_hash,
 )
 from kvcbench.vocab import UNK, build_vocabulary, tokenize
 
@@ -165,93 +159,3 @@ def test_oracle_ranking_puts_gold_first(small_bundle):
     assert len(result.ranking) == len(small_bundle.chunks)
     assert sorted(result.ranking) == list(range(len(small_bundle.chunks)))
     assert evidence_recall(result, len(q.evidence) * 80, 80, q.evidence) == 1.0
-
-
-@pytest.fixture()
-def saved_index(tmp_path, small_bundle):
-    index = index_chunks(small_bundle)
-    path = tmp_path / "chunks.kvci"
-    save_index(index, path)
-    return index, path
-
-
-def test_index_round_trip_ranks_identically(saved_index, small_bundle):
-    index, path = saved_index
-    loaded = load_index(path)
-    assert loaded.vocab_sha == index.vocab_sha == vocab_hash(small_bundle.vocab)
-    assert np.array_equal(loaded.idf, index.idf)
-    assert np.array_equal(loaded.indptr, index.indptr)
-    assert np.array_equal(loaded.indices, index.indices)
-    assert np.array_equal(loaded.data, index.data)
-
-    rng = np.random.default_rng(5)
-    words = small_bundle.vocab.id_to_token[4:]
-    for _ in range(20):
-        query = tokenize(" ".join(rng.choice(words, size=5)), small_bundle.vocab)
-        a = retrieve(index, query, top_b=10)
-        b = retrieve(loaded, query, top_b=10)
-        assert a.ranking == b.ranking
-        assert a.scores == b.scores
-
-
-def test_index_missing_file(tmp_path):
-    with pytest.raises(MissingArtifactError, match=r"cannot read KVCI container \S*gone\.kvci: No such file"):
-        load_index(tmp_path / "gone.kvci")
-
-
-def test_index_bad_magic(saved_index, tmp_path):
-    _, path = saved_index
-    raw = bytearray(path.read_bytes())
-    raw[0:4] = b"XXXX"
-    bad = tmp_path / "bad.kvci"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="not a KVCI container"):
-        load_index(bad)
-
-
-def test_index_bad_version(saved_index, tmp_path):
-    _, path = saved_index
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<I", raw, 4, 7)
-    bad = tmp_path / "v.kvci"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"unsupported KVCI version 7 \(expected 2\)"):
-        load_index(bad)
-
-
-def test_index_truncation_and_trailing(saved_index, tmp_path):
-    _, path = saved_index
-    raw = path.read_bytes()
-    short = tmp_path / "short.kvci"
-    short.write_bytes(raw[:-3])
-    with pytest.raises(FormatError, match="unexpected end of container"):
-        load_index(short)
-    long = tmp_path / "long.kvci"
-    long.write_bytes(raw + b"\x01")
-    with pytest.raises(FormatError, match="trailing bytes"):
-        load_index(long)
-
-
-def test_index_indptr_nnz_mismatch(saved_index, tmp_path):
-    index, _ = saved_index
-    indptr = index.indptr.copy()
-    indptr[-1] += 1
-    bad = tmp_path / "nnz.kvci"
-    save_index(dataclasses.replace(index, indptr=indptr), bad)
-    with pytest.raises(FormatError, match="CSR indptr does not match nnz"):
-        load_index(bad)
-
-
-@pytest.mark.parametrize("field, at, value, match", [
-    ("indptr", 0, 1, "does not start at 0"),
-    ("indptr", 1, 10**6, "never decrease"),
-    ("indices", 0, None, "outside the vocabulary"),
-])
-def test_index_rejects_malformed_csr(saved_index, tmp_path, field, at, value, match):
-    index, _ = saved_index
-    array = getattr(index, field).copy()
-    array[at] = index.vocab_size if value is None else value
-    bad = tmp_path / "bad.kvci"
-    save_index(dataclasses.replace(index, **{field: array}), bad)
-    with pytest.raises(FormatError, match=match):
-        load_index(bad)
