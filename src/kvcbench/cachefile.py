@@ -9,8 +9,8 @@ Then per layer the kept original positions as u32, the K rows (rotated to
 positions 0..n_kept-1, as ``CompressedCache`` holds them) and the V rows
 as row-major f32. Rotary on or off, the layout is the same. Each array
 starts aligned, as in every container (``_binio``), and each float array
-is followed by n_kept // 8 zero rows, the headroom ``KvCache`` gives a
-cache it builds.
+is followed by zero rows up to ``modelcore.headroom(n_kept)``, the headroom
+``KvCache`` gives a cache it builds.
 
 Loading validates structure always and fingerprint compatibility when a
 model is supplied, so a cache can never be silently replayed against the
@@ -35,7 +35,7 @@ import numpy as np
 from ._binio import read_container, write_container
 from .compress import BUDGET_SCHEDULES, CacheMeta, CompressedCache
 from .errors import FormatError, StaleCacheError
-from .modelcore import Model
+from .modelcore import Model, headroom
 
 MAGIC = b"KVCC"
 VERSION = 4
@@ -59,7 +59,7 @@ def save_cache(compressed: CompressedCache, path) -> None:
         meta.k, meta.s, SCHEDULE_CODES.index(meta.schedule), n_layers, n_kept, hidden,
     )
     parts = [header]
-    room = bytes(n_kept // 8 * hidden * 4)
+    room = bytes((headroom(n_kept) - n_kept) * hidden * 4)
     for layer in range(n_layers):
         parts.append(np.ascontiguousarray(compressed.kept_positions[layer], dtype="<u4"))
         for rows in (compressed.keys, compressed.values):
@@ -80,7 +80,7 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
     if n_layers < 1 or n_kept < 1 or hidden < 1:
         raise FormatError(f"{p}: implausible geometry ({n_layers} layers, {n_kept} kept rows, hidden {hidden})")
 
-    room = n_kept // 8
+    n_rows = headroom(n_kept)
     kept, buffers = [], ([], [])
     for _ in range(n_layers):
         pos = r.view("<u4", n_kept).astype(np.int64)
@@ -88,7 +88,7 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
             raise FormatError(f"{p}: kept positions not strictly increasing within context")
         kept.append(pos)
         for bufs in buffers:
-            bufs.append(r.view("<f4", (n_kept + room) * hidden).reshape(n_kept + room, hidden))
+            bufs.append(r.view("<f4", n_rows * hidden).reshape(n_rows, hidden))
     r.expect_end()
 
     keys, values = ([buf[:n_kept] for buf in bufs] for bufs in buffers)

@@ -64,7 +64,7 @@ from .evalharness import (
     write_ttft_csv,
 )
 from .modelcore import Model, ModelConfig, init_random_model
-from .retrieval import assemble_context, index_chunks, retrieve
+from .retrieval import admitted, assemble_context, index_chunks, retrieve
 from .vocab import detokenize, tokenize
 from .weights import load_weights
 
@@ -165,7 +165,10 @@ def cmd_ask(args) -> int:
         raise UsageError("question must be nonempty")
     bundle = load_bundle(_resolve(args.bundle))
     model = _model(args.weights, args.model_seed, default_eval_config(len(bundle.vocab)))
-    compressed = load_cache(_resolve(args.cache), model=model)
+    cache_path = _resolve(args.cache)
+    compressed = load_cache(cache_path, model=model)
+    if compressed.meta.corpus_fingerprint != bundle.corpus_fingerprint():
+        raise StaleCacheError(f"{cache_path}: cache was built over a different corpus than bundle {args.bundle}")
     prompt = question_prompt(args.question, bundle.vocab)
     t0 = time.perf_counter()
     answer = answer_with_cache(
@@ -193,8 +196,7 @@ def cmd_rag(args) -> int:
         raise UsageError(f"--budget must be >= 1, got {args.budget}")
     if result.no_known_terms:
         print("note: query shares no terms with the corpus; ranking is chunk-id order")
-    width = bundle.spec.chunk_tokens
-    n_fit = min(args.budget // width, len(result.ranking))
+    n_fit = len(admitted(result, args.budget, bundle.spec.chunk_tokens))
     for rank, cid in enumerate(result.ranking[: max(args.top, n_fit)]):
         marker = "*" if rank < n_fit else " "
         print(f"{marker} rank {rank:2d}  chunk {cid:4d}  score {result.scores[rank]:.4f}  {bundle.chunks[cid].kind}")

@@ -74,7 +74,7 @@ from .modelcore import (
     generate_greedy,
     prefill,
 )
-from .retrieval import assemble_context, evidence_recall, index_chunks, retrieve
+from .retrieval import assemble_context, coverage_bound, evidence_recall, index_chunks, rag_retention, retrieve
 from .vocab import TokenSequence, Vocabulary, detokenize, tokenize
 
 log = logging.getLogger(__name__)
@@ -354,14 +354,6 @@ def _timed_answer(model, cache, prompt, params) -> tuple[TokenSequence, float, f
     return TokenSequence(ids=out), t1 - t0, first_s
 
 
-def _rag_retention(q: Question, selected_ids, chunk_tokens: int) -> float:
-    if not q.gold_positions:
-        return 0.0
-    sel = set(selected_ids)
-    inside = sum(1 for p in q.gold_positions if p // chunk_tokens in sel)
-    return inside / len(q.gold_positions)
-
-
 def _run_cell(model, bundle, corpus, corpus_fp, settings, method, budget, q, examples, s, params, registry, vocab):
     prompt = question_prompt(q.text, vocab)
     recall = None
@@ -383,13 +375,12 @@ def _run_cell(model, bundle, corpus, corpus_fp, settings, method, budget, q, exa
             ret = 1.0
         elif method == "rag":
             index, build_s = _claim(registry, ("rag_index", corpus_fp), lambda: index_chunks(bundle))
-            width = bundle.spec.chunk_tokens
             t0 = time.perf_counter()
             result = retrieve(index, tokenize(q.text, vocab), len(bundle.chunks))
             ctx = assemble_context(bundle, result, budget)
             retrieve_s = time.perf_counter() - t0 + build_s
-            recall = evidence_recall(result, budget, width, q.evidence)
-            ret = _rag_retention(q, result.ranking[: budget // width], width)
+            recall = evidence_recall(result, budget, bundle.spec.chunk_tokens, q.evidence)
+            ret = rag_retention(result, budget, bundle.spec.chunk_tokens, q.gold_positions)
             t0 = time.perf_counter()
             cache = _prefilled(model, ctx)
             ctx_prefill = time.perf_counter() - t0
@@ -525,11 +516,10 @@ def emit_report(records, out_path) -> list[dict]:
 
     For every (budget, connectivity) that has retrieval rows, one extra
     ``rag_bound`` row carries the evidence-coverage ceiling for join
-    questions, min(1, retrievable_chunks / (1 + connectivity)), where the
-    records' ``chunk_tokens`` sets how many chunks fit the budget; a
-    perfect ranking attains it exactly. Records that share a connectivity
-    but come from different corpora are refused. Failed cells count toward
-    n but score zero overlap, so partial runs stay visible.
+    questions, ``retrieval.coverage_bound`` at the records' ``chunk_tokens``.
+    Records that share a connectivity but come from different corpora are
+    refused. Failed cells count toward n but score zero overlap, so
+    partial runs stay visible.
     """
     records = list(records)
     if not records:
@@ -566,7 +556,7 @@ def emit_report(records, out_path) -> list[dict]:
         if method == "rag":
             n_join = sum(1 for g in group if g.kind == "join")
             if n_join:
-                bound = min(1.0, (budget // group[0].chunk_tokens) / (1 + conn))
+                bound = coverage_bound(budget, group[0].chunk_tokens, conn)
                 rows.append(
                     {
                         "method": "rag_bound",

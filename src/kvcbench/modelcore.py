@@ -196,8 +196,8 @@ class KvCache:
     survivors) fills the shadow on first read. With rotary off the keys are
     their own shadow, and so are the rotated keys a compressed cache
     ``adopt``s. Every buffer carries headroom: the constructor copies its n
-    rows into buffers of n + n // 8 rows, shadow included, and outgrowing
-    one reallocates it to ``need + need // 8`` rows, so neither an appended
+    rows into buffers of ``headroom(n)`` rows, shadow included, and outgrowing
+    one reallocates it to ``headroom(need)`` rows, so neither an appended
     token nor a short question copies the cache. ``adopt`` takes over
     buffers that already have their headroom. A cache writes no row below
     the rows it was built with, so adopted rows never change.
@@ -301,18 +301,24 @@ class KvCache:
         return self._rot[layer][:n]
 
 
-def with_headroom(rows: np.ndarray) -> np.ndarray:
-    """A copy of `rows`, n of them, in a buffer of n + n // 8 rows."""
-    out = np.empty((len(rows) + len(rows) // 8,) + rows.shape[1:], rows.dtype)
+def headroom(n: int) -> int:
+    """The rows a buffer for `n` rows gets: n and an eighth more, so up to
+    that many appended rows reallocate nothing."""
+    return n + n // 8
+
+
+def with_headroom(rows: np.ndarray, need: int | None = None) -> np.ndarray:
+    """A copy of `rows` in a buffer with headroom for `need` rows, by
+    default as many as `rows` has."""
+    out = np.empty((headroom(len(rows) if need is None else need),) + rows.shape[1:], rows.dtype)
     out[: len(rows)] = rows
     return out
 
 
 def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
-    """A buffer of need + need // 8 rows holding `buf`'s first `used` rows."""
-    out = np.empty((need + need // 8,) + buf.shape[1:], buf.dtype)
-    out[:used] = buf[:used]
-    return out
+    """A reallocation: `buf`'s first `used` rows in a buffer with headroom
+    for `need` rows."""
+    return with_headroom(buf[:used], need)
 
 
 @dataclass
@@ -558,7 +564,7 @@ def _rotary_table(config: ModelConfig, size: int) -> tuple[np.ndarray, np.ndarra
     if tables is None or tables[0].shape[0] < size:
         half = config.head_dim // 2
         inv_freq = config.rotary_base ** (-np.arange(half, dtype=np.float64) / half)
-        angles = np.arange(size + size // 8, dtype=np.float64)[:, None] * inv_freq[None, :]
+        angles = np.arange(headroom(size), dtype=np.float64)[:, None] * inv_freq[None, :]
         tables = _ROTARY_TABLES[key] = tuple(
             np.tile(f(angles).astype(F32), config.n_heads) for f in (np.cos, np.sin)
         )
@@ -573,7 +579,7 @@ def _ones(size: int) -> np.ndarray:
     largest size asked for, like the rotary table."""
     global _ONES
     if _ONES.shape[0] < size:
-        _ONES = np.ones(size + size // 8, F32)
+        _ONES = np.ones(headroom(size), F32)
     return _ONES
 
 

@@ -1,4 +1,4 @@
-"""TF-IDF chunk retrieval over a corpus bundle.
+"""TF-IDF chunk retrieval over a corpus bundle, and the RAG budget rule.
 
 The retriever is deliberately lexical: cosine similarity between L2
 normalized tf-idf vectors of 256-token chunks and the query, with ties
@@ -7,8 +7,15 @@ level, which keeps the retrieval floor fully explainable: a chunk scores
 only through tokens it literally shares with the query.
 
 The index lives in memory only: every command that ranks chunks builds
-it from the bundle with ``index_chunks``. Its vectors are CSR-style
-float32; scores are accumulated in float64 from those float32 weights.
+it from the bundle with ``index_chunks``. It is a CSR matrix: ``indptr``
+and ``indices`` in numpy's default integer type, ``idf`` and the row
+weights ``data`` in float32; scores are accumulated in float64 from those
+float32 weights.
+
+One rule turns a budget into chunks, and this module is its only home: a
+budget of B tokens admits the first floor(B / w) ranked chunks of width w
+(``admitted``). The context the model reads, evidence recall, the grid's
+rag retention and the join-coverage bound all follow from it.
 """
 
 from __future__ import annotations
@@ -29,11 +36,9 @@ logger = logging.getLogger(__name__)
 class ChunkIndex:
     """CSR tf-idf matrix, one L2-normalized row per chunk."""
 
-    n_chunks: int
-    vocab_size: int
     idf: np.ndarray      # (vocab_size,) f32
-    indptr: np.ndarray   # (n_chunks + 1,) u64
-    indices: np.ndarray  # (nnz,) u32 token ids
+    indptr: np.ndarray   # (n_chunks + 1,) int
+    indices: np.ndarray  # (nnz,) int token ids, ascending within a row
     data: np.ndarray     # (nnz,) f32 normalized tf-idf weights
 
 
@@ -46,53 +51,25 @@ class RetrievalResult:
 
 def index_chunks(bundle: CorpusBundle) -> ChunkIndex:
     """idf = ln(1 + N / (1 + df)), tf raw counts, rows L2-normalized."""
-    vocab = bundle.vocab
-    n_chunks = len(bundle.chunks)
-    vocab_size = len(vocab.id_to_token)
-
-    df = np.zeros(vocab_size, dtype=np.int64)
-    chunk_counts: list[dict[int, int]] = []
-    for doc in bundle.chunks:
-        seq = tokenize(doc.text, vocab)
-        counts: dict[int, int] = {}
-        for tid in seq.ids:
-            counts[tid] = counts.get(tid, 0) + 1
-        chunk_counts.append(counts)
-        df[list(counts)] += 1
-
-    idf = np.log(1.0 + n_chunks / (1.0 + df.astype(np.float64)))
-
-    indptr = np.zeros(n_chunks + 1, dtype=np.uint64)
-    indices: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    for i, counts in enumerate(chunk_counts):
-        ids = np.array(sorted(counts), dtype=np.uint32)
-        tf = np.array([counts[t] for t in ids], dtype=np.float64)
-        row = tf * idf[ids]
-        norm = np.linalg.norm(row)
-        if norm > 0:
-            row = row / norm
-        indices.append(ids)
-        data.append(row)
-        indptr[i + 1] = indptr[i] + len(ids)
-
-    return ChunkIndex(
-        n_chunks=n_chunks,
-        vocab_size=vocab_size,
-        idf=idf.astype(np.float32),
-        indptr=indptr,
-        indices=np.concatenate(indices) if indices else np.zeros(0, dtype=np.uint32),
-        data=np.concatenate(data).astype(np.float32) if data else np.zeros(0, dtype=np.float32),
-    )
+    rows = [np.unique(np.array(tokenize(doc.text, bundle.vocab).ids, dtype=int), return_counts=True)
+            for doc in bundle.chunks]
+    indptr = np.cumsum([0] + [len(ids) for ids, _ in rows])
+    indices = np.concatenate([ids for ids, _ in rows])
+    # a row holds each token once, so counting indices counts chunks per token
+    df = np.bincount(indices, minlength=len(bundle.vocab))
+    idf = np.log(1.0 + len(rows) / (1.0 + df))
+    weights = np.concatenate([tf for _, tf in rows]) * idf[indices]
+    norms = [np.linalg.norm(weights[lo:hi]) for lo, hi in zip(indptr[:-1], indptr[1:])]
+    data = weights / np.repeat(norms, np.diff(indptr))
+    return ChunkIndex(idf=idf.astype(np.float32), indptr=indptr, indices=indices, data=data.astype(np.float32))
 
 
 def _query_weights(index: ChunkIndex, ids) -> np.ndarray:
-    w = np.zeros(index.vocab_size, dtype=np.float64)
-    for tid in ids:
-        if not (0 <= tid < index.vocab_size):
-            raise UsageError(f"query token id {tid} outside index vocabulary")
-        w[tid] += 1.0
-    w *= index.idf.astype(np.float64)
+    ids = np.asarray(ids, dtype=np.int64)
+    outside = (ids < 0) | (ids >= len(index.idf))
+    if outside.any():
+        raise UsageError(f"query token id {ids[outside][0]} outside index vocabulary")
+    w = np.bincount(ids, minlength=len(index.idf)) * index.idf.astype(np.float64)
     norm = np.linalg.norm(w)
     if norm > 0:
         w /= norm
@@ -108,16 +85,10 @@ def retrieve(index: ChunkIndex, query: TokenSequence | list[int] | np.ndarray, t
     if top_b < 1:
         raise UsageError("top_b must be >= 1")
     ids = query.ids if isinstance(query, TokenSequence) else query
-    w = _query_weights(index, ids)
-
-    scores = np.zeros(index.n_chunks, dtype=np.float64)
-    indptr = index.indptr.astype(np.int64)
-    hits = w[index.indices] * index.data.astype(np.float64)
-    # reduceat misbehaves on empty rows; guard by skipping zero-width spans
-    for i in range(index.n_chunks):
-        lo, hi = indptr[i], indptr[i + 1]
-        if hi > lo:
-            scores[i] = hits[lo:hi].sum()
+    hits = _query_weights(index, ids)[index.indices] * index.data.astype(np.float64)
+    # one sum per row, in the row's order: a score's last bit depends on it
+    ptr = index.indptr.tolist()
+    scores = np.array([hits[lo:hi].sum() for lo, hi in zip(ptr[:-1], ptr[1:])], dtype=np.float64)
 
     no_known = bool(np.all(scores == 0.0))
     if no_known:
@@ -130,31 +101,41 @@ def retrieve(index: ChunkIndex, query: TokenSequence | list[int] | np.ndarray, t
     )
 
 
-def assemble_context(bundle: CorpusBundle, result: RetrievalResult, budget_tokens: int) -> TokenSequence:
-    """Concatenate retrieved chunks in rank order within the token budget.
+def admitted(result: RetrievalResult, budget_tokens: int, chunk_tokens: int) -> tuple[int, ...]:
+    """The chunks a budget admits: the first floor(budget / width) of the
+    ranking, whole chunks in rank order."""
+    return result.ranking[: budget_tokens // chunk_tokens]
 
-    Takes whole chunks until the next would overflow; a budget below one
-    chunk width is a usage error.
-    """
+
+def assemble_context(bundle: CorpusBundle, result: RetrievalResult, budget_tokens: int) -> TokenSequence:
+    """Concatenate the admitted chunks in rank order; a budget below one
+    chunk width is a usage error."""
     width = bundle.spec.chunk_tokens
     if budget_tokens < width:
         raise UsageError(f"budget {budget_tokens} below chunk width {width}")
-    selected: list[int] = []
-    used = 0
-    for cid in result.ranking:
-        if used + width > budget_tokens:
-            break
-        selected.append(cid)
-        used += width
-    text = " ".join(bundle.chunks[cid].text for cid in selected)
+    text = " ".join(bundle.chunks[cid].text for cid in admitted(result, budget_tokens, width))
     return tokenize(text, bundle.vocab)
 
 
 def evidence_recall(result: RetrievalResult, budget_tokens: int, chunk_tokens: int, gold_evidence) -> float:
-    """Fraction of gold chunks inside the retrieved prefix that fits the budget."""
+    """Fraction of gold chunks that the budget admits."""
     gold = set(gold_evidence)
     if not gold:
         raise UsageError("gold evidence is empty")
-    n_fit = budget_tokens // chunk_tokens
-    got = set(result.ranking[:n_fit])
-    return len(gold & got) / len(gold)
+    return len(gold & set(admitted(result, budget_tokens, chunk_tokens))) / len(gold)
+
+
+def rag_retention(result: RetrievalResult, budget_tokens: int, chunk_tokens: int, gold_positions) -> float:
+    """Fraction of gold token positions p whose chunk p // width the budget
+    admits; 0.0 for a question without gold positions."""
+    if not gold_positions:
+        return 0.0
+    inside = set(admitted(result, budget_tokens, chunk_tokens))
+    return sum(1 for p in gold_positions if p // chunk_tokens in inside) / len(gold_positions)
+
+
+def coverage_bound(budget_tokens: int, chunk_tokens: int, connectivity: int) -> float:
+    """The evidence-coverage ceiling of a join question over 1 + c gold
+    chunks, min(1, floor(budget / width) / (1 + c)); a perfect ranking
+    attains it exactly."""
+    return min(1.0, (budget_tokens // chunk_tokens) / (1 + connectivity))

@@ -63,9 +63,6 @@ class Vocabulary:
             self.id_to_token.append(word)
         return self.token_to_id[word]
 
-    def id_of(self, word: str) -> int:
-        return self.token_to_id.get(word.lower(), UNK)
-
     def save(self, path) -> bytes:
         """Write one token per line, id = line number; returns the bytes written."""
         data = "".join(tok + "\n" for tok in self.id_to_token).encode("utf-8")

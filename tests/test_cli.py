@@ -192,6 +192,23 @@ def test_ask_refuses_cache_from_other_model(bundle_dir, workdir, capsys):
     assert "different model" in capsys.readouterr().err
 
 
+def test_ask_refuses_cache_from_other_corpus(bundle_dir, workdir, capsys):
+    other = list(BUNDLE_ARGS)
+    other[other.index("7")], other[other.index("bundle")] = "8", "other"
+    assert main(other) == 0
+    # one KVCW for both bundles, so only the corpus differs
+    vocab_size = max(len((workdir / b / "vocab.txt").read_text().splitlines()) for b in ("bundle", "other"))
+    save_weights(init_random_model(default_eval_config(vocab_size), seed=5), workdir / "m.kvcw")
+    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs",
+                 "--weights", "m.kvcw", "--out", "b.kvcc"]) == 0
+    capsys.readouterr()
+    assert main(["ask", "--cache", "b.kvcc", "--bundle", "other",
+                 "--question", "anything", "--weights", "m.kvcw"]) == 4
+    assert "different corpus" in capsys.readouterr().err
+    assert main(["ask", "--cache", "b.kvcc", "--bundle", "bundle",
+                 "--question", "anything", "--weights", "m.kvcw"]) == 0
+
+
 def saved_model(bundle_dir, workdir):
     """The seed-5 eval model for the bundle, written with save_weights alone
     to m.kvcw."""

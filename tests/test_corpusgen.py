@@ -26,6 +26,7 @@ from kvcbench.corpusgen import (
     save_bundle,
 )
 from kvcbench.errors import FormatError, MissingArtifactError, UsageError
+from kvcbench.vocab import UNK
 
 from conftest import SMALL_SPEC
 
@@ -120,8 +121,7 @@ def test_entity_positions_match_brute_force(small_bundle):
 
 def test_vocab_covers_corpus_questions_and_guidance(small_bundle):
     vocab = small_bundle.vocab
-    for w in small_bundle.corpus_text().split():
-        assert vocab.id_of(w) != vocab.id_of("\x00never")
+    assert UNK not in small_bundle.corpus_tokens().ids
     for q in small_bundle.questions:
         for w in q.text.split():
             assert w in vocab.token_to_id

@@ -32,14 +32,14 @@ def test_add_lowercases_and_is_idempotent():
     vocab = Vocabulary()
     first = vocab.add("Alice")
     assert vocab.add("alice") == first
-    assert vocab.id_of("ALICE") == first
+    assert tokenize("ALICE", vocab).ids == [first]
     assert len(vocab) == 5
 
 
 def test_unknown_words_map_to_unk():
     vocab = build_vocabulary(["alpha beta"])
     seq = tokenize("alpha gamma", vocab)
-    assert seq.ids == [vocab.id_of("alpha"), UNK]
+    assert seq.ids == [vocab.token_to_id["alpha"], UNK]
 
 
 # spec'd property: tokenize/detokenize round-trips random sentences exactly
