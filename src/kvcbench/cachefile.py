@@ -1,10 +1,12 @@
 """Binary container for compressed caches, laid out so a cache can run
 from the mapped file.
 
-Layout (little-endian): magic ``KVCC``, version u32 (4, the only version
+Layout (little-endian): magic ``KVCC``, version u32 (5, the only version
 read; a cache of another version is rebuilt with ``kvc compress``), then
 the three 32-byte fingerprints (model, guidance, corpus), n_context u64,
-k u32, s u32, schedule code u8, n_layers u32, n_kept u64 and hidden u32.
+k u32, s u32, method code u8 (the index in ``METHOD_CODES`` of the
+``evalharness.COMPRESSED_METHODS`` key that built the cache), n_layers
+u32, n_kept u64 and hidden u32.
 Then per layer the kept original positions as u32, the K rows (rotated to
 positions 0..n_kept-1, as ``CompressedCache`` holds them) and the V rows
 as row-major f32. Rotary on or off, the layout is the same. Each array
@@ -33,30 +35,30 @@ from pathlib import Path
 import numpy as np
 
 from ._binio import read_container, write_container
-from .compress import BUDGET_SCHEDULES, CacheMeta, CompressedCache
-from .errors import FormatError, StaleCacheError
+from .compress import CacheMeta, CompressedCache
+from .errors import FormatError, StaleCacheError, UsageError
 from .modelcore import Model, headroom
 
 MAGIC = b"KVCC"
-VERSION = 4
+VERSION = 5
 # after the frame: the model, guidance and corpus fingerprints, n_context,
-# k, s, schedule code, n_layers, n_kept, hidden
+# k, s, method code, n_layers, n_kept, hidden
 HEADER = struct.Struct("<32s32s32sQIIBIQI")
 
-# a schedule's code byte is its index here: append new schedules, never reorder
-SCHEDULE_CODES = (*BUDGET_SCHEDULES, "oracle", "streaming", "snapkv", "expattn")
+# a method's code byte is its index here: append new methods, never reorder
+METHOD_CODES = ("kvc_zs", "kvc_fs", "kvc_fsq", "streaming", "snapkv", "expattn", "oracle")
 
 
 def save_cache(compressed: CompressedCache, path) -> None:
     meta = compressed.meta
-    if meta.schedule not in SCHEDULE_CODES:
-        raise FormatError(f"unknown schedule {meta.schedule!r}")
+    if meta.method not in METHOD_CODES:
+        raise UsageError(f"cannot save a cache of unknown method {meta.method!r}")
     n_layers = len(compressed.keys)
     n_kept = compressed.n_kept
     hidden = compressed.keys[0].shape[1]
     header = HEADER.pack(
         meta.model_fingerprint, meta.guidance_fingerprint, meta.corpus_fingerprint, meta.n_context,
-        meta.k, meta.s, SCHEDULE_CODES.index(meta.schedule), n_layers, n_kept, hidden,
+        meta.k, meta.s, METHOD_CODES.index(meta.method), n_layers, n_kept, hidden,
     )
     parts = [header]
     room = bytes((headroom(n_kept) - n_kept) * hidden * 4)
@@ -74,8 +76,8 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
     p = Path(path)
     r = read_container(p, MAGIC, VERSION)
     *fingerprints, n_context, k, s, code, n_layers, n_kept, hidden = r.unpack(HEADER)
-    if code >= len(SCHEDULE_CODES):
-        raise FormatError(f"{p}: unknown schedule code {code}")
+    if code >= len(METHOD_CODES):
+        raise FormatError(f"{p}: unknown method code {code}")
     # with a kept row every layer takes bytes, so truncation bounds n_layers
     if n_layers < 1 or n_kept < 1 or hidden < 1:
         raise FormatError(f"{p}: implausible geometry ({n_layers} layers, {n_kept} kept rows, hidden {hidden})")
@@ -94,7 +96,7 @@ def load_cache(path, model: Model | None = None) -> CompressedCache:
     keys, values = ([buf[:n_kept] for buf in bufs] for bufs in buffers)
     for rows in (*keys, *values):
         rows.flags.writeable = False
-    meta = CacheMeta(*fingerprints, n_context, k, s, SCHEDULE_CODES[code])
+    meta = CacheMeta(*fingerprints, n_context, k, s, METHOD_CODES[code])
     loaded = CompressedCache(keys, values, kept, meta)
     loaded._mapped = buffers
     if model is not None and model.fingerprint != meta.model_fingerprint:

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._binio import read_artifact, writing
 from .cachefile import load_cache, save_cache
-from .compress import BUDGET_SCHEDULES, CompressionBudget, answer_with_cache
+from .compress import answer_with_cache
 from .corpusgen import (
     MAX_CONNECTIVITY,
     NAME_STYLES,
@@ -146,14 +146,13 @@ def cmd_compress(args) -> int:
         examples = [] if kind == "zs" else select_fewshot(bundle, args.examples)
         guidance = make_guidance(kind, examples, query=args.query)
     t0 = time.perf_counter()
-    compressed = build(model, bundle.corpus_tokens(), guidance, bundle.vocab,
-                       CompressionBudget(args.budget, args.schedule), args.segments, lambda: None)
+    compressed = build(model, bundle.corpus_tokens(), guidance, bundle.vocab, args.budget, args.segments, lambda: None)
     dt = time.perf_counter() - t0
     out = _resolve(args.out)
     save_cache(compressed, out)
     n = compressed.meta.n_context
     print(f"compressed {n} -> {compressed.n_kept} rows/layer "
-          f"({n / compressed.n_kept:.1f}x) in {dt:.2f}s ({args.method}, s={compressed.meta.s})")
+          f"({n / compressed.n_kept:.1f}x) in {dt:.2f}s ({compressed.meta.method}, s={compressed.meta.s})")
     print(f"cache: {out}")
     return 0
 
@@ -166,7 +165,10 @@ def cmd_ask(args) -> int:
     bundle = load_bundle(_resolve(args.bundle))
     model = _model(args.weights, args.model_seed, default_eval_config(len(bundle.vocab)))
     cache_path = _resolve(args.cache)
-    compressed = load_cache(cache_path, model=model)
+    # the corpus before the model, which answer_with_cache checks: the default
+    # model's config follows the bundle's vocabulary, so another corpus
+    # usually means another model too
+    compressed = load_cache(cache_path)
     if compressed.meta.corpus_fingerprint != bundle.corpus_fingerprint():
         raise StaleCacheError(f"{cache_path}: cache was built over a different corpus than bundle {args.bundle}")
     prompt = question_prompt(args.question, bundle.vocab)
@@ -411,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", default=None, help="live query text (kvc_fsq only)")
     p.add_argument("--segments", type=int, default=2,
                    help="iterative segment count s, kvc methods only (default %(default)s)")
-    p.add_argument("--schedule", choices=BUDGET_SCHEDULES, default=CompressionBudget.schedule,
-                   help="budget ramp across segments, kvc methods only (default %(default)s)")
     p.add_argument("--out", required=True, help="cache file to write (KVCC)")
     _add_model_args(p)
     p.set_defaults(func=cmd_compress)

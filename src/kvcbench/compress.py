@@ -49,7 +49,6 @@ from .modelcore import with_headroom
 from .vocab import TokenSequence, Vocabulary, fingerprint_ids, tokenize
 
 GUIDANCE_KINDS = ("zs", "fs", "fsq")
-BUDGET_SCHEDULES = ("proportional", "flat")
 
 # incremented by every compression entry point; the eval harness asserts
 # reuse by checking this does not move on warm runs
@@ -105,25 +104,17 @@ def guidance_fingerprint(guidance: GuidancePrompt, vocab: Vocabulary) -> bytes:
 
 @dataclass(frozen=True)
 class CompressionBudget:
-    """Per-layer survivor count ``k`` and how it ramps across segments.
-
-    ``proportional`` grows the kept count with the fraction of context seen,
-    ceil(k * seen / total), reaching exactly k on the last segment. ``flat``
-    holds every intermediate cache at k.
-    """
+    """Per-layer survivor count ``k``, ramped across segments in proportion
+    to the context seen, ceil(k * seen / total), so it reaches exactly k on
+    the last segment."""
 
     k: int
-    schedule: str = "proportional"
 
     def __post_init__(self):
         if self.k < 1:
             raise UsageError("budget k must be >= 1")
-        if self.schedule not in BUDGET_SCHEDULES:
-            raise UsageError(f"unknown schedule {self.schedule!r}")
 
     def target_rows(self, tokens_seen: int, total_tokens: int) -> int:
-        if self.schedule == "flat":
-            return self.k
         return (self.k * tokens_seen + total_tokens - 1) // total_tokens
 
 
@@ -166,7 +157,7 @@ class CacheMeta:
     n_context: int
     k: int
     s: int
-    schedule: str
+    method: str  # a key of evalharness.COMPRESSED_METHODS
 
 
 @dataclass
@@ -198,10 +189,10 @@ class CompressedCache:
         return KvCache.adopt(self.n_kept, *mapped)
 
 
-def _survivors(model, ctx, keys, values, kept, guidance_fp, k, s, schedule) -> CompressedCache:
+def _survivors(model, ctx, keys, values, kept, guidance_fp, k, s, method) -> CompressedCache:
     """The compressed cache of survivor rows gathered from context `ctx`,
     their keys rotated to positions 0..r-1."""
-    meta = CacheMeta(model.fingerprint, guidance_fp, fingerprint_ids(ctx), int(ctx.shape[0]), k, s, schedule)
+    meta = CacheMeta(model.fingerprint, guidance_fp, fingerprint_ids(ctx), int(ctx.shape[0]), k, s, method)
     return CompressedCache([rotate(rows, 0, model.config) for rows in keys], values, kept, meta)
 
 
@@ -246,7 +237,7 @@ def _guidance_top(capture, cache: KvCache, n_cand: int, r: int) -> list[np.ndarr
     return [select_top(layer, r) for layer in score_tokens(capture, n_cand)]
 
 
-def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUIDANCE, observe=0, sample=0,
+def _walk(model, ctx, budget, s, keep_rows, guidance_fp, method, gids=_NO_GUIDANCE, observe=0, sample=0,
           prefix: ContextPrefill | None = None):
     """The segment walk every compressor except the oracle runs.
 
@@ -290,7 +281,7 @@ def _walk(model, ctx, budget, s, keep_rows, guidance_fp, schedule, gids=_NO_GUID
         values = [cache.values[l][keeps[l]] for l in range(n_layers)]
         if end < n:  # the next segment prefills onto the survivors
             cache = KvCache(keys, values)
-    return _survivors(model, ctx, keys, values, kept, guidance_fp, budget.k, s, schedule)
+    return _survivors(model, ctx, keys, values, kept, guidance_fp, budget.k, s, method)
 
 
 def compress_iterative(
@@ -310,7 +301,7 @@ def compress_iterative(
     gids = _guidance_ids(guidance, vocab)
     return _walk(
         model, ctx, budget, s, _guidance_top, guidance_fingerprint(guidance, vocab),
-        budget.schedule, gids=gids, observe=gids.shape[0], prefix=prefix,
+        f"kvc_{guidance.kind}", gids=gids, observe=gids.shape[0], prefix=prefix,
     )
 
 

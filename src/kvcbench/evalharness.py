@@ -148,23 +148,23 @@ def make_guidance(kind: str, examples: list[Question], query: str | None = None)
     raise UsageError(f"unknown guidance kind {kind!r}")
 
 
-def _kvc(model, corpus, guidance, vocab, budget, s, shared):
-    return compress_iterative(model, corpus, guidance, vocab, budget, s=s, prefix=shared())
+def _kvc(model, corpus, guidance, vocab, k, s, shared):
+    return compress_iterative(model, corpus, guidance, vocab, CompressionBudget(k), s=s, prefix=shared())
 
 
 # The only builder of compressed caches: method -> (guidance kind or None,
-# offline build taking (model, corpus, guidance, vocab, budget, s, shared)).
-# budget is a CompressionBudget; the one-segment baselines and the oracle
-# read its k. shared() returns a ContextPrefill of the corpus (the suite's
-# one, or None), which the oracle never asks for.
+# offline build taking (model, corpus, guidance, vocab, k, s, shared)).
+# shared() returns a ContextPrefill of the corpus (the suite's one, or
+# None), which the oracle never asks for. Each build records its key as
+# the cache's method, the name a KVCC file carries (cachefile.METHOD_CODES).
 COMPRESSED_METHODS = {
     "kvc_zs": ("zs", _kvc),
     "kvc_fs": ("fs", _kvc),
     "kvc_fsq": ("fsq", _kvc),
-    "streaming": (None, lambda m, c, g, v, b, s, p: compress_streaming_llm(m, c, b.k, prefix=p())),
-    "snapkv": (None, lambda m, c, g, v, b, s, p: compress_snapkv_agnostic(m, c, b.k, prefix=p())),
-    "expattn": (None, lambda m, c, g, v, b, s, p: compress_expected_attention(m, c, b.k, prefix=p())),
-    "oracle": ("fs", lambda m, c, g, v, b, s, p: compress_oracle(m, c, g, v, b.k)),
+    "streaming": (None, lambda m, c, g, v, k, s, p: compress_streaming_llm(m, c, k, prefix=p())),
+    "snapkv": (None, lambda m, c, g, v, k, s, p: compress_snapkv_agnostic(m, c, k, prefix=p())),
+    "expattn": (None, lambda m, c, g, v, k, s, p: compress_expected_attention(m, c, k, prefix=p())),
+    "oracle": ("fs", lambda m, c, g, v, k, s, p: compress_oracle(m, c, g, v, k)),
 }
 METHODS = ("full", "rag", *COMPRESSED_METHODS)
 
@@ -392,7 +392,7 @@ def _run_cell(model, bundle, corpus, corpus_fp, settings, method, budget, q, exa
             gfp = guidance_fingerprint(guidance, vocab).hex() if kind else None
             compressed, compress_s = _claim(
                 registry, (method, model.fingerprint, corpus_fp, gfp, budget, s),
-                lambda: build(model, corpus, guidance, vocab, CompressionBudget(budget), s, lambda: shared()[0]),
+                lambda: build(model, corpus, guidance, vocab, budget, s, lambda: shared()[0]),
             )
             ret = retention(compressed, q.gold_positions) if q.gold_positions else None
             answer, prefill_s, first_s = _timed_answer(model, compressed.to_kv_cache(), prompt, params)
@@ -467,7 +467,7 @@ def measure_ttft(model: Model, bundle: CorpusBundle, question, budget: int, reps
     rag_rows = len(rag_context().ids)
     t0 = time.perf_counter()
     _, build = COMPRESSED_METHODS["kvc_zs"]
-    compressed = build(model, corpus, make_guidance("zs", []), bundle.vocab, CompressionBudget(budget), 2, lambda: None)
+    compressed = build(model, corpus, make_guidance("zs", []), bundle.vocab, budget, 2, lambda: None)
     log.info("budget=%d offline compression excluded from timing: %.3fs", budget, time.perf_counter() - t0)
 
     first_token = GenerationParams(max_new_tokens=1)

@@ -253,7 +253,7 @@ def test_criterion_06_similar_name_degradation():
 def test_criterion_07_diagnostic_retention():
     """Diagnostic model at 8x compression (k=4096 of 32,768): query-aware
     few-shot compression keeps every gold-entity name token for all 50
-    questions; streaming eviction with sink=4 keeps a fraction within
+    questions; streaming eviction (4 sink positions) keeps a fraction within
     0.15 of the budget fraction 0.125."""
     t_start = time.perf_counter()
     bundle = generate_corpus(CorpusSpec(seed=7, connectivity=2))
@@ -268,7 +268,7 @@ def test_criterion_07_diagnostic_retention():
     # one shared prefill of the corpus; each compression prefills only its guidance
     prefix = prefill_context(model, corpus)
 
-    streaming = compress_streaming_llm(model, corpus, k=k, sink=4, prefix=prefix)
+    streaming = compress_streaming_llm(model, corpus, k=k, prefix=prefix)
     stream_fracs = []
     for q in bundle.questions:
         entity_pos = entity_token_positions(bundle, q.entities)

@@ -1,13 +1,17 @@
-"""Task-agnostic baselines: eviction geometry for StreamingLLM, window
-behavior for SnapKV, and a Monte-Carlo oracle for the expected-attention
-scoring formula."""
+"""Task-agnostic baselines at their fixed settings: eviction geometry for
+StreamingLLM, window behavior for SnapKV, and a Monte-Carlo oracle for the
+expected-attention scoring formula."""
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import kvcbench.baselines as baselines
 import kvcbench.compress as compress_mod
 from kvcbench.baselines import (
+    SAMPLE_SIZE,
+    SINK,
+    WINDOW,
     ZERO_GUIDANCE_FP,
     _max_pool,
     compress_expected_attention,
@@ -38,12 +42,14 @@ def make_model(seed=0, n_layers=2, n_heads=2, hidden=32, vocab=64, max_position=
 
 def test_streaming_keeps_sink_plus_tail():
     model = make_model(seed=1)
-    ctx = list(range(4, 24))  # 20 tokens
-    compressed = compress_streaming_llm(model, ctx, k=7, sink=3)
-    expected = [0, 1, 2, 16, 17, 18, 19]
+    rng = np.random.default_rng(4)
+    n = WINDOW + 36
+    ctx = random_ids(rng, model.config.vocab_size, n)
+    compressed = compress_streaming_llm(model, ctx, k=SINK + 6)
+    expected = list(range(SINK)) + list(range(n - 6, n))
     for layer in range(model.config.n_layers):
         assert compressed.kept_positions[layer].tolist() == expected
-    assert compressed.meta.schedule == "streaming"
+    assert compressed.meta.method == "streaming"
     assert compressed.meta.guidance_fingerprint == ZERO_GUIDANCE_FP
 
 
@@ -53,20 +59,16 @@ def test_streaming_edge_budgets():
     # budget above the context keeps everything
     assert compress_streaming_llm(model, ctx, k=50).kept_positions[0].tolist() == list(range(10))
     # budget below the sink count degenerates to a pure prefix
-    assert compress_streaming_llm(model, ctx, k=3, sink=5).kept_positions[0].tolist() == [0, 1, 2]
-    # zero sink keeps a pure tail
-    assert compress_streaming_llm(model, ctx, k=4, sink=0).kept_positions[0].tolist() == [6, 7, 8, 9]
+    assert compress_streaming_llm(model, ctx, k=SINK - 1).kept_positions[0].tolist() == list(range(SINK - 1))
     with pytest.raises(UsageError):
         compress_streaming_llm(model, ctx, k=0)
-    with pytest.raises(UsageError):
-        compress_streaming_llm(model, ctx, k=4, sink=-1)
 
 
 def test_streaming_rows_match_plain_prefill():
     model = make_model(seed=2)
     rng = np.random.default_rng(0)
     ctx = random_ids(rng, model.config.vocab_size, 30)
-    compressed = compress_streaming_llm(model, ctx, k=8, sink=2)
+    compressed = compress_streaming_llm(model, ctx, k=8)
     plain = KvCache.empty(model.config)
     prefill(model, plain, ctx)
     for layer in range(model.config.n_layers):
@@ -84,14 +86,15 @@ def test_max_pool_hand_case():
 def test_snapkv_window_always_survives():
     model = make_model(seed=3)
     rng = np.random.default_rng(1)
-    n = 100
+    n, k = 3 * WINDOW, WINDOW + 30
     ctx = random_ids(rng, model.config.vocab_size, n)
-    compressed = compress_snapkv_agnostic(model, ctx, k=30, window=16)
+    compressed = compress_snapkv_agnostic(model, ctx, k=k)
     for layer in range(model.config.n_layers):
         kept = set(compressed.kept_positions[layer].tolist())
-        assert len(kept) == 30
-        assert set(range(n - 16, n)) <= kept
-    assert compressed.meta.schedule == "snapkv"
+        assert len(kept) == k
+        assert set(range(n - WINDOW, n)) <= kept
+        assert len(kept - set(range(n - WINDOW, n))) == 30
+    assert compressed.meta.method == "snapkv"
 
 
 def test_snapkv_keeps_hot_early_token():
@@ -101,34 +104,29 @@ def test_snapkv_keeps_hot_early_token():
                          vocab_size=len(vocab), max_position=256)
     model = init_diagnostic_model(config, vocab)
     filler = [5, 6, 7, 8, 9, 10] * 10
-    ctx = [4] + filler + [4, 11, 12]  # early id 4 matched by a window token
-    compressed = compress_snapkv_agnostic(model, ctx, k=8, window=3)
-    assert 0 in compressed.kept_positions[0].tolist()
+    window = [4] + list(range(11, 20)) * 7  # ids 11..19 never occur earlier
+    assert len(window) == WINDOW
+    # early id 4 matched by a window token survives; unmatched, it does not
+    assert 0 in compress_snapkv_agnostic(model, [4] + filler + window, k=WINDOW + 2).kept_positions[0].tolist()
+    assert 0 not in compress_snapkv_agnostic(model, [5] + filler + window, k=WINDOW + 2).kept_positions[0].tolist()
 
 
 def test_snapkv_budget_covering_context_keeps_everything():
     model = make_model(seed=4)
-    ctx = list(range(4, 24))
-    compressed = compress_snapkv_agnostic(model, ctx, k=40, window=8)
-    assert compressed.kept_positions[0].tolist() == list(range(20))
-
-
-def test_snapkv_validation():
-    model = make_model(seed=4)
-    with pytest.raises(UsageError):
-        compress_snapkv_agnostic(model, [5, 6], k=1, window=0)
-    with pytest.raises(UsageError):
-        compress_snapkv_agnostic(model, [5, 6], k=1, pool_width=0)
+    rng = np.random.default_rng(5)
+    ctx = random_ids(rng, model.config.vocab_size, WINDOW + 36)
+    compressed = compress_snapkv_agnostic(model, ctx, k=2 * WINDOW)
+    assert compressed.kept_positions[0].tolist() == list(range(WINDOW + 36))
 
 
 def test_expected_attention_matches_closed_form_and_monte_carlo():
     config = ModelConfig(n_layers=1, n_heads=1, hidden_size=16, head_dim=16,
-                         vocab_size=32, max_position=256)
+                         vocab_size=32, max_position=512)
     model = init_random_model(config, seed=5)
     rng = np.random.default_rng(2)
-    n, m, keep = 48, 32, 12
+    n, m, keep = SAMPLE_SIZE + 64, SAMPLE_SIZE, 48
     ctx = random_ids(rng, config.vocab_size, n)
-    compressed = compress_expected_attention(model, ctx, k=keep, sample_size=m)
+    compressed = compress_expected_attention(model, ctx, k=keep)
 
     # closed form recomputed independently from captured queries
     cache = KvCache.empty(config)
@@ -148,13 +146,16 @@ def test_expected_attention_matches_closed_form_and_monte_carlo():
     assert rho >= 0.9
 
 
-def test_expected_attention_single_sample_drops_variance_term():
+def test_expected_attention_single_sample_drops_variance_term(monkeypatch):
+    # at SAMPLE_SIZE only a one-token context has a single sample, which
+    # leaves nothing to rank, so the sample is cut to one row here
+    monkeypatch.setattr(baselines, "SAMPLE_SIZE", 1)
     config = ModelConfig(n_layers=1, n_heads=1, hidden_size=16, head_dim=16,
                          vocab_size=32, max_position=64)
     model = init_random_model(config, seed=6)
     rng = np.random.default_rng(3)
     ctx = random_ids(rng, config.vocab_size, 20)
-    compressed = compress_expected_attention(model, ctx, k=6, sample_size=1)
+    compressed = compress_expected_attention(model, ctx, k=6)
 
     cache = KvCache.empty(config)
     capture = prefill(model, cache, ctx, query_span=(19, 20))
@@ -173,7 +174,7 @@ def test_baselines_clamp_and_count():
     c = compress_streaming_llm(model, ctx, k=99)
     assert a.n_kept == b.n_kept == c.n_kept == 10
     assert compress_mod.COMPRESSION_CALLS == before + 3
-    for comp, schedule in ((a, "expattn"), (b, "snapkv"), (c, "streaming")):
-        assert comp.meta.schedule == schedule
+    for comp, method in ((a, "expattn"), (b, "snapkv"), (c, "streaming")):
+        assert comp.meta.method == method
         assert comp.meta.guidance_fingerprint == ZERO_GUIDANCE_FP
         assert comp.meta.k == 99 and comp.meta.n_context == 10

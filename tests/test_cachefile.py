@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kvcbench.cachefile import HEADER, SCHEDULE_CODES, load_cache, save_cache
+from kvcbench.cachefile import HEADER, METHOD_CODES, VERSION, load_cache, save_cache
 from kvcbench.compress import (
     CacheMeta,
     CompressedCache,
@@ -15,7 +15,8 @@ from kvcbench.compress import (
     compress_iterative,
     compress_oracle,
 )
-from kvcbench.errors import FormatError, MissingArtifactError, StaleCacheError
+from kvcbench.errors import FormatError, MissingArtifactError, StaleCacheError, UsageError
+from kvcbench.evalharness import COMPRESSED_METHODS
 from kvcbench.modelcore import ModelConfig, decode_step, init_random_model, prefill
 from kvcbench.vocab import build_vocabulary, tokenize
 
@@ -27,14 +28,14 @@ VOCAB = build_vocabulary([
 ])
 
 
-def make_compressed(seed=0, k=6, schedule="iterative", rotary=True):
+def make_compressed(seed=0, k=6, method="kvc_zs", rotary=True):
     config = ModelConfig(n_layers=2, n_heads=2, hidden_size=32, head_dim=16,
                          vocab_size=len(VOCAB), max_position=512, rotary_enabled=rotary)
     model = init_random_model(config, seed)
     rng = np.random.default_rng(seed + 10)
     ctx = random_ids(rng, len(VOCAB), 24)
     guidance = GuidancePrompt(kind="zs", description="answer questions about the passage")
-    if schedule == "iterative":
+    if method == "kvc_zs":
         comp = compress_iterative(model, ctx, guidance, VOCAB, CompressionBudget(k), s=2)
     else:
         comp = compress_oracle(model, ctx, guidance, VOCAB, k)
@@ -61,7 +62,7 @@ def test_round_trip_bit_identical(saved):
     assert m.model_fingerprint == comp.meta.model_fingerprint
     assert m.guidance_fingerprint == comp.meta.guidance_fingerprint
     assert m.corpus_fingerprint == comp.meta.corpus_fingerprint
-    assert (m.n_context, m.k, m.s, m.schedule) == (24, 6, 2, "proportional")
+    assert (m.n_context, m.k, m.s, m.method) == (24, 6, 2, "kvc_zs")
 
 
 # the header, after the frame (8 bytes), the fingerprints (96) and the
@@ -70,7 +71,7 @@ HEADER_END = 137
 
 
 def layout_size(n, d, layers=2):
-    """The size of a v4 file: after the header, per layer the positions and
+    """The size of a v5 file, laid out as v4: after the header, per layer the positions and
     the K and V arrays of n + n // 8 rows, each at a multiple of 64."""
     size = HEADER_END
     for _ in range(layers):
@@ -84,7 +85,7 @@ def assert_layout_of_16_rows(raw, comp):
     """16 kept rows of width 32: each layer holds 64 bytes of positions and
     the K and V arrays of 16 + 2 rows of 128 bytes, each starting at a
     multiple of 64 bytes, with the last two rows zero."""
-    assert struct.unpack("<I", raw[4:8]) == (4,) and 8 + HEADER.size == HEADER_END
+    assert struct.unpack("<I", raw[4:8]) == (VERSION,) and 8 + HEADER.size == HEADER_END
     assert len(raw) == layout_size(16, 32) == 192 + 2 * (64 + 2 * 18 * 128)
     for layer in range(2):
         start = 192 + layer * (64 + 2 * 18 * 128)
@@ -101,7 +102,7 @@ def test_v3_round_trip_keeps_rotated_keys_bitwise(saved):
     built from the loaded file serves them as its rotated keys unchanged."""
     model, comp, path = saved
     raw = path.read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (4,)
+    assert struct.unpack("<I", raw[4:8]) == (VERSION,)
     assert len(raw) == layout_size(comp.n_kept, 32)
     loaded = load_cache(path, model)
     cache = loaded.to_kv_cache()
@@ -218,19 +219,24 @@ def test_load_with_wrong_model_is_stale(saved):
         load_cache(path, other)
 
 
-def test_oracle_schedule_round_trips(tmp_path):
-    model, comp = make_compressed(schedule="oracle")
+def test_oracle_method_round_trips(tmp_path):
+    model, comp = make_compressed(method="oracle")
     path = tmp_path / "o.kvcc"
     save_cache(comp, path)
-    assert load_cache(path, model).meta.schedule == "oracle"
-    # every schedule keeps the code byte that KVCC files have always carried
-    old_codes = {"proportional": 0, "flat": 1, "oracle": 2, "streaming": 3, "snapkv": 4, "expattn": 5}
-    assert set(SCHEDULE_CODES) == set(old_codes)
-    for schedule, code in old_codes.items():
+    assert load_cache(path, model).meta.method == "oracle"
+
+
+def test_method_codes_follow_the_method_table(saved, tmp_path):
+    """Every method ``kvc compress`` can build has a code byte, and each
+    keeps the code v5 gave it."""
+    model, comp, path = saved
+    codes = {"kvc_zs": 0, "kvc_fs": 1, "kvc_fsq": 2, "streaming": 3, "snapkv": 4, "expattn": 5, "oracle": 6}
+    assert set(METHOD_CODES) == set(COMPRESSED_METHODS) == set(codes)
+    for method, code in codes.items():
         save_cache(CompressedCache(comp.keys, comp.values, comp.kept_positions,
-                                   replace(comp.meta, schedule=schedule)), path)
+                                   replace(comp.meta, method=method)), path)
         assert path.read_bytes()[120] == code
-        assert load_cache(path, model).meta.schedule == schedule
+        assert load_cache(path, model).meta.method == method
 
 
 def test_missing_file(tmp_path):
@@ -253,21 +259,22 @@ def test_bad_magic(saved, tmp_path):
         load_cache(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 9])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 9])
 def test_bad_version(saved, tmp_path, version):
     """Only the version save_cache writes loads: an older cache is rebuilt
     with ``kvc compress``."""
     _, _, path = saved
     bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(slice(4, 8), struct.pack("<I", version)))
-    with pytest.raises(FormatError, match=rf"unsupported KVCC version {version} \(expected 4\)"):
+    with pytest.raises(FormatError, match=rf"unsupported KVCC version {version} \(expected 5\)"):
         load_cache(bad)
 
 
-def test_unknown_schedule_code(saved, tmp_path):
+@pytest.mark.parametrize("code", [7, 99, 255])
+def test_unknown_method_code(saved, tmp_path, code):
     _, _, path = saved
-    assert len(SCHEDULE_CODES) < 99
-    bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(120, 99))
-    with pytest.raises(FormatError, match="unknown schedule code 99"):
+    assert len(METHOD_CODES) == 7
+    bad = corrupt(path, tmp_path, lambda raw: raw.__setitem__(120, code))
+    with pytest.raises(FormatError, match=f"unknown method code {code}"):
         load_cache(bad)
 
 
@@ -283,7 +290,7 @@ def test_zero_kept_rows_rejected_before_the_layers(tmp_path):
     """With no kept row a layer takes no bytes, so nothing but the geometry
     check bounds a claimed layer count: this 192-byte file claims 100,000."""
     header = HEADER.pack(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, 10, 1, 1, 0, 100_000, 0, 8)
-    raw = b"KVCC" + struct.pack("<I", 4) + header
+    raw = b"KVCC" + struct.pack("<I", VERSION) + header
     path = tmp_path / "zero.kvcc"
     path.write_bytes(raw + bytes(-len(raw) % 64))
     assert path.stat().st_size == 192
@@ -308,11 +315,11 @@ def test_trailing_bytes(saved, tmp_path):
         load_cache(bad)
 
 
-def hand_cache(positions, schedule="flat"):
+def hand_cache(positions, method="snapkv"):
     n_kept = len(positions)
     meta = CacheMeta(model_fingerprint=b"\x01" * 32, guidance_fingerprint=b"\x02" * 32,
                      corpus_fingerprint=b"\x03" * 32, n_context=10, k=n_kept, s=1,
-                     schedule=schedule)
+                     method=method)
     rows = np.zeros((n_kept, 8), dtype=np.float32)
     pos = np.asarray(positions, dtype=np.int64)
     return CompressedCache([rows.copy()], [rows.copy()], [pos], meta)
@@ -332,10 +339,12 @@ def test_valid_hand_cache_loads(tmp_path):
     save_cache(hand_cache([0, 4, 9]), path)
     loaded = load_cache(path)
     assert loaded.kept_positions[0].tolist() == [0, 4, 9]
-    assert loaded.meta.schedule == "flat"
+    assert loaded.meta.method == "snapkv"
 
 
-def test_unknown_schedule_refused_on_save(tmp_path):
-    comp = hand_cache([0, 1, 2], schedule="mystery")
-    with pytest.raises(FormatError, match="unknown schedule"):
+def test_unknown_method_refused_on_save(tmp_path):
+    """A method without a code byte is the caller's error, not damage."""
+    comp = hand_cache([0, 1, 2], method="proportional")
+    with pytest.raises(UsageError, match="unknown method 'proportional'"):
         save_cache(comp, tmp_path / "x.kvcc")
+    assert not (tmp_path / "x.kvcc").exists()

@@ -136,16 +136,15 @@ def test_compress_method_writes_the_suites_cache(suite_builds, tmp_path, capsys,
     out = tmp_path / f"{method}.kvcc"
     assert main(["compress", "--bundle", str(bundle), "--budget", "160", "--method", method,
                  "--query", question, "--out", str(out)]) == 0
+    assert f"({method}, s=" in capsys.readouterr().out
     loaded, expected = load_cache(out), built[method]
     assert loaded.meta == expected.meta
-    if COMPRESSED_METHODS[method][0] is None:
-        assert loaded.meta.schedule == method
+    assert loaded.meta.method == method
     for field in ("keys", "values", "kept_positions"):
         got, want = getattr(loaded, field), getattr(expected, field)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-    capsys.readouterr()
     assert main(["ask", "--cache", str(out), "--bundle", str(bundle),
                  "--question", question, "--max-new", "2"]) == 0
     assert "answer:" in capsys.readouterr().out
@@ -166,14 +165,21 @@ def test_ask_error_paths(bundle_dir, workdir, capsys):
                  "--question", "anything"]) == 4
     # a cache of a version load_cache no longer reads is refused, not parsed
     assert main(["compress", "--bundle", "bundle", "--budget", "32",
-                 "--method", "kvc_zs", "--out", "v3.kvcc"]) == 0
-    raw = bytearray((workdir / "v3.kvcc").read_bytes())
-    raw[4:8] = struct.pack("<I", 3)
-    (workdir / "v3.kvcc").write_bytes(bytes(raw))
+                 "--method", "kvc_zs", "--out", "v4.kvcc"]) == 0
+    raw = bytearray((workdir / "v4.kvcc").read_bytes())
+    raw[4:8] = struct.pack("<I", 4)
+    (workdir / "v4.kvcc").write_bytes(bytes(raw))
     capsys.readouterr()
-    assert main(["ask", "--cache", "v3.kvcc", "--bundle", "bundle",
+    assert main(["ask", "--cache", "v4.kvcc", "--bundle", "bundle",
                  "--question", "anything"]) == 4
-    assert "unsupported KVCC version 3 (expected 4)" in capsys.readouterr().err
+    assert "unsupported KVCC version 4 (expected 5)" in capsys.readouterr().err
+    # so is a method code byte past the table
+    for code in (7, 255):
+        raw[4:8], raw[120] = struct.pack("<I", 5), code
+        (workdir / "bad.kvcc").write_bytes(bytes(raw))
+        assert main(["ask", "--cache", "bad.kvcc", "--bundle", "bundle",
+                     "--question", "anything"]) == 4
+        assert f"unknown method code {code}" in capsys.readouterr().err
 
 
 def test_ask_on_an_empty_cache_exits_4(bundle_dir, workdir, capsys):
@@ -207,6 +213,21 @@ def test_ask_refuses_cache_from_other_corpus(bundle_dir, workdir, capsys):
     assert "different corpus" in capsys.readouterr().err
     assert main(["ask", "--cache", "b.kvcc", "--bundle", "bundle",
                  "--question", "anything", "--weights", "m.kvcw"]) == 0
+
+
+def test_ask_names_the_corpus_of_a_cache_from_another_bundle(bundle_dir, workdir, capsys):
+    """With default models, another bundle's vocabulary gives another
+    model too; the corpus is checked first, so the message names it."""
+    other = list(BUNDLE_ARGS)
+    other[other.index("bundle")], other[other.index("--people") + 1] = "other", "5"
+    assert main(other) == 0
+    sizes = [len((workdir / b / "vocab.txt").read_text().splitlines()) for b in ("bundle", "other")]
+    assert sizes[0] != sizes[1]
+    assert main(["compress", "--bundle", "bundle", "--budget", "32", "--method", "kvc_zs", "--out", "b.kvcc"]) == 0
+    capsys.readouterr()
+    assert main(["ask", "--cache", "b.kvcc", "--bundle", "other", "--question", "anything"]) == 4
+    err = capsys.readouterr().err
+    assert "different corpus than bundle other" in err and "different model" not in err
 
 
 def saved_model(bundle_dir, workdir):

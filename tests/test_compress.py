@@ -120,16 +120,20 @@ def test_plan_chunks_rejects_empty_inputs():
 
 
 def test_budget_schedules():
-    prop = CompressionBudget(k=10, schedule="proportional")
+    """The one budget ramp, proportional to the context seen."""
+    prop = CompressionBudget(k=10)
     assert prop.target_rows(100, 100) == 10
     assert prop.target_rows(1, 100) == 1  # ceil(0.1)
     assert prop.target_rows(25, 100) == 3  # ceil(2.5)
-    flat = CompressionBudget(k=10, schedule="flat")
-    assert flat.target_rows(1, 100) == 10
     with pytest.raises(UsageError):
         CompressionBudget(k=0)
-    with pytest.raises(UsageError):
-        CompressionBudget(k=4, schedule="linear")
+    # 6 rows survive the first of two segments, so at most 6 of the final
+    # survivors come from the first half
+    model = make_model(seed=8)
+    ctx = random_ids(np.random.default_rng(4), len(VOCAB), 60)
+    prop = compress_iterative(model, ctx, zs(), VOCAB, CompressionBudget(12), s=2)
+    assert prop.n_kept == 12
+    assert all(int((kp < 30).sum()) <= 6 for kp in prop.kept_positions)
 
 
 def test_select_top_known_answers_and_ties():
@@ -221,7 +225,7 @@ def test_iterative_s1_equals_oracle_bitwise():
         assert np.array_equal(ka, kb)
     for va, vb in zip(a.values, b.values):
         assert np.array_equal(va, vb)
-    assert a.meta.schedule == "proportional" and b.meta.schedule == "oracle"
+    assert a.meta.method == "kvc_fsq" and b.meta.method == "oracle"
 
 
 def test_compression_is_deterministic():
@@ -250,21 +254,6 @@ def test_kept_positions_ascending_and_budgeted():
     meta = compressed.meta
     assert meta.n_context == 70 and meta.k == 16 and meta.s == 4
     assert meta.model_fingerprint == model.fingerprint
-
-
-def test_flat_schedule_holds_k_rows_after_first_segment():
-    model = make_model(seed=8)
-    rng = np.random.default_rng(4)
-    ctx = random_ids(rng, len(VOCAB), 60)
-    flat = compress_iterative(model, ctx, zs(), VOCAB,
-                              CompressionBudget(12, schedule="flat"), s=2)
-    prop = compress_iterative(model, ctx, zs(), VOCAB, CompressionBudget(12), s=2)
-    assert flat.n_kept == 12 and prop.n_kept == 12
-    assert flat.meta.schedule == "flat"
-    # under flat, 12 rows survive segment one, so at most 12 of the final
-    # survivors can come from the first half; proportional keeps only 6 there
-    first_half_prop = [int((kp < 30).sum()) for kp in prop.kept_positions]
-    assert all(c <= 6 for c in first_half_prop)
 
 
 def test_walk_builds_no_cache_after_its_last_segment(small_bundle, small_model, monkeypatch):

@@ -1250,7 +1250,7 @@ def hand_compressed(n=1000):
     rng = np.random.default_rng(15)
     layers, d = HAND_CONFIG.n_layers, HAND_CONFIG.hidden_size
     keys, values = ([rng.standard_normal((n, d)).astype(np.float32) for _ in range(layers)] for _ in "kv")
-    meta = CacheMeta(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, n, n, 1, "flat")
+    meta = CacheMeta(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, n, n, 1, "streaming")
     return CompressedCache(keys, values, [np.arange(n)] * layers, meta)
 
 
