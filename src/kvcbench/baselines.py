@@ -51,13 +51,11 @@ def compress_streaming_llm(model: Model, context, k: int, prefix: ContextPrefill
     return _walk(model, _context_ids(context), budget, 1, keep, ZERO_GUIDANCE_FP, "streaming", prefix=prefix)
 
 
-def _max_pool(x: np.ndarray, width: int) -> np.ndarray:
-    if width <= 1 or x.size == 0:
+def _max_pool(x: np.ndarray) -> np.ndarray:
+    if x.size == 0:
         return x
-    half = width // 2
-    pad = np.full(half, -np.inf, dtype=x.dtype)
-    padded = np.concatenate([pad, x, pad])
-    return np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1).max(axis=1)
+    pad = np.full(POOL_WIDTH // 2, -np.inf, dtype=x.dtype)  # POOL_WIDTH is odd
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, x, pad]), POOL_WIDTH).max(axis=1)
 
 
 def compress_snapkv_agnostic(model: Model, context, k: int, prefix: ContextPrefill | None = None) -> CompressedCache:
@@ -73,7 +71,7 @@ def compress_snapkv_agnostic(model: Model, context, k: int, prefix: ContextPrefi
         window_rows = np.arange(n_cand, n, dtype=np.int64)
         keeps = []
         for layer in capture.layers:
-            pooled = _max_pool(layer[:n_cand], POOL_WIDTH)
+            pooled = _max_pool(layer[:n_cand])
             chosen = select_top(pooled, r - w_eff)
             keeps.append(np.concatenate([chosen.astype(np.int64), window_rows]))
         return keeps

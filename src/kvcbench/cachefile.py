@@ -49,10 +49,18 @@ HEADER = struct.Struct("<32s32s32sQIIBIQI")
 METHOD_CODES = ("kvc_zs", "kvc_fs", "kvc_fsq", "streaming", "snapkv", "expattn", "oracle")
 
 
+def check_header_fits(k: int, s: int) -> None:
+    """Refuse a budget k or segment count s that the header's u32 fields cannot hold."""
+    for name, value in (("budget k", k), ("segment count s", s)):
+        if value >= 1 << 32:
+            raise UsageError(f"{name} = {value} does not fit the u32 field of a KVCC header")
+
+
 def save_cache(compressed: CompressedCache, path) -> None:
     meta = compressed.meta
     if meta.method not in METHOD_CODES:
         raise UsageError(f"cannot save a cache of unknown method {meta.method!r}")
+    check_header_fits(meta.k, meta.s)
     n_layers = len(compressed.keys)
     n_kept = compressed.n_kept
     hidden = compressed.keys[0].shape[1]

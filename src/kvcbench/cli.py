@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ._binio import read_artifact, writing
-from .cachefile import load_cache, save_cache
+from .cachefile import check_header_fits, load_cache, save_cache
 from .compress import answer_with_cache
 from .corpusgen import (
     MAX_CONNECTIVITY,
@@ -136,6 +136,7 @@ def cmd_corpusgen(args) -> int:
 # --- compress -----------------------------------------------------------------
 
 def cmd_compress(args) -> int:
+    check_header_fits(args.budget, args.segments)  # refused before anything is compressed
     bundle = load_bundle(_resolve(args.bundle))
     model = _model(args.weights, args.model_seed, default_eval_config(len(bundle.vocab)))
     kind, build = COMPRESSED_METHODS[args.method]
@@ -338,10 +339,11 @@ def _ttft_bundle(n_tokens: int, seed: int):
     n_people = min(CorpusSpec.n_people, n_chunks // 4)
     n_projects = min(CorpusSpec.n_projects, n_chunks // 4)
     n_filler = n_chunks - 2 * n_people - n_projects
-    if n_people < 1 or n_filler < 0:
+    connectivity = 2
+    if n_projects < connectivity:  # else n_chunks // 4 >= 2: two people or more, filler >= 0
         raise UsageError(f"corpus size {n_tokens} too small for a bundle")
     spec = CorpusSpec(
-        seed=seed, connectivity=2, n_people=n_people, n_projects=n_projects,
+        seed=seed, connectivity=connectivity, n_people=n_people, n_projects=n_projects,
         n_filler=n_filler, questions_per_kind=min(CorpusSpec.questions_per_kind, n_people),
     )
     return generate_corpus(spec)

@@ -300,17 +300,18 @@ def generate_corpus(spec: CorpusSpec) -> CorpusBundle:
         )
         memberships.append(MembershipRecord(person=p.name, links=links))
 
-    texts: list[tuple[str, str]] = []  # (kind, raw text)
-    texts += [("person", _person_text(p)) for p in people]
-    texts += [("project", _project_text(pr)) for pr in projects]
-    texts += [("membership", _membership_text(m)) for m in memberships]
-    texts += [("filler", " ".join(rng.choices(FILLER_WORDS, k=spec.chunk_tokens))) for _ in range(spec.n_filler)]
+    texts: list[tuple[str, str | None, str]] = []  # (kind, name or title, raw text)
+    texts += [("person", p.name, _person_text(p)) for p in people]
+    texts += [("project", pr.title, _project_text(pr)) for pr in projects]
+    texts += [("membership", m.person, _membership_text(m)) for m in memberships]
+    texts += [("filler", None, " ".join(rng.choices(FILLER_WORDS, k=spec.chunk_tokens))) for _ in range(spec.n_filler)]
 
     rng.shuffle(texts)
     chunks = [
         ChunkDoc(chunk_id=i, kind=kind, text=_pad_to_width(rng, text, spec.chunk_tokens))
-        for i, (kind, text) in enumerate(texts)
+        for i, (kind, _, text) in enumerate(texts)
     ]
+    chunk_of = {(kind, key): i for i, (kind, key, _) in enumerate(texts)}
 
     bundle = CorpusBundle(
         spec=spec,
@@ -318,21 +319,13 @@ def generate_corpus(spec: CorpusSpec) -> CorpusBundle:
         questions=[],
         vocab=Vocabulary(),
     )
-    bundle.questions = _generate_questions(rng, bundle, projects, memberships)
+    bundle.questions = _generate_questions(rng, bundle, projects, memberships, chunk_of)
 
     corpus_words = bundle.corpus_text().split()
     question_words = [w for q in bundle.questions for w in q.text.split()]
     guidance_words = list(DEFAULT_TASK_DESCRIPTION.split()) + list(GUIDANCE_CUE_WORDS)
     bundle.vocab = build_vocabulary([*corpus_words, *question_words, *guidance_words])
     return bundle
-
-
-def _chunk_of_kind(bundle: CorpusBundle, kind: str, key: str) -> int:
-    """Chunk id of the fact chunk of `kind` whose text starts with `key`."""
-    for doc in bundle.chunks:
-        if doc.kind == kind and doc.text.split()[0] == key:
-            return doc.chunk_id
-    raise UsageError(f"no {kind} chunk starts with token {key!r}")
 
 
 def _dedupe(values) -> tuple[str, ...]:
@@ -344,6 +337,7 @@ def _dedupe(values) -> tuple[str, ...]:
 
 def _generate_questions(
     rng: random.Random, bundle: CorpusBundle, projects: list[ProjectRecord], memberships: list[MembershipRecord],
+    chunk_of: dict[tuple[str, str | None], int],
 ) -> list[Question]:
     spec = bundle.spec
     by_title = {pr.title: pr for pr in projects}
@@ -367,7 +361,7 @@ def _generate_questions(
     for i, pi in enumerate(direct_people):
         m = memberships[pi]
         name = m.person
-        evidence = [_chunk_of_kind(bundle, "membership", name)]
+        evidence = [chunk_of["membership", name]]
         t = i % len(DIRECT_TEMPLATES)
         qid = f"s{spec.seed}c{spec.connectivity}d{i:02d}"
         if t == 0:
@@ -390,8 +384,8 @@ def _generate_questions(
         m = memberships[pi]
         name = m.person
         linked = [by_title[title] for title, _, _ in m.links]
-        evidence = [_chunk_of_kind(bundle, "membership", name)]
-        evidence += [_chunk_of_kind(bundle, "project", pr.title) for pr in linked]
+        evidence = [chunk_of["membership", name]]
+        evidence += [chunk_of["project", pr.title] for pr in linked]
         t = i % len(JOIN_TEMPLATES)
         qid = f"s{spec.seed}c{spec.connectivity}j{i:02d}"
         if t == 0:

@@ -70,17 +70,18 @@ Three properties of the design matter to everything downstream:
   kept and grown like the rotary table.
 * A tile reads only the keys and values and writes only its own rows, so
   a range of several tiles that scores at least ``SPLIT_MIN_SCORES``
-  elements runs them round-robin on ``TILE_WORKERS`` threads, the calling
-  thread among them. Importing this module sets numpy's bundled OpenBLAS
-  to one thread for the whole process (``_pin_blas``), so parallelism
-  comes only from the tile workers, one per usable core; where numpy links
-  another BLAS, BLAS is left alone and one worker runs. Any other range
-  calls the kernel directly, with no thread set-up. The caller builds the
-  panels and one score buffer per worker before the threads start, and
-  runs the tiles holding observer rows itself, in tile order, so their
-  capture contributions add in tile-then-head order as on one thread.
-  Each tile makes the same one-thread BLAS calls on any thread, so no
-  output depends on the core count or on the BLAS environment variables.
+  elements deals them round-robin to ``TILE_WORKERS`` shares: the calling
+  thread runs the first, a pool made for the split the rest, and the first
+  failing share in that order raises. Importing this module pins numpy's
+  bundled OpenBLAS to one thread for the whole process (``_pin_blas``), so
+  parallelism comes only from the tile workers, one per usable core; where
+  numpy links another BLAS, BLAS is left alone and one worker runs. Any
+  other range calls the kernel directly, with no thread set-up. The caller
+  builds the panels and one score buffer per share before the pool starts,
+  and runs the tiles holding observer rows itself, in tile order, so their
+  capture contributions add in tile-then-head order as on one thread. Each
+  tile makes the same one-thread BLAS calls on any thread, so no output
+  depends on the core count or on the BLAS environment variables.
 
 A prefill can capture how a designated observer span (guidance tokens)
 attends: per layer, one vector over columns holding the mean over heads and
@@ -97,9 +98,10 @@ import contextvars
 import ctypes
 import hashlib
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -178,7 +180,7 @@ class ModelConfig:
 @dataclass(frozen=True)
 class GenerationParams:
     max_new_tokens: int = 24
-    stop_tokens: tuple[int, ...] = (SEP,)
+    stop_tokens: ClassVar[tuple[int, ...]] = (SEP,)
 
     def __post_init__(self):
         if self.max_new_tokens < 1:
@@ -841,28 +843,15 @@ def _attend(share, buf, capture, hi, base, q, a, k_rot, panels, v_all, ones, out
 
 
 def _run_shares(calls) -> None:
-    """Call each of `calls`, the first on this thread and every other on a
-    thread of its own, started before it, in a copy of this thread's context
-    (numpy 2 keeps ``np.errstate`` there). Once all have returned, re-raise
-    this thread's exception, else the first one a thread raised."""
-    errors: list[BaseException] = []
-
-    def run(call):
-        try:
-            call()
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, c)) for c in calls[1:]]
-    for t in threads:
-        t.start()
-    try:
+    """Call each of `calls`, the first on this thread and the others on a
+    pool, submitted first, each in a copy of this context (numpy 2 keeps
+    ``np.errstate`` there). The pool is joined even when the first call
+    raises; of several exceptions the earliest in call order is raised."""
+    with ThreadPoolExecutor(len(calls) - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, c) for c in calls[1:]]
         calls[0]()
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+    for f in futures:
+        f.result()
 
 
 def decode_step(model, cache: KvCache, token_id: int):

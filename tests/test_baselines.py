@@ -9,6 +9,7 @@ from scipy.stats import spearmanr
 import kvcbench.baselines as baselines
 import kvcbench.compress as compress_mod
 from kvcbench.baselines import (
+    POOL_WIDTH,
     SAMPLE_SIZE,
     SINK,
     WINDOW,
@@ -78,9 +79,11 @@ def test_streaming_rows_match_plain_prefill():
 
 
 def test_max_pool_hand_case():
-    x = np.array([0.0, 10.0, 0.0, 0.0, 5.0])
-    assert _max_pool(x, 3).tolist() == [10.0, 10.0, 10.0, 5.0, 5.0]
-    assert _max_pool(x, 1).tolist() == x.tolist()
+    # POOL_WIDTH 7: position i takes the max over [i - 3, i + 3]
+    assert POOL_WIDTH == 7
+    x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0])
+    assert _max_pool(x).tolist() == [1.0, 1.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 2.0, 2.0, 2.0]
+    assert _max_pool(x[:0]).size == 0
 
 
 def test_snapkv_window_always_survives():

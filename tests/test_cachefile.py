@@ -342,6 +342,19 @@ def test_valid_hand_cache_loads(tmp_path):
     assert loaded.meta.method == "snapkv"
 
 
+@pytest.mark.parametrize("field, name", [("k", "budget k"), ("s", "segment count s")])
+def test_header_fields_past_u32_refused_on_save(tmp_path, field, name):
+    """k and s are u32 in the header: one past the limit is the caller's error."""
+    comp = hand_cache([0, 1, 2])
+    fits = replace(comp, meta=replace(comp.meta, **{field: (1 << 32) - 1}))
+    save_cache(fits, tmp_path / "fits.kvcc")
+    assert getattr(load_cache(tmp_path / "fits.kvcc").meta, field) == (1 << 32) - 1
+    past = replace(comp, meta=replace(comp.meta, **{field: 1 << 32}))
+    with pytest.raises(UsageError, match=f"{name} = {1 << 32} does not fit"):
+        save_cache(past, tmp_path / "x.kvcc")
+    assert not (tmp_path / "x.kvcc").exists()
+
+
 def test_unknown_method_refused_on_save(tmp_path):
     """A method without a code byte is the caller's error, not damage."""
     comp = hand_cache([0, 1, 2], method="proportional")

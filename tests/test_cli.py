@@ -527,6 +527,17 @@ def test_compress_creates_its_output_directory(bundle_dir, workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--budget", "5000000000"], "budget k = 5000000000 does not fit"),
+    (["--budget", "256", "--segments", "5000000000"], "segment count s = 5000000000 does not fit"),
+], ids=["budget", "segments"])
+def test_compress_past_the_cache_header_exits_2_before_building(bundle_dir, workdir, capsys, flags, message):
+    assert main(["compress", "--bundle", "bundle", "--method", "kvc_zs", *flags, "--out", "c.kvcc"]) == 2
+    out, err = capsys.readouterr()
+    assert message in err and "compressed" not in out
+    assert not (workdir / "c.kvcc").exists()
+
+
 RECORD = RunRecord(
     qid="q0", kind="join", method="rag", budget=160, connectivity=2, corpus_fp="aa",
     answer="x", overlap=1.0, retention=None, evidence_recall=0.5, compress_s=0.0,
@@ -569,6 +580,14 @@ def test_ttft_rejects_bad_sizes(workdir, capsys, sizes):
     assert main(["ttft", "--sizes", sizes, "--reps", "1",
                  "--question-tokens", "4", "--budget", "64"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("size", [768, 1024, 1792])
+def test_ttft_sizes_with_too_few_projects_are_too_small(workdir, capsys, size):
+    # a ttft bundle links each person to two projects
+    assert main(["ttft", "--sizes", str(size), "--reps", "1",
+                 "--question-tokens", "4", "--budget", "64"]) == 2
+    assert f"corpus size {size} too small for a bundle" in capsys.readouterr().err
 
 
 def test_ttft_default_sizes_pinned():

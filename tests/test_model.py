@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 import warnings
@@ -390,6 +391,40 @@ def test_an_exception_in_a_worker_surfaces_from_prefill(tiny_model, monkeypatch,
         prefill(tiny_model, KvCache.empty(tiny_model.config), ids)
     # a one-tile range runs on the calling thread alone
     prefill(tiny_model, KvCache.empty(tiny_model.config), ids[:ATTENTION_BLOCK])
+
+
+def test_run_shares_waits_for_the_pool_when_the_first_call_raises():
+    finished = threading.Event()
+
+    def first():
+        raise ValueError("first")
+
+    def slow():
+        time.sleep(0.05)
+        finished.set()
+
+    with pytest.raises(ValueError, match="first"):
+        try:
+            modelcore._run_shares([first, slow])
+        finally:
+            assert finished.is_set()
+
+
+def test_run_shares_raises_the_earliest_exception_in_call_order():
+    # the later call raises first; the earlier call's exception surfaces
+    later_raised = threading.Event()
+
+    def earlier():
+        later_raised.wait(5)
+        time.sleep(0.05)
+        raise ValueError("earlier")
+
+    def later():
+        later_raised.set()
+        raise KeyError("later")
+
+    with pytest.raises(ValueError, match="earlier"):
+        modelcore._run_shares([lambda: None, earlier, later])
 
 
 def test_only_ranges_of_enough_scores_split(tiny_model, monkeypatch):
@@ -1323,30 +1358,32 @@ def test_shadow_is_the_keys_with_rotary_off():
         assert np.shares_memory(cache.rotated_keys(layer, config), cache.keys[layer])
 
 
-def test_generate_greedy_contract(tiny_model):
+def test_generate_greedy_contract(tiny_model, monkeypatch):
     cache = KvCache.empty(tiny_model.config)
     prefill(tiny_model, cache, [5, 6, 7])
-    params = GenerationParams(max_new_tokens=5, stop_tokens=())
+    params = GenerationParams(max_new_tokens=5)
+    monkeypatch.setattr(GenerationParams, "stop_tokens", ())
     out = generate_greedy(tiny_model, cache.fork(), [8, 9], params)
     assert len(out.ids) == 5
 
     # the first generated token becomes a stop token -> empty output
-    stop = GenerationParams(max_new_tokens=5, stop_tokens=(out.ids[0],))
-    again = generate_greedy(tiny_model, cache.fork(), [8, 9], stop)
+    monkeypatch.setattr(GenerationParams, "stop_tokens", (out.ids[0],))
+    again = generate_greedy(tiny_model, cache.fork(), [8, 9], params)
     assert again.ids == []
 
     with pytest.raises(UsageError):
         generate_greedy(tiny_model, cache.fork(), [], params)
 
 
-def test_greedy_ties_resolve_to_lowest_id():
+def test_greedy_ties_resolve_to_lowest_id(monkeypatch):
     # diagnostic head is all zeros: every logit ties, argmax must pick id 0
     vocab = build_vocabulary(["alpha beta gamma delta"])
     config = ModelConfig(n_layers=1, n_heads=1, hidden_size=64, head_dim=64,
                          vocab_size=len(vocab), max_position=64)
     model = init_diagnostic_model(config, vocab)
     cache = KvCache.empty(model.config)
-    out = generate_greedy(model, cache, [4, 5], GenerationParams(max_new_tokens=3, stop_tokens=()))
+    monkeypatch.setattr(GenerationParams, "stop_tokens", ())
+    out = generate_greedy(model, cache, [4, 5], GenerationParams(max_new_tokens=3))
     assert out.ids == [0, 0, 0]
 
 

@@ -90,20 +90,22 @@ def both_answers(model, cache, prompt, params):
 
 
 @pytest.mark.parametrize("max_new", [1, 2, 3, 4])
-def test_timed_answer_is_generate_greedy(tiny_model, primed, max_new):
+def test_timed_answer_is_generate_greedy(tiny_model, primed, max_new, monkeypatch):
     cache, prompt = primed
-    params = GenerationParams(max_new_tokens=max_new, stop_tokens=())
+    monkeypatch.setattr(GenerationParams, "stop_tokens", ())
+    params = GenerationParams(max_new_tokens=max_new)
     want, want_cache, got, got_cache = both_answers(tiny_model, cache, prompt, params)
     assert len(want) == max_new
     assert got == want and all(type(t) is int for t in got)
     assert got_cache.length == want_cache.length
 
 
-def test_timed_answer_stops_on_the_first_token(tiny_model, primed):
+def test_timed_answer_stops_on_the_first_token(tiny_model, primed, monkeypatch):
     cache, prompt = primed
-    first = generate_greedy(tiny_model, cache.fork(), prompt,
-                            GenerationParams(max_new_tokens=1, stop_tokens=())).ids[0]
-    params = GenerationParams(max_new_tokens=4, stop_tokens=(first,))
+    monkeypatch.setattr(GenerationParams, "stop_tokens", ())
+    first = generate_greedy(tiny_model, cache.fork(), prompt, GenerationParams(max_new_tokens=1)).ids[0]
+    monkeypatch.setattr(GenerationParams, "stop_tokens", (first,))
+    params = GenerationParams(max_new_tokens=4)
     want, want_cache, got, got_cache = both_answers(tiny_model, cache, prompt, params)
     assert got == want == []
     assert got_cache.length == want_cache.length == cache.length + len(prompt)
